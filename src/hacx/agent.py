@@ -88,7 +88,6 @@ class HacxAgent:
     goal_dim: int = GOAL_DIM
     num_relabels: int = 2
     relabel_enabled: bool = True
-    tau_per_action: bool = False
     env_name: str = ""
 
     @property
@@ -119,7 +118,7 @@ def _make_policy(rng, state_dim, goal_dim, low, high, sigma, cfg_kwargs,
     cfg = LevelConfig(noise_sigma=np.asarray(sigma, dtype=float) * np.ones(act_dim),
                       low=low, high=high, **cfg_kwargs)
     return LevelPolicy(actor, critic, ReplayBuffer(capacity), cfg,
-                       approx.adam_optimizer(actor_lr), approx.adam_optimizer(critic_lr),
+                       Optimizer(actor_lr), Optimizer(critic_lr),
                        goal_dim, float(q_low), float(q_high))
 
 
@@ -130,7 +129,6 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
                rnd_code_dim: int = 16, rnd_hidden=(32, 32), rnd_lr: float = 1e-3,
                rnd_epsilon=None, rnd_capacity: int = rnd.STATE_BUFFER_CAPACITY,
                num_relabels: int = 2, relabel_enabled: bool = True,
-               tau_per_action: bool = False,
                replay_capacity: int = REPLAY_CAPACITY) -> HacxAgent:
     """Build a fresh agent for a task. All parameter draws come from rng in
     a fixed order, so agents are reproducible given the seed."""
@@ -172,8 +170,7 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
 
     return HacxAgent(levels, explore_top, tau, novelty,
                      VisitGrid(spec.bounds), num_relabels=num_relabels,
-                     relabel_enabled=relabel_enabled, tau_per_action=tau_per_action,
-                     env_name=spec.name)
+                     relabel_enabled=relabel_enabled, env_name=spec.name)
 
 
 def choose_top_policy(tau: float, rng: np.random.Generator) -> str:
@@ -238,15 +235,12 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
     train = ep.mode == "train"
     attempts = 0
     segment0 = [] if i == 0 else None
+    explore_here = is_top and ep.top == "explore"
+    policy = agent.explore_top if explore_here else agent.levels[i]
+    cfg = policy.config
 
     while True:
         attempts += 1
-        explore_here = is_top and ep.top == "explore"
-        if is_top and train and agent.tau_per_action and attempts > 1:
-            ep.top = choose_top_policy(agent.tau, ep.rng)
-            explore_here = ep.top == "explore"
-        policy = agent.explore_top if explore_here else agent.levels[i]
-        cfg = policy.config
         s_vec = _state_vec(ep.state)
         noisy = train and not testing
         action = select_action(policy, s_vec, None if explore_here else goal,
@@ -335,7 +329,6 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     state, task_goal = envsim.env_reset(spec, rng)
     top = choose_top_policy(agent.tau, rng) if train else "goal"
     ep = _Episode(spec, state, task_goal, mode, top, rng, agent.k)
-    first_top = top
 
     _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
 
@@ -354,7 +347,7 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
 
     positions = np.array([s.position for s in ep.primitive_states])
     closest = float(np.min(np.linalg.norm(positions - task_goal, axis=1)))
-    return EpisodeRecord(mode, first_top, ep.primitive_states, closest,
+    return EpisodeRecord(mode, top, ep.primitive_states, closest,
                          closest < spec.epsilon_task, ep.counts)
 
 
@@ -447,16 +440,18 @@ def _net_lines(tag: str, net: Network) -> list:
     return lines
 
 
-def _opt_lines(tag: str, opt: Optimizer) -> list:
-    lines = [f"[opt {tag}]", f"kind = {opt.kind}", f"lr = {_fmt(opt.learning_rate)}",
+def _opt_lines(tag: str, opt: Optimizer, net: Network) -> list:
+    lines = [f"[opt {tag}]", "kind = adam", f"lr = {_fmt(opt.learning_rate)}",
              f"beta1 = {_fmt(opt.beta1)}", f"beta2 = {_fmt(opt.beta2)}",
              f"eps = {_fmt(opt.eps)}", f"steps = {opt.step_count}"]
-    if opt.m_weights:
-        for j in range(len(opt.m_weights)):
-            lines.append(f"MA{j} = " + _fmt_vec(opt.m_weights[j]))
-            lines.append(f"MB{j} = " + _fmt_vec(opt.m_biases[j]))
-            lines.append(f"VA{j} = " + _fmt_vec(opt.v_weights[j]))
-            lines.append(f"VB{j} = " + _fmt_vec(opt.v_biases[j]))
+    if opt.m is not None:
+        mw, mb = approx.layer_views(net.layer_sizes, opt.m)
+        vw, vb = approx.layer_views(net.layer_sizes, opt.v)
+        for j in range(len(mw)):
+            lines.append(f"MA{j} = " + _fmt_vec(mw[j]))
+            lines.append(f"MB{j} = " + _fmt_vec(mb[j]))
+            lines.append(f"VA{j} = " + _fmt_vec(vw[j]))
+            lines.append(f"VB{j} = " + _fmt_vec(vb[j]))
     return lines
 
 
@@ -475,9 +470,9 @@ def _policy_lines(tag: str, p: LevelPolicy) -> list:
              "low = " + _fmt_vec(cfg.low),
              "high = " + _fmt_vec(cfg.high)]
     lines += _net_lines(f"{tag}.actor", p.actor)
-    lines += _opt_lines(f"{tag}.actor", p.actor_opt)
+    lines += _opt_lines(f"{tag}.actor", p.actor_opt, p.actor)
     lines += _net_lines(f"{tag}.critic", p.critic)
-    lines += _opt_lines(f"{tag}.critic", p.critic_opt)
+    lines += _opt_lines(f"{tag}.critic", p.critic_opt, p.critic)
     return lines
 
 
@@ -492,7 +487,6 @@ def policy_snapshot(agent: HacxAgent) -> str:
              f"goal_dim = {agent.goal_dim}",
              f"num_relabels = {agent.num_relabels}",
              f"relabel_enabled = {int(agent.relabel_enabled)}",
-             f"tau_per_action = {int(agent.tau_per_action)}",
              f"env_name = {agent.env_name}",
              "visit_bounds = " + _fmt_vec(agent.visits.bounds),
              f"visit_resolution = {agent.visits.resolution}"]
@@ -506,7 +500,7 @@ def policy_snapshot(agent: HacxAgent) -> str:
               f"state_capacity = {agent.novelty.state_buffer.shape[0]}"]
     lines += _net_lines("rnd.target", agent.novelty.target)
     lines += _net_lines("rnd.predictor", agent.novelty.predictor)
-    lines += _opt_lines("rnd.predictor", agent.novelty.predictor_opt)
+    lines += _opt_lines("rnd.predictor", agent.novelty.predictor_opt, agent.novelty.predictor)
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -551,6 +545,15 @@ def _parse_array(sec: dict, key: str, shape) -> np.ndarray:
     return vals.reshape(shape)
 
 
+def _parse_layers(sec: dict, wkey: str, bkey: str, sizes) -> np.ndarray:
+    """Blocks {wkey}{j} and {bkey}{j}, concatenated in the Network.params layout."""
+    blocks = []
+    for j in range(len(sizes) - 1):
+        blocks.append(_parse_array(sec, f"{wkey}{j}", (sizes[j + 1] * sizes[j],)))
+        blocks.append(_parse_array(sec, f"{bkey}{j}", (sizes[j + 1],)))
+    return np.concatenate(blocks)
+
+
 def _read_net(r: _SnapshotReader, tag: str) -> Network:
     sec = r.section(f"network {tag}")
     sizes = [int(v) for v in sec["sizes"].split()]
@@ -559,23 +562,19 @@ def _read_net(r: _SnapshotReader, tag: str) -> Network:
     if out_act == "tanh_scaled":
         low = _parse_array(sec, "out_low", (sizes[-1],))
         high = _parse_array(sec, "out_high", (sizes[-1],))
-    weights, biases = [], []
-    for j in range(len(sizes) - 1):
-        weights.append(_parse_array(sec, f"A{j}", (sizes[j + 1], sizes[j])))
-        biases.append(_parse_array(sec, f"B{j}", (sizes[j + 1],)))
-    return Network(sizes, weights, biases, sec["hidden"], out_act, low, high)
+    return Network(sizes, _parse_layers(sec, "A", "B", sizes), sec["hidden"], out_act,
+                   low, high)
 
 
 def _read_opt(r: _SnapshotReader, tag: str, net: Network) -> Optimizer:
     sec = r.section(f"opt {tag}")
-    opt = Optimizer(sec["kind"], float(sec["lr"]), float(sec["beta1"]),
-                    float(sec["beta2"]), float(sec["eps"]), int(sec["steps"]))
+    if sec["kind"] != "adam":
+        raise CheckpointError(f"[opt {tag}]: unsupported optimizer kind {sec['kind']!r}")
+    opt = Optimizer(float(sec["lr"]), float(sec["beta1"]), float(sec["beta2"]),
+                    float(sec["eps"]), int(sec["steps"]))
     if "MA0" in sec:
-        for j, (w, b) in enumerate(zip(net.weights, net.biases)):
-            opt.m_weights.append(_parse_array(sec, f"MA{j}", w.shape))
-            opt.m_biases.append(_parse_array(sec, f"MB{j}", b.shape))
-            opt.v_weights.append(_parse_array(sec, f"VA{j}", w.shape))
-            opt.v_biases.append(_parse_array(sec, f"VB{j}", b.shape))
+        opt.m = _parse_layers(sec, "MA", "MB", net.layer_sizes)
+        opt.v = _parse_layers(sec, "VA", "VB", net.layer_sizes)
     return opt
 
 
@@ -598,7 +597,15 @@ def _read_policy(r: _SnapshotReader, tag: str) -> LevelPolicy:
 
 def restore(snapshot: str) -> HacxAgent:
     """Rebuild an agent from policy_snapshot output. Replay buffers and the
-    novelty state buffer come back empty."""
+    novelty state buffer come back empty. Any malformed content raises
+    CheckpointError."""
+    try:
+        return _restore(snapshot)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"malformed snapshot: {e!r}") from e
+
+
+def _restore(snapshot: str) -> HacxAgent:
     r = _SnapshotReader(snapshot)
     a = r.section("agent")
     k = int(a["k"])
@@ -616,4 +623,4 @@ def restore(snapshot: str) -> HacxAgent:
     return HacxAgent(levels, explore_top, float(a["tau"]), novelty, visits,
                      int(a["state_dim"]), int(a["goal_dim"]),
                      int(a["num_relabels"]), bool(int(a["relabel_enabled"])),
-                     bool(int(a["tau_per_action"])), a.get("env_name", ""))
+                     a.get("env_name", ""))

@@ -1,5 +1,10 @@
 """Dense feedforward function approximation with hand-written reverse-mode
-gradients and first-order optimizers (sgd, adam).
+gradients and an Adam optimizer.
+
+Each network keeps all of its parameters in one contiguous vector
+``params``; ``weights[i]`` and ``biases[i]`` are views into it, laid out
+A0, B0, A1, B1, ... Gradients and Adam moments are flat vectors of the same
+layout, so an optimizer step is a handful of whole-vector operations.
 
 Inputs may be single vectors of shape (d,) or batches of shape (n, d).
 For batched inputs the parameter gradients are summed over the batch; the
@@ -8,7 +13,7 @@ caller scales the upstream gradient to get means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,21 +23,44 @@ HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "tanh_scaled")
 
 
+def _param_count(sizes) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def layer_views(sizes, flat: np.ndarray):
+    """(weights, biases): per-layer views into flat, laid out A0, B0, A1, B1, ...
+    weights[i] has shape (sizes[i+1], sizes[i])."""
+    if flat.shape != (_param_count(sizes),):
+        raise ShapeError(f"parameter vector of shape {flat.shape} does not fit "
+                         f"layer sizes {list(sizes)}")
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class Network:
-    """A stack of affine layers: weights[i] has shape (sizes[i+1], sizes[i]).
+    """A stack of affine layers whose parameters live in one vector.
 
     ``tanh_scaled`` output maps tanh(z) affinely onto [output_low, output_high]
     per dimension, so outputs can never leave those bounds.
     """
 
     layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     hidden_activation: str = "relu"
     output_activation: str = "identity"
     output_low: np.ndarray | None = None
     output_high: np.ndarray | None = None
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = layer_views(self.layer_sizes, self.params)
 
     @property
     def input_dim(self) -> int:
@@ -45,28 +73,24 @@ class Network:
 
 @dataclass
 class GradientSet:
-    """Per-parameter gradients, shape-congruent with a Network, plus the
-    gradient with respect to the network input."""
+    """Parameter gradients as one vector in the Network.params layout, plus
+    the gradient with respect to the network input."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     wrt_input: np.ndarray
 
 
 @dataclass
 class Optimizer:
-    """First-order optimizer state. ``kind`` is "sgd" or "adam"."""
+    """Adam state; m and v are flat moments, allocated at the first step."""
 
-    kind: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def network_init(
@@ -102,32 +126,47 @@ def network_init(
         if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high)) and np.all(low < high)):
             raise ConfigError(f"invalid output bounds low={low} high={high}")
 
-    weights, biases = [], []
-    n_layers = len(layer_sizes) - 1
-    for i in range(n_layers):
-        fan_in = layer_sizes[i]
-        limit = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-limit, limit, size=(layer_sizes[i + 1], fan_in))
-        b = rng.uniform(-limit, limit, size=layer_sizes[i + 1])
-        if i == n_layers - 1 and final_scale != 1.0:
-            w *= final_scale
-            b *= final_scale
-        weights.append(w)
-        biases.append(b)
-    return Network(list(layer_sizes), weights, biases, hidden_activation,
-                   output_activation, low, high)
+    net = Network(list(layer_sizes), np.empty(_param_count(layer_sizes)),
+                  hidden_activation, output_activation, low, high)
+    for w, b in zip(net.weights, net.biases):
+        limit = 1.0 / np.sqrt(w.shape[1])
+        w[:] = rng.uniform(-limit, limit, size=w.shape)
+        b[:] = rng.uniform(-limit, limit, size=b.shape)
+    if final_scale != 1.0:
+        net.weights[-1] *= final_scale
+        net.biases[-1] *= final_scale
+    return net
 
 
-def _hidden(net: Network, z: np.ndarray) -> np.ndarray:
-    if net.hidden_activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+def _checked_input(net: Network, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+        raise ShapeError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
+    return x
 
 
-def _hidden_grad(net: Network, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if net.hidden_activation == "relu":
-        return (z > 0.0).astype(float)
-    return 1.0 - a * a
+def _layers(net: Network, x: np.ndarray, acts: list | None = None):
+    """The layer loop on x of shape (d,) or (n, d). Appends each layer's input
+    to acts when given. Returns the output and, for tanh_scaled output, the
+    output tanh (else None)."""
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if acts is not None:
+            acts.append(x)
+        z = (w.dot(x) if x.ndim == 1 else x @ w.T) + b
+        if i < last:
+            x = np.maximum(z, 0.0) if net.hidden_activation == "relu" else np.tanh(z)
+    if net.output_activation == "identity":
+        return z, None
+    t = np.tanh(z)
+    mid = 0.5 * (net.output_high + net.output_low)
+    half = 0.5 * (net.output_high - net.output_low)
+    return mid + half * t, t
+
+
+def forward(net: Network, x: np.ndarray) -> np.ndarray:
+    """Evaluate the network; pure function of (net, x)."""
+    return _layers(net, _checked_input(net, x))[0]
 
 
 def forward_trace(net: Network, x: np.ndarray):
@@ -135,84 +174,34 @@ def forward_trace(net: Network, x: np.ndarray):
 
     Returns (output, trace). Input may be (d,) or (n, d); output matches.
     """
-    x = np.asarray(x, dtype=float)
+    x = _checked_input(net, x)
     single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.ndim != 2 or xb.shape[1] != net.input_dim:
-        raise ShapeError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
-
-    pre, act = [], [xb]
-    a = xb
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        if i < last:
-            a = _hidden(net, z)
-        elif net.output_activation == "tanh_scaled":
-            t = np.tanh(z)
-            mid = 0.5 * (net.output_high + net.output_low)
-            half = 0.5 * (net.output_high - net.output_low)
-            a = mid + half * t
-        else:
-            a = z
-        act.append(a)
-    out = act[-1][0] if single else act[-1]
-    return out, (single, pre, act)
-
-
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; pure function of (net, x)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        # single-sample fast path, no trace bookkeeping
-        if x.shape[0] != net.input_dim:
-            raise ShapeError(f"input shape {x.shape} incompatible with "
-                             f"input dim {net.input_dim}")
-        a = x
-        last = len(net.weights) - 1
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = w.dot(a) + b
-            if i < last:
-                a = np.maximum(z, 0.0) if net.hidden_activation == "relu" else np.tanh(z)
-            elif net.output_activation == "tanh_scaled":
-                t = np.tanh(z)
-                a = 0.5 * (net.output_high + net.output_low) \
-                    + 0.5 * (net.output_high - net.output_low) * t
-            else:
-                a = z
-        return a
-    return forward_trace(net, x)[0]
+    acts = []
+    out, t = _layers(net, x[None, :] if single else x, acts)
+    return (out[0] if single else out), (single, acts, t)
 
 
 def backward_trace(net: Network, trace, upstream: np.ndarray) -> GradientSet:
     """Gradients of sum(output * upstream) from a stored forward trace."""
-    single, pre, act = trace
+    single, acts, t = trace
     upstream = np.asarray(upstream, dtype=float)
-    ub = upstream[None, :] if single else upstream
-    if ub.ndim != 2 or ub.shape[1] != net.output_dim or ub.shape[0] != act[0].shape[0]:
+    delta = upstream[None, :] if single else upstream
+    if delta.ndim != 2 or delta.shape[1] != net.output_dim or delta.shape[0] != len(acts[0]):
         raise ShapeError(
             f"upstream shape {upstream.shape} incompatible with output dim {net.output_dim}")
+    if t is not None:
+        delta = delta * (0.5 * (net.output_high - net.output_low)) * (1.0 - t * t)
 
-    n_layers = len(net.weights)
-    gw: list = [None] * n_layers
-    gb: list = [None] * n_layers
-
-    if net.output_activation == "tanh_scaled":
-        half = 0.5 * (net.output_high - net.output_low)
-        t = np.tanh(pre[-1])
-        delta = ub * half * (1.0 - t * t)
-    else:
-        delta = ub
-
-    for i in range(n_layers - 1, -1, -1):
-        gw[i] = delta.T @ act[i]
-        gb[i] = delta.sum(axis=0)
+    grad = np.empty_like(net.params)
+    gw, gb = layer_views(net.layer_sizes, grad)
+    for i in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[i], out=gw[i])
+        delta.sum(axis=0, out=gb[i])
         delta = delta @ net.weights[i]
         if i > 0:
-            delta = delta * _hidden_grad(net, pre[i - 1], act[i])
-    wrt_input = delta[0] if single else delta
-    return GradientSet(gw, gb, wrt_input)
+            a = acts[i]
+            delta = delta * ((a > 0.0) if net.hidden_activation == "relu" else (1.0 - a * a))
+    return GradientSet(grad, delta[0] if single else delta)
 
 
 def backward(net: Network, x: np.ndarray, upstream: np.ndarray) -> GradientSet:
@@ -222,91 +211,40 @@ def backward(net: Network, x: np.ndarray, upstream: np.ndarray) -> GradientSet:
     return backward_trace(net, trace, upstream)
 
 
-def sgd_optimizer(learning_rate: float) -> Optimizer:
-    return Optimizer("sgd", learning_rate)
-
-
-def adam_optimizer(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> Optimizer:
-    return Optimizer("adam", learning_rate, beta1, beta2, eps)
-
-
-def _check_congruent(net: Network, grads: GradientSet) -> None:
-    if len(grads.weights) != len(net.weights) or len(grads.biases) != len(net.biases):
-        raise ShapeError("gradient layer count does not match network")
-    for i, (w, gw) in enumerate(zip(net.weights, grads.weights)):
-        if w.shape != gw.shape or net.biases[i].shape != grads.biases[i].shape:
-            raise ShapeError(f"gradient shapes at layer {i} do not match network")
-
-
 def optimizer_step(net: Network, grads: GradientSet, opt: Optimizer) -> Network:
-    """Apply one update in place and return the network.
+    """Apply one Adam update in place and return the network.
 
     Rejects the whole update if any gradient entry is non-finite.
     """
-    _check_congruent(net, grads)
-    for i in range(len(net.weights)):
-        if not (np.all(np.isfinite(grads.weights[i])) and np.all(np.isfinite(grads.biases[i]))):
-            raise TrainingError(f"update rejected: non-finite gradient at layer {i}")
-
-    if opt.kind == "sgd":
-        for i in range(len(net.weights)):
-            net.weights[i] -= opt.learning_rate * grads.weights[i]
-            net.biases[i] -= opt.learning_rate * grads.biases[i]
-        return net
-    if opt.kind != "adam":
-        raise ConfigError(f"unknown optimizer kind {opt.kind!r}")
-
-    if not opt.m_weights:
-        opt.m_weights = [np.zeros_like(w) for w in net.weights]
-        opt.m_biases = [np.zeros_like(b) for b in net.biases]
-        opt.v_weights = [np.zeros_like(w) for w in net.weights]
-        opt.v_biases = [np.zeros_like(b) for b in net.biases]
-    for i, mw in enumerate(opt.m_weights):
-        if mw.shape != net.weights[i].shape:
-            raise ShapeError(f"optimizer moments at layer {i} do not match network")
+    g = grads.params
+    if g.shape != net.params.shape or (opt.m is not None and opt.m.shape != g.shape):
+        raise ShapeError(f"gradient or moment shape does not match the network's "
+                         f"{net.params.size} parameters")
+    if not np.isfinite(g).all():
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        ends = np.cumsum([w.size + b.size for w, b in zip(net.weights, net.biases)])
+        layer = int(np.searchsorted(ends, first, side="right"))
+        raise TrainingError(f"update rejected: non-finite gradient at layer {layer}")
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
 
     opt.step_count += 1
     b1c = 1.0 - opt.beta1 ** opt.step_count
     b2c = 1.0 - opt.beta2 ** opt.step_count
-    for i in range(len(net.weights)):
-        for params, g, m, v in (
-            (net.weights[i], grads.weights[i], opt.m_weights[i], opt.v_weights[i]),
-            (net.biases[i], grads.biases[i], opt.m_biases[i], opt.v_biases[i]),
-        ):
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * g
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * (g * g)
-            params -= opt.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * g
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * (g * g)
+    net.params -= opt.learning_rate * (opt.m / b1c) / (np.sqrt(opt.v / b2c) + opt.eps)
     return net
 
 
 def parameter_count(net: Network) -> int:
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-
-
-def parameter_arrays(net: Network) -> list[np.ndarray]:
-    """All parameters in declared order: layer 0 weights, layer 0 biases, ..."""
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
+    return net.params.size
 
 
 def copy_network(net: Network) -> Network:
-    return Network(
-        list(net.layer_sizes),
-        [w.copy() for w in net.weights],
-        [b.copy() for b in net.biases],
-        net.hidden_activation,
-        net.output_activation,
-        None if net.output_low is None else net.output_low.copy(),
-        None if net.output_high is None else net.output_high.copy(),
-    )
-
-
-def check_finite(net: Network) -> bool:
-    return all(np.all(np.isfinite(w)) for w in net.weights) and all(
-        np.all(np.isfinite(b)) for b in net.biases)
+    """A deep copy: parameters and output bounds share no memory with net."""
+    return replace(net, layer_sizes=list(net.layer_sizes), params=net.params.copy(),
+                   output_low=None if net.output_low is None else net.output_low.copy(),
+                   output_high=None if net.output_high is None else net.output_high.copy())

@@ -27,7 +27,7 @@ from . import agent as agent_mod
 from . import envsim, rnd
 from .agent import HacxAgent, make_agent, policy_snapshot, restore, run_episode, update
 from .envsim import EnvSpec, load_spec
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, TrainingError
 
 log = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def evaluate(agent: HacxAgent, spec: EnvSpec, n_test: int,
              rng: np.random.Generator):
     """Mean closest distance and success rate over n_test test episodes."""
     if n_test < 1:
-        raise ValueError("n_test must be >= 1")
+        raise ConfigError("n_test must be >= 1")
     dists, succ = [], 0
     for _ in range(n_test):
         rec = run_episode(agent, spec, "test", rng)
@@ -288,8 +288,9 @@ def run_trial(cfg: RunConfig, seed: int, out_dir: str) -> list:
 
 def run_trials(cfg: RunConfig, out_root: str = None) -> str:
     """One trial per seed, then an aggregate file with the mean and standard
-    deviation of mean_closest_distance per evaluation point. Failed trials
-    are reported and excluded. Returns the aggregate file path."""
+    deviation of mean_closest_distance per evaluation point. A trial that
+    raises TrainingError (training diverged) is reported and excluded; any
+    other exception propagates. Returns the aggregate file path."""
     out_root = out_root or cfg.output_dir
     load_spec(cfg.env)  # fail fast on a bad environment before any trial runs
     os.makedirs(out_root, exist_ok=True)
@@ -299,11 +300,11 @@ def run_trials(cfg: RunConfig, out_root: str = None) -> str:
     for seed in cfg.seeds:
         try:
             per_seed[seed] = run_trial(cfg, seed, os.path.join(out_root, f"seed{seed}"))
-        except Exception:
+        except TrainingError:
             log.exception("trial for seed %d failed; excluding it", seed)
             failed.append(seed)
     if not per_seed:
-        raise ConfigError("all trials failed")
+        raise TrainingError("every trial failed; see the log above")
     agg_path = os.path.join(out_root, "aggregate.csv")
     lines = []
     if failed:
@@ -366,7 +367,9 @@ BASELINES = {"hac": dict(tau=0.0), "rnd": dict(levels=1), "hacx": {}}
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hacx",
-        description="Hierarchical goal-conditioned RL with novelty-driven exploration")
+        description="Hierarchical goal-conditioned RL with novelty-driven exploration",
+        epilog="exit codes: 0 success, 2 configuration or input error, "
+               "3 corrupt checkpoint, 4 training diverged")
     parser.add_argument("--quiet", action="store_true", help="warnings only")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -413,9 +416,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
+    except CheckpointError as e:
+        print(f"checkpoint error: {e}", file=sys.stderr)
         return 3
+    except TrainingError as e:
+        print(f"training error: {e}", file=sys.stderr)
+        return 4
     return 0
 
 

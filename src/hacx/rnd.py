@@ -53,7 +53,7 @@ def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
     sizes = [2, *hidden, code_dim]
     target = approx.network_init(sizes, rng)
     predictor = approx.network_init(sizes, rng)
-    model = NoveltyModel(target, predictor, approx.adam_optimizer(learning_rate),
+    model = NoveltyModel(target, predictor, Optimizer(learning_rate),
                          code_dim, epsilon_rnd,
                          state_buffer=np.zeros((capacity, 2), dtype=np.float32))
     return model
@@ -136,8 +136,3 @@ def novelty_map(model: NoveltyModel, bounds, resolution: int = 64) -> np.ndarray
 
 def new_fraction(model: NoveltyModel, bounds, resolution: int = 64) -> float:
     return float(novelty_map(model, bounds, resolution).mean())
-
-
-def target_checksum(model: NoveltyModel) -> float:
-    """Cheap fingerprint of the frozen target parameters."""
-    return float(sum(np.abs(a).sum() for a in approx.parameter_arrays(model.target)))

@@ -7,28 +7,25 @@ from hacx import approx
 
 def fd_param_gradients(net, x, upstream, h=1e-5):
     """Central finite differences of sum(forward(net, x) * upstream) with
-    respect to every parameter. Mutates and restores net in place."""
+    respect to every parameter, as one vector in the net.params layout.
+    Mutates and restores net in place."""
     x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
 
     def loss():
         return float(np.sum(approx.forward(net, x) * upstream))
 
-    grads_w, grads_b = [], []
-    for arrs, out in ((net.weights, grads_w), (net.biases, grads_b)):
-        for a in arrs:
-            g = np.zeros_like(a)
-            flat, gf = a.ravel(), g.ravel()
-            for i in range(flat.size):
-                old = flat[i]
-                flat[i] = old + h
-                lp = loss()
-                flat[i] = old - h
-                lm = loss()
-                flat[i] = old
-                gf[i] = (lp - lm) / (2 * h)
-            out.append(g)
-    return grads_w, grads_b
+    flat = net.params
+    g = np.zeros_like(flat)
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + h
+        lp = loss()
+        flat[i] = old - h
+        lm = loss()
+        flat[i] = old
+        g[i] = (lp - lm) / (2 * h)
+    return g
 
 
 def fd_input_gradient(net, x, upstream, h=1e-5):
@@ -78,7 +75,10 @@ def input_off_relu_kinks(net, rng, margin=1e-3, tries=50):
         x = rng.uniform(-1.5, 1.5, net.layer_sizes[0])
         if net.hidden_activation != "relu":
             return x
-        _, (_, pre, _) = approx.forward_trace(net, x)
-        if all(np.min(np.abs(z)) > margin for z in pre[:-1]) or len(pre) == 1:
+        a, hidden_pre = x, []
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            hidden_pre.append(w @ a + b)
+            a = np.maximum(hidden_pre[-1], 0.0)
+        if all(np.min(np.abs(z)) > margin for z in hidden_pre):
             return x
     return x

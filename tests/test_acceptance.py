@@ -30,10 +30,9 @@ def test_gradient_checks_match_finite_differences():
         x = helpers.input_off_relu_kinks(net, rng)
         upstream = rng.normal(size=net.layer_sizes[-1])
         got = approx.backward(net, x, upstream)
-        want_w, want_b = helpers.fd_param_gradients(net, x, upstream)
+        want_params = helpers.fd_param_gradients(net, x, upstream)
         want_x = helpers.fd_input_gradient(net, x, upstream)
-        ok = all(helpers.rel_close(g, w) for g, w in zip(got.weights, want_w))
-        ok = ok and all(helpers.rel_close(g, w) for g, w in zip(got.biases, want_b))
+        ok = helpers.rel_close(got.params, want_params)
         ok = ok and helpers.rel_close(got.wrt_input, want_x)
         bad += 0 if ok else 1
     wall = time.perf_counter() - t0

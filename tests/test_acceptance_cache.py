@@ -11,6 +11,7 @@ import pytest
 
 import acceptance_util as au
 from hacx import harness
+from hacx.errors import TrainingError
 
 
 def _tiny_crit6(tau=0.6):
@@ -71,7 +72,7 @@ def test_cache_with_excluded_seed_is_refused(cache, monkeypatch):
 
     def seed1_fails(cfg, seed, out_dir):
         if seed == 1:
-            raise FloatingPointError("diverged")
+            raise TrainingError("diverged")
         return real(cfg, seed, out_dir)
 
     monkeypatch.setattr(harness, "run_trial", seed1_fails)

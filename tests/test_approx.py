@@ -77,14 +77,20 @@ def test_forward_hand_oracle():
 
 
 def test_forward_single_matches_batch():
+    # forward and forward_trace share one layer loop, so a batch gives the
+    # same bits through either; a row alone goes through a matrix-vector
+    # product, which may round differently from the batched product
     rng = np.random.default_rng(42)
-    for _ in range(10):
-        net = random_small_net(rng)
-        xs = rng.uniform(-2, 2, (5, net.layer_sizes[0]))
-        batch = approx.forward(net, xs)
-        assert batch.shape == (5, net.layer_sizes[-1])
-        for i in range(5):
-            assert np.allclose(approx.forward(net, xs[i]), batch[i], atol=1e-12)
+    for hidden in approx.HIDDEN_ACTIVATIONS:
+        for output in approx.OUTPUT_ACTIVATIONS:
+            for _ in range(5):
+                net = random_small_net(rng, hidden, output)
+                xs = rng.uniform(-2, 2, (5, net.layer_sizes[0]))
+                batch = approx.forward(net, xs)
+                assert batch.shape == (5, net.layer_sizes[-1])
+                assert np.array_equal(approx.forward_trace(net, xs)[0], batch)
+                for i in range(5):
+                    assert np.allclose(approx.forward(net, xs[i]), batch[i], atol=1e-12)
 
 
 def test_forward_trace_agrees_with_forward():
@@ -119,10 +125,8 @@ def test_backward_zero_upstream_gives_zero_gradients():
     net = random_small_net(rng)
     x = rng.uniform(-1, 1, net.layer_sizes[0])
     g = approx.backward(net, x, np.zeros(net.layer_sizes[-1]))
-    for gw in g.weights:
-        assert np.all(gw == 0.0)
-    for gb in g.biases:
-        assert np.all(gb == 0.0)
+    assert g.params.shape == net.params.shape
+    assert np.all(g.params == 0.0)
     assert np.all(g.wrt_input == 0.0)
 
 
@@ -130,8 +134,9 @@ def test_backward_single_linear_neuron():
     net = approx.network_init([3, 1], np.random.default_rng(1))
     x = np.array([0.5, -2.0, 4.0])
     g = approx.backward(net, x, np.ones(1))
-    assert np.allclose(g.weights[0], x[None, :])
-    assert np.allclose(g.biases[0], [1.0])
+    gw, gb = approx.layer_views(net.layer_sizes, g.params)
+    assert np.allclose(gw[0], x[None, :])
+    assert np.allclose(gb[0], [1.0])
     assert np.allclose(g.wrt_input, net.weights[0][0])
 
 
@@ -150,11 +155,7 @@ def test_param_gradients_match_finite_differences():
         x = input_off_relu_kinks(net, rng)
         upstream = rng.uniform(-1, 1, net.layer_sizes[-1])
         g = approx.backward(net, x, upstream)
-        fw, fb = fd_param_gradients(net, x, upstream)
-        for a, b in zip(g.weights, fw):
-            assert rel_close(a, b)
-        for a, b in zip(g.biases, fb):
-            assert rel_close(a, b)
+        assert rel_close(g.params, fd_param_gradients(net, x, upstream))
 
 
 def test_input_gradients_match_finite_differences():
@@ -173,44 +174,44 @@ def test_batch_gradients_sum_over_samples():
     xs = rng.uniform(-1, 1, (6, net.layer_sizes[0]))
     ups = rng.uniform(-1, 1, (6, net.layer_sizes[-1]))
     g_batch = approx.backward(net, xs, ups)
-    acc_w = [np.zeros_like(w) for w in net.weights]
-    acc_b = [np.zeros_like(b) for b in net.biases]
+    acc = np.zeros_like(net.params)
     for i in range(6):
-        g = approx.backward(net, xs[i], ups[i])
-        for j in range(len(acc_w)):
-            acc_w[j] += g.weights[j]
-            acc_b[j] += g.biases[j]
-    for a, b in zip(g_batch.weights, acc_w):
-        assert np.allclose(a, b, atol=1e-10)
-    for a, b in zip(g_batch.biases, acc_b):
-        assert np.allclose(a, b, atol=1e-10)
+        acc += approx.backward(net, xs[i], ups[i]).params
+    assert np.allclose(g_batch.params, acc, atol=1e-10)
     # per-sample input gradients come back row by row
     g0 = approx.backward(net, xs[0], ups[0])
     assert np.allclose(g_batch.wrt_input[0], g0.wrt_input, atol=1e-12)
 
 
-def test_sgd_step_exact():
-    net = approx.network_init([1, 1], np.random.default_rng(0))
-    net.weights[0][:] = 1.0
-    net.biases[0][:] = 1.0
-    grads = approx.GradientSet([np.full((1, 1), 2.0)], [np.full(1, 2.0)], np.zeros(1))
-    approx.optimizer_step(net, grads, approx.sgd_optimizer(0.1))
-    assert np.allclose(net.weights[0], 0.8)
-    assert np.allclose(net.biases[0], 0.8)
-
-
 def test_zero_gradient_step_changes_nothing():
-    rng = np.random.default_rng(8)
-    for make in (lambda: approx.sgd_optimizer(0.5), lambda: approx.adam_optimizer(0.5)):
-        net = random_small_net(rng)
-        before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
-        zeros = approx.GradientSet([np.zeros_like(w) for w in net.weights],
-                                   [np.zeros_like(b) for b in net.biases],
-                                   np.zeros(net.layer_sizes[0]))
-        approx.optimizer_step(net, zeros, make())
-        after = list(net.weights) + list(net.biases)
-        for a, b in zip(before, after):
-            assert np.array_equal(a, b)
+    net = random_small_net(np.random.default_rng(8))
+    before = net.params.copy()
+    zeros = approx.GradientSet(np.zeros_like(net.params), np.zeros(net.layer_sizes[0]))
+    approx.optimizer_step(net, zeros, approx.Optimizer(0.5))
+    assert np.array_equal(net.params, before)
+
+
+def test_layer_views_alias_the_parameter_vector():
+    net = approx.network_init([3, 4, 2], np.random.default_rng(1))
+    assert [w.shape for w in net.weights] == [(4, 3), (2, 4)]
+    assert [b.shape for b in net.biases] == [(4,), (2,)]
+    for a in net.weights + net.biases:
+        assert np.shares_memory(a, net.params)
+    # layout A0, B0, A1, B1
+    assert np.array_equal(net.params, np.concatenate(
+        [net.weights[0].ravel(), net.biases[0], net.weights[1].ravel(), net.biases[1]]))
+    with pytest.raises(ShapeError):
+        approx.layer_views([3, 4, 2], np.zeros(net.params.size + 1))
+
+
+def test_optimizer_step_is_visible_through_weights():
+    net = approx.network_init([2, 3, 1], np.random.default_rng(3))
+    w0, b1 = net.weights[0].copy(), net.biases[1].copy()
+    grads = approx.GradientSet(np.ones_like(net.params), np.zeros(2))
+    approx.optimizer_step(net, grads, approx.Optimizer(0.01))
+    # a positive gradient moves every parameter down by lr on the first step
+    assert np.allclose(net.weights[0], w0 - 0.01)
+    assert np.allclose(net.biases[1], b1 - 0.01)
 
 
 def test_adam_first_step_hand_oracle():
@@ -220,8 +221,8 @@ def test_adam_first_step_hand_oracle():
     net.weights[0][:] = 0.5
     net.biases[0][:] = -0.25
     g = 3.0
-    grads = approx.GradientSet([np.full((1, 1), g)], [np.full(1, g)], np.zeros(1))
-    opt = approx.adam_optimizer(0.01)
+    grads = approx.GradientSet(np.full(2, g), np.zeros(1))
+    opt = approx.Optimizer(0.01)
     approx.optimizer_step(net, grads, opt)
     expected = 0.01 * g / (abs(g) + 1e-8)
     assert np.allclose(net.weights[0], 0.5 - expected, atol=1e-12)
@@ -233,51 +234,51 @@ def test_adam_matches_reference_sequence():
     rng = np.random.default_rng(55)
     net = random_small_net(rng, hidden_activation="tanh")
     lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
-    opt = approx.adam_optimizer(lr, b1, b2, eps)
+    opt = approx.Optimizer(lr, b1, b2, eps)
 
-    ref_w = [w.copy() for w in net.weights]
-    ref_b = [b.copy() for b in net.biases]
-    m = [np.zeros_like(p) for p in ref_w + ref_b]
-    v = [np.zeros_like(p) for p in ref_w + ref_b]
+    ref = net.params.copy()
+    m = np.zeros_like(ref)
+    v = np.zeros_like(ref)
 
     for t in range(1, 6):
-        gw = [rng.normal(size=w.shape) for w in net.weights]
-        gb = [rng.normal(size=b.shape) for b in net.biases]
+        g = rng.normal(size=ref.shape)
         approx.optimizer_step(
-            net, approx.GradientSet([g.copy() for g in gw], [g.copy() for g in gb],
-                                    np.zeros(net.layer_sizes[0])), opt)
-        flat = gw + gb
-        params = ref_w + ref_b
-        for i, g in enumerate(flat):
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            mh = m[i] / (1 - b1 ** t)
-            vh = v[i] / (1 - b2 ** t)
-            params[i] -= lr * mh / (np.sqrt(vh) + eps)
+            net, approx.GradientSet(g.copy(), np.zeros(net.layer_sizes[0])), opt)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mh = m / (1 - b1 ** t)
+        vh = v / (1 - b2 ** t)
+        ref -= lr * mh / (np.sqrt(vh) + eps)
 
-    for a, b in zip(net.weights + net.biases, ref_w + ref_b):
-        assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(net.params, ref, atol=1e-12)
 
 
 def test_nonfinite_gradients_rejected_and_params_untouched():
     net = approx.network_init([2, 3, 1], np.random.default_rng(6))
-    before = [w.copy() for w in net.weights]
-    grads = approx.GradientSet([np.zeros_like(w) for w in net.weights],
-                               [np.zeros_like(b) for b in net.biases], np.zeros(2))
-    grads.weights[1][0, 0] = np.nan
+    before = net.params.copy()
+    grads = approx.GradientSet(np.zeros_like(net.params), np.zeros(2))
+    approx.layer_views(net.layer_sizes, grads.params)[0][1][0, 0] = np.nan
+    opt = approx.Optimizer(0.1)
     with pytest.raises(TrainingError) as err:
-        approx.optimizer_step(net, grads, approx.sgd_optimizer(0.1))
+        approx.optimizer_step(net, grads, opt)
     assert "layer 1" in str(err.value)
-    for a, b in zip(net.weights, before):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net.params, before)
+    assert opt.step_count == 0
 
 
 def test_mismatched_gradient_shapes_rejected():
     net = approx.network_init([2, 3, 1], np.random.default_rng(6))
-    grads = approx.GradientSet([np.zeros((3, 2)), np.zeros((2, 3))],
-                               [np.zeros(3), np.zeros(1)], np.zeros(2))
+    grads = approx.GradientSet(np.zeros(net.params.size + 1), np.zeros(2))
     with pytest.raises(ShapeError):
-        approx.optimizer_step(net, grads, approx.sgd_optimizer(0.1))
+        approx.optimizer_step(net, grads, approx.Optimizer(0.1))
+    # moments sized for another network
+    other = approx.network_init([2, 4, 1], np.random.default_rng(6))
+    opt = approx.Optimizer(0.1)
+    approx.optimizer_step(other, approx.GradientSet(np.zeros_like(other.params),
+                                                    np.zeros(2)), opt)
+    with pytest.raises(ShapeError):
+        approx.optimizer_step(net, approx.GradientSet(np.zeros_like(net.params),
+                                                      np.zeros(2)), opt)
 
 
 def test_copy_network_is_independent():
@@ -286,3 +287,15 @@ def test_copy_network_is_independent():
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
     assert approx.parameter_count(dup) == approx.parameter_count(net)
+    # no memory is shared, and the copy's views alias its own vector
+    net = approx.network_init([3, 5, 2], np.random.default_rng(6),
+                              output_activation="tanh_scaled", output_bounds=(-1.0, 2.0))
+    dup = approx.copy_network(net)
+    assert np.array_equal(dup.params, net.params)
+    for a, b in ((dup.params, net.params), (dup.output_low, net.output_low),
+                 (dup.output_high, net.output_high)):
+        assert not np.shares_memory(a, b)
+    for a in dup.weights + dup.biases:
+        assert np.shares_memory(a, dup.params)
+        assert not np.shares_memory(a, net.params)
+    assert dup.layer_sizes == net.layer_sizes and dup.layer_sizes is not net.layer_sizes

@@ -5,7 +5,7 @@ import pytest
 
 from hacx import agent as agent_mod
 from hacx import envsim, harness
-from hacx.errors import ConfigError
+from hacx.errors import ConfigError, TrainingError
 
 SMOKE = """
 env = open_field_near
@@ -225,6 +225,18 @@ def test_run_trials_unknown_env_fails_before_writing(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_run_trials_lets_a_code_bug_propagate(tmp_path, monkeypatch):
+    # only TrainingError excludes a seed; anything else is a bug, not a result
+    def broken(cfg, seed, out_dir):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(harness, "run_trial", broken)
+    out = tmp_path / "bug"
+    with pytest.raises(RuntimeError, match="bug"):
+        harness.run_trials(smoke_cfg(seeds=(0, 1)), str(out))
+    assert not (out / "aggregate.csv").exists()
+
+
 # CLI -------------------------------------------------------------------------------
 
 def test_cli_train_eval_map_loop(tmp_path, capsys):
@@ -264,6 +276,44 @@ def test_cli_exit_codes(tmp_path, capsys):
     corrupt.write_text("HACX1\n[agent]\nk = not_a_number\n")
     assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
+    spec = envsim.builtin_spec("open_field_near")
+    ag = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0))
+    path = tmp_path / "c.txt"
+    harness.write_checkpoint(ag, str(path))
+    good = path.read_text()
+    path.write_text(good.replace("kind = adam", "kind = sgd"))
+    assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
+    assert "optimizer kind" in capsys.readouterr().err
+    # a bad number or a missing key in a complete snapshot is one too
+    for bad in (good.replace("k = 2\n", "k = two\n", 1),
+                good.replace("q_low = ", "q_lo = ", 1)):
+        path.write_text(bad)
+        assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
+        assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_cli_eval_with_no_test_episodes_exits_2(tmp_path, capsys):
+    spec = envsim.builtin_spec("open_field_near")
+    path = str(tmp_path / "c.txt")
+    harness.write_checkpoint(
+        harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0)), path)
+    assert harness.main(["--quiet", "eval", "--checkpoint", path,
+                         "--test-episodes", "0"]) == 2
+    assert "n_test" in capsys.readouterr().err
+
+
+def test_cli_training_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def diverges(cfg, seed, out_dir):
+        raise TrainingError("level0: non-finite critic loss")
+
+    monkeypatch.setattr(harness, "run_trial", diverges)
+    assert harness.main(["--quiet", "train", "--env", "open_field_near",
+                         "--episodes", "1", "--seeds", "0,1",
+                         "--output-dir", str(tmp_path / "div")]) == 4
+    assert "training error" in capsys.readouterr().err
 
 
 def test_cli_baseline_presets(tmp_path, capsys):
