@@ -370,21 +370,30 @@ def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
         if rounds < 1 or p.buffer.count < batch_size:
             diag[name] = {"critic_loss": None, "mean_q": None, "rounds": 0}
             continue
+        # Sampled rows are state | goal | action | next_state | reward |
+        # discount, so the critic input [s, g, a] and the actor input [s, g]
+        # are leading column slices of the sample.
+        sd, gd, ad = p.buffer.widths
+        sg_w, sga_w = sd + gd, sd + gd + ad
+        next_in = np.empty((batch_size, sga_w))     # [ns, g, actor(ns, g)]
+        mid = 0.5 * (p.config.high + p.config.low)
+        half = 0.5 * (p.config.high - p.config.low)
+        pen_scale = half * half * batch_size
+        mean_up = np.full((batch_size, 1), 1.0 / batch_size)
         losses, qmeans = [], []
         for _ in range(rounds):
-            s, a, rew, ns, g, disc = sample_arrays(p.buffer, batch_size, rng)
-            if p.goal_dim:
-                sg = np.concatenate([s, g], axis=1)
-                nsg = np.concatenate([ns, g], axis=1)
-            else:
-                sg, nsg = s, ns
-            a_next = approx.forward(p.actor, nsg)
-            q_next = approx.forward(p.critic, np.concatenate([nsg, a_next], axis=1))[:, 0]
+            rows = sample_arrays(p.buffer, batch_size, rng)
+            _, g, _, ns, rew, disc = p.buffer.columns(rows)
+            sga, sg = rows[:, :sga_w], rows[:, :sg_w]
+            next_in[:, :sd] = ns
+            if g is not None:
+                next_in[:, sd:sg_w] = g
+            next_in[:, sg_w:] = approx.forward(p.actor, next_in[:, :sg_w])
+            q_next = approx.forward(p.critic, next_in)[:, 0]
             q_next = np.clip(q_next, p.q_low, p.q_high)
             y = np.clip(rew + disc * q_next, p.q_low, p.q_high)
 
-            q_pred, trace = approx.forward_trace(p.critic,
-                                                 np.concatenate([sg, a], axis=1))
+            q_pred, trace = approx.forward_trace(p.critic, sga)
             diff = q_pred[:, 0] - y
             loss = float(np.mean(diff * diff))
             if not np.isfinite(loss):
@@ -394,15 +403,13 @@ def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
             approx.optimizer_step(p.critic, grads, p.critic_opt)
 
             a_pred, atrace = approx.forward_trace(p.actor, sg)
-            qv, qtrace = approx.forward_trace(p.critic,
-                                              np.concatenate([sg, a_pred], axis=1))
-            cgrads = approx.backward_trace(p.critic, qtrace,
-                                           np.full((batch_size, 1), 1.0 / batch_size))
-            dq_da = cgrads.wrt_input[:, sg.shape[1]:]
-            mid = 0.5 * (p.config.high + p.config.low)
-            half = 0.5 * (p.config.high - p.config.low)
-            pen = 2.0 * ACTION_PENALTY * (a_pred - mid) / (half * half * batch_size)
-            agrads = approx.backward_trace(p.actor, atrace, -dq_da + pen)
+            # the sampled actions are spent: the critic now scores [s, g, a_pred]
+            sga[:, sg_w:] = a_pred
+            qv, qtrace = approx.forward_trace(p.critic, sga)
+            dq_da = approx.input_gradient(p.critic, qtrace, mean_up)[:, sg_w:]
+            step = 2.0 * ACTION_PENALTY * (a_pred - mid) / pen_scale
+            step -= dq_da
+            agrads = approx.backward_trace(p.actor, atrace, step)
             approx.optimizer_step(p.actor, agrads, p.actor_opt)
 
             losses.append(loss)
@@ -557,13 +564,16 @@ def _parse_layers(sec: dict, wkey: str, bkey: str, sizes) -> np.ndarray:
 def _read_net(r: _SnapshotReader, tag: str) -> Network:
     sec = r.section(f"network {tag}")
     sizes = [int(v) for v in sec["sizes"].split()]
-    out_act = sec["output"]
+    hidden, out_act = sec["hidden"], sec["output"]
+    if hidden not in approx.HIDDEN_ACTIVATIONS:
+        raise CheckpointError(f"[network {tag}]: unknown hidden activation {hidden!r}")
+    if out_act not in approx.OUTPUT_ACTIVATIONS:
+        raise CheckpointError(f"[network {tag}]: unknown output activation {out_act!r}")
     low = high = None
     if out_act == "tanh_scaled":
         low = _parse_array(sec, "out_low", (sizes[-1],))
         high = _parse_array(sec, "out_high", (sizes[-1],))
-    return Network(sizes, _parse_layers(sec, "A", "B", sizes), sec["hidden"], out_act,
-                   low, high)
+    return Network(sizes, _parse_layers(sec, "A", "B", sizes), hidden, out_act, low, high)
 
 
 def _read_opt(r: _SnapshotReader, tag: str, net: Network) -> Optimizer:

@@ -58,9 +58,16 @@ class Network:
     output_high: np.ndarray | None = None
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
+    # tanh_scaled output is mid + half * tanh(z)
+    mid: np.ndarray | None = field(init=False, repr=False, compare=False)
+    half: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights, self.biases = layer_views(self.layer_sizes, self.params)
+        self.mid = self.half = None
+        if self.output_activation == "tanh_scaled":
+            self.mid = 0.5 * (self.output_high + self.output_low)
+            self.half = 0.5 * (self.output_high - self.output_low)
 
     @property
     def input_dim(self) -> int:
@@ -148,20 +155,26 @@ def _checked_input(net: Network, x) -> np.ndarray:
 def _layers(net: Network, x: np.ndarray, acts: list | None = None):
     """The layer loop on x of shape (d,) or (n, d). Appends each layer's input
     to acts when given. Returns the output and, for tanh_scaled output, the
-    output tanh (else None)."""
+    output tanh (else None). Activations are applied in place to each fresh
+    product, which computes the same floats as allocating a new array."""
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         if acts is not None:
             acts.append(x)
-        z = (w.dot(x) if x.ndim == 1 else x @ w.T) + b
+        z = w.dot(x) if x.ndim == 1 else x @ w.T
+        z += b
         if i < last:
-            x = np.maximum(z, 0.0) if net.hidden_activation == "relu" else np.tanh(z)
+            if net.hidden_activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+            x = z
     if net.output_activation == "identity":
         return z, None
-    t = np.tanh(z)
-    mid = 0.5 * (net.output_high + net.output_low)
-    half = 0.5 * (net.output_high - net.output_low)
-    return mid + half * t, t
+    t = np.tanh(z, out=z)
+    out = net.half * t
+    out += net.mid
+    return out, t
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -181,8 +194,11 @@ def forward_trace(net: Network, x: np.ndarray):
     return (out[0] if single else out), (single, acts, t)
 
 
-def backward_trace(net: Network, trace, upstream: np.ndarray) -> GradientSet:
-    """Gradients of sum(output * upstream) from a stored forward trace."""
+def _propagate(net: Network, trace, upstream, grad: np.ndarray | None) -> np.ndarray:
+    """Carry the gradient of sum(output * upstream) back through the stored
+    trace and return it with respect to the input. When grad is given, the
+    parameter gradients are written into it (Network.params layout). Neither
+    upstream nor the trace is ever written."""
     single, acts, t = trace
     upstream = np.asarray(upstream, dtype=float)
     delta = upstream[None, :] if single else upstream
@@ -190,18 +206,39 @@ def backward_trace(net: Network, trace, upstream: np.ndarray) -> GradientSet:
         raise ShapeError(
             f"upstream shape {upstream.shape} incompatible with output dim {net.output_dim}")
     if t is not None:
-        delta = delta * (0.5 * (net.output_high - net.output_low)) * (1.0 - t * t)
+        delta = delta * net.half
+        delta *= 1.0 - t * t
 
-    grad = np.empty_like(net.params)
-    gw, gb = layer_views(net.layer_sizes, grad)
+    if grad is not None:
+        gw, gb = layer_views(net.layer_sizes, grad)
+    relu = net.hidden_activation == "relu"
     for i in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=gw[i])
-        delta.sum(axis=0, out=gb[i])
-        delta = delta @ net.weights[i]
+        if grad is not None:
+            np.matmul(delta.T, acts[i], out=gw[i])
+            delta.sum(axis=0, out=gb[i])
+        w = net.weights[i]
+        # a 1-wide delta times a row is an outer product; a K=1 gemm costs more
+        delta = np.multiply(delta, w) if delta.shape[1] == 1 else delta @ w
         if i > 0:
             a = acts[i]
-            delta = delta * ((a > 0.0) if net.hidden_activation == "relu" else (1.0 - a * a))
-    return GradientSet(grad, delta[0] if single else delta)
+            if relu:
+                delta *= a > 0.0
+            else:
+                delta *= 1.0 - a * a
+    return delta[0] if single else delta
+
+
+def backward_trace(net: Network, trace, upstream: np.ndarray) -> GradientSet:
+    """Gradients of sum(output * upstream) from a stored forward trace."""
+    grad = np.empty_like(net.params)
+    wrt_input = _propagate(net, trace, upstream, grad)
+    return GradientSet(grad, wrt_input)
+
+
+def input_gradient(net: Network, trace, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of sum(output * upstream) with respect to the input only, from
+    a stored forward trace; equal to backward_trace(...).wrt_input."""
+    return _propagate(net, trace, upstream, None)
 
 
 def backward(net: Network, x: np.ndarray, upstream: np.ndarray) -> GradientSet:

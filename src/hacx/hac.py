@@ -120,10 +120,12 @@ def exploration_transition(state, action, next_state,
 
 
 class ReplayBuffer:
-    """Uniform-sampling ring buffer with columnar float32 storage.
+    """Uniform-sampling ring buffer of packed float32 rows.
 
-    Column shapes are fixed by the first pushed transition; a buffer either
-    holds goal-conditioned transitions or EXPLORE ones, never both.
+    Each row is state | goal | action | next_state | reward | discount; an
+    EXPLORE buffer has no goal columns. The column widths are fixed by the
+    first pushed transition; a buffer either holds goal-conditioned
+    transitions or EXPLORE ones, never both.
     """
 
     def __init__(self, capacity: int):
@@ -132,76 +134,51 @@ class ReplayBuffer:
         self.capacity = capacity
         self.count = 0
         self.next_index = 0
-        self._cols = None
+        self.rows = None
         self.explore = None
+        self.widths = None   # (state, goal, action)
+        self._spans = None   # column slices of state, goal, action, next_state
 
     def _alloc(self, t: Transition):
         self.explore = isinstance(t.goal, str)
-        goal_dim = 0 if self.explore else len(t.goal)
-        cap = self.capacity
-        self._cols = {
-            "state": np.zeros((cap, len(t.state)), dtype=np.float32),
-            "action": np.zeros((cap, len(t.action)), dtype=np.float32),
-            "reward": np.zeros(cap, dtype=np.float32),
-            "next_state": np.zeros((cap, len(t.next_state)), dtype=np.float32),
-            "goal": np.zeros((cap, goal_dim), dtype=np.float32),
-            "discount": np.zeros(cap, dtype=np.float32),
-        }
+        sd, gd, ad = len(t.state), 0 if self.explore else len(t.goal), len(t.action)
+        self.widths = (sd, gd, ad)
+        self._spans = (slice(0, sd), slice(sd, sd + gd), slice(sd + gd, sd + gd + ad),
+                       slice(sd + gd + ad, 2 * sd + gd + ad))
+        self.rows = np.zeros((self.capacity, 2 * sd + gd + ad + 2), dtype=np.float32)
+
+    def columns(self, rows: np.ndarray):
+        """(state, goal_or_None, action, next_state, reward, discount): views
+        into rows laid out like this buffer's rows."""
+        s, g, a, ns = self._spans
+        return (rows[:, s], None if self.explore else rows[:, g], rows[:, a], rows[:, ns],
+                rows[:, -2], rows[:, -1])
 
 
 def buffer_push(buf: ReplayBuffer, t: Transition) -> ReplayBuffer:
-    if buf._cols is None:
+    if buf.rows is None:
         buf._alloc(t)
     if buf.explore != isinstance(t.goal, str):
         raise ShapeError("mixing EXPLORE and goal-conditioned transitions in one buffer")
     i = buf.next_index
-    c = buf._cols
-    c["state"][i] = t.state
-    c["action"][i] = t.action
-    c["reward"][i] = t.reward
-    c["next_state"][i] = t.next_state
+    s, g, a, ns = buf._spans
+    row = buf.rows[i]
+    row[s] = t.state
     if not buf.explore:
-        c["goal"][i] = t.goal
-    c["discount"][i] = t.discount
+        row[g] = t.goal
+    row[a] = t.action
+    row[ns] = t.next_state
+    row[-2] = t.reward
+    row[-1] = t.discount
     buf.next_index = (i + 1) % buf.capacity
     buf.count = min(buf.count + 1, buf.capacity)
     return buf
 
 
-def sample_arrays(buf: ReplayBuffer, batch_size: int, rng: np.random.Generator):
-    """Fast path for training: float64 column views of a uniform sample.
-
-    Returns (state, action, reward, next_state, goal_or_None, discount).
-    """
+def sample_arrays(buf: ReplayBuffer, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample with replacement for training: a float64 (batch_size,
+    width) matrix of rows in the buffer's layout (see ReplayBuffer.columns)."""
     if buf.count == 0:
         raise ValueError("sample from empty buffer")
     idx = rng.integers(0, buf.count, batch_size)
-    c = buf._cols
-    goal = None if buf.explore else c["goal"][idx].astype(float)
-    return (c["state"][idx].astype(float), c["action"][idx].astype(float),
-            c["reward"][idx].astype(float), c["next_state"][idx].astype(float),
-            goal, c["discount"][idx].astype(float))
-
-
-def buffer_sample(buf: ReplayBuffer, batch_size: int, rng: np.random.Generator) -> list:
-    """Uniform sample with replacement, as Transition objects."""
-    s, a, r, ns, g, d = sample_arrays(buf, batch_size, rng)
-    return [Transition(s[i], a[i], float(r[i]), ns[i],
-                       EXPLORE if g is None else g[i], float(d[i]))
-            for i in range(batch_size)]
-
-
-def _vec_text(v) -> str:
-    return ";".join(repr(float(x)) for x in np.asarray(v, dtype=float).ravel())
-
-
-def dump_transitions(transitions) -> str:
-    """Debug dump: one transition per line; vector components joined by
-    ';', fields by ','; an absent goal is the literal token EXPLORE."""
-    lines = ["state,action,reward,next_state,goal,discount"]
-    for t in transitions:
-        goal = t.goal if isinstance(t.goal, str) else _vec_text(t.goal)
-        lines.append(",".join([_vec_text(t.state), _vec_text(t.action),
-                               repr(float(t.reward)), _vec_text(t.next_state),
-                               goal, repr(float(t.discount))]))
-    return "\n".join(lines) + "\n"
+    return np.take(buf.rows, idx, axis=0).astype(float)

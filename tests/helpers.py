@@ -1,8 +1,9 @@
-"""Shared test oracles: finite differences and random network factories."""
+"""Shared test oracles: finite differences, random network factories, a
+reference forward/backward pass, and replay-buffer inspection helpers."""
 
 import numpy as np
 
-from hacx import approx
+from hacx import approx, hac
 
 
 def fd_param_gradients(net, x, upstream, h=1e-5):
@@ -82,3 +83,86 @@ def input_off_relu_kinks(net, rng, margin=1e-3, tries=50):
         if all(np.min(np.abs(z)) > margin for z in hidden_pre):
             return x
     return x
+
+
+# Reference forward and backward passes: the plain allocating form of the
+# approx layer loop (a new array per operation, a gemm for every delta
+# propagation). approx must compute the same floats bit for bit.
+
+def ref_layers(net, x, acts=None):
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if acts is not None:
+            acts.append(x)
+        z = (w.dot(x) if x.ndim == 1 else x @ w.T) + b
+        if i < last:
+            x = np.maximum(z, 0.0) if net.hidden_activation == "relu" else np.tanh(z)
+    if net.output_activation == "identity":
+        return z, None
+    t = np.tanh(z)
+    mid = 0.5 * (net.output_high + net.output_low)
+    half = 0.5 * (net.output_high - net.output_low)
+    return mid + half * t, t
+
+
+def ref_forward(net, x):
+    return ref_layers(net, np.asarray(x, dtype=float))[0]
+
+
+def ref_forward_trace(net, x):
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    acts = []
+    out, t = ref_layers(net, x[None, :] if single else x, acts)
+    return (out[0] if single else out), (single, acts, t)
+
+
+def ref_backward_trace(net, trace, upstream):
+    """(parameter gradient in the Network.params layout, input gradient)."""
+    single, acts, t = trace
+    upstream = np.asarray(upstream, dtype=float)
+    delta = upstream[None, :] if single else upstream
+    if t is not None:
+        delta = delta * (0.5 * (net.output_high - net.output_low)) * (1.0 - t * t)
+    gw, gb = [], []
+    for i in range(len(net.weights) - 1, -1, -1):
+        gw.insert(0, delta.T @ acts[i])
+        gb.insert(0, delta.sum(axis=0))
+        delta = delta @ net.weights[i]
+        if i > 0:
+            a = acts[i]
+            delta = delta * ((a > 0.0) if net.hidden_activation == "relu" else (1.0 - a * a))
+    grad = np.concatenate([part for w, b in zip(gw, gb) for part in (w.ravel(), b)])
+    return grad, (delta[0] if single else delta)
+
+
+# Replay-buffer inspection
+
+def buffer_sample(buf, batch_size, rng):
+    """Uniform sample with replacement, as Transition objects."""
+    s, g, a, ns, r, d = buf.columns(hac.sample_arrays(buf, batch_size, rng))
+    return [hac.Transition(s[i], a[i], float(r[i]), ns[i],
+                           hac.EXPLORE if g is None else g[i], float(d[i]))
+            for i in range(batch_size)]
+
+
+def stored_columns(buf):
+    """(state, goal_or_None, action, next_state, reward, discount) views of
+    the rows pushed so far, in slot order."""
+    return buf.columns(buf.rows[:buf.count])
+
+
+def _vec_text(v) -> str:
+    return ";".join(repr(float(x)) for x in np.asarray(v, dtype=float).ravel())
+
+
+def dump_transitions(transitions) -> str:
+    """Debug dump: one transition per line; vector components joined by
+    ';', fields by ','; an absent goal is the literal token EXPLORE."""
+    lines = ["state,action,reward,next_state,goal,discount"]
+    for t in transitions:
+        goal = t.goal if isinstance(t.goal, str) else _vec_text(t.goal)
+        lines.append(",".join([_vec_text(t.state), _vec_text(t.action),
+                               repr(float(t.reward)), _vec_text(t.next_state),
+                               goal, repr(float(t.discount))]))
+    return "\n".join(lines) + "\n"

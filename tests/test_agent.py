@@ -4,6 +4,8 @@ import pytest
 from hacx import agent, approx, envsim, hac, rnd
 from hacx.errors import CheckpointError
 
+from helpers import stored_columns
+
 
 def arena(**overrides):
     base = dict(
@@ -189,7 +191,7 @@ def test_train_episode_deterministic_given_seeds():
     for _ in range(2):
         ag = small_agent(seed=13)
         agent.run_episode(ag, arena(), "train", np.random.default_rng(5))
-        out.append(ag.levels[0].buffer._cols["state"][:ag.levels[0].buffer.count].copy())
+        out.append(ag.levels[0].buffer.rows[:ag.levels[0].buffer.count].copy())
     assert np.array_equal(out[0], out[1])
 
 
@@ -209,13 +211,11 @@ def test_motionless_lower_level_structure():
     assert counts["explore"] == 0 and counts["relabel"] == 0
     lvl1 = ag.levels[1].buffer
     assert lvl1.count == 20
-    acts = lvl1._cols["action"][:20]
+    states, _, acts, nexts, rewards, discounts = stored_columns(lvl1)
     assert np.allclose(acts, np.asarray(start, dtype=np.float32), atol=1e-6)
-    states = lvl1._cols["state"][:20]
-    nexts = lvl1._cols["next_state"][:20]
     assert np.allclose(states, nexts)
-    assert np.allclose(lvl1._cols["reward"][:20], -1.0)
-    assert np.allclose(lvl1._cols["discount"][:20], hac.DISCOUNT)
+    assert np.allclose(rewards, -1.0)
+    assert np.allclose(discounts, hac.DISCOUNT)
 
 
 def test_motionless_agent_closest_is_start_distance():
@@ -344,9 +344,8 @@ def test_update_clamps_bellman_targets():
         hac.buffer_push(p.buffer, hac.Transition(
             s, rng.uniform(0, 10, 2), -3.0, s, np.array([9.0, 9.0]), hac.DISCOUNT))
     agent.update(ag, rounds=1200, batch_size=32, rng=rng)
-    sampled = p.buffer._cols
-    pts = np.column_stack([sampled["state"][:64], sampled["goal"][:64],
-                           sampled["action"][:64]]).astype(float)
+    s, g, a, *_ = stored_columns(p.buffer)
+    pts = np.column_stack([s, g, a]).astype(float)
     q = approx.forward(p.critic, pts)[:, 0]
     assert np.all(np.abs(q - p.q_low) < 0.5)  # pinned at the floor, no runaway
 
@@ -438,3 +437,13 @@ def test_snapshot_corrupt_array_rejected():
     lines[idx] = "A0 = " + " ".join(vals[:-2])  # drop two entries
     with pytest.raises(CheckpointError):
         agent.restore("\n".join(lines))
+
+
+@pytest.mark.parametrize("line,bad", [("hidden = relu", "hidden = sigmoid"),
+                                      ("output = tanh_scaled", "output = softmax")])
+def test_snapshot_unknown_activation_rejected(line, bad):
+    # an activation the core cannot run must not restore as another one
+    snap = agent.policy_snapshot(small_agent())
+    assert line in snap
+    with pytest.raises(CheckpointError, match="activation"):
+        agent.restore(snap.replace(line, bad, 1))

@@ -10,6 +10,9 @@ from helpers import (
     rel_close,
     random_small_net,
     input_off_relu_kinks,
+    ref_backward_trace,
+    ref_forward,
+    ref_forward_trace,
 )
 
 
@@ -299,3 +302,95 @@ def test_copy_network_is_independent():
         assert np.shares_memory(a, dup.params)
         assert not np.shares_memory(a, net.params)
     assert dup.layer_sizes == net.layer_sizes and dup.layer_sizes is not net.layer_sizes
+
+
+# bitwise agreement with the allocating reference pass ----------------------
+
+def _reference_cases():
+    for hact in approx.HIDDEN_ACTIVATIONS:
+        for oact in approx.OUTPUT_ACTIVATIONS:
+            for out_dim in (1, 3):
+                yield hact, oact, out_dim
+
+
+def _net(rng, hact, oact, sizes):
+    low = rng.uniform(-2.0, -0.5, sizes[-1])
+    bounds = (low, low + rng.uniform(0.5, 3.0, sizes[-1])) if oact == "tanh_scaled" else None
+    return approx.network_init(sizes, rng, hidden_activation=hact,
+                               output_activation=oact, output_bounds=bounds)
+
+
+def _trace_copy(trace):
+    single, acts, t = trace
+    return single, [a.copy() for a in acts], None if t is None else t.copy()
+
+
+def _assert_traces_equal(a, b):
+    assert a[0] == b[0]
+    assert len(a[1]) == len(b[1])
+    assert all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
+    assert (a[2] is None) == (b[2] is None)
+    assert a[2] is None or np.array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize("hact,oact,out_dim", list(_reference_cases()))
+@pytest.mark.parametrize("single", [False, True])
+def test_core_matches_reference_bitwise(hact, oact, out_dim, single):
+    rng = np.random.default_rng(21)
+    net = _net(rng, hact, oact, [6, 16, 12, out_dim])
+    x = rng.normal(size=6 if single else (33, 6))
+    up = rng.normal(size=out_dim if single else (33, out_dim))
+
+    assert np.array_equal(approx.forward(net, x), ref_forward(net, x))
+    out, trace = approx.forward_trace(net, x)
+    ref_out, ref_trace = ref_forward_trace(net, x)
+    assert np.array_equal(out, ref_out)
+    _assert_traces_equal(trace, ref_trace)
+
+    ref_grad, ref_wrt = ref_backward_trace(net, ref_trace, up)
+    g = approx.backward_trace(net, trace, up)
+    assert np.array_equal(g.params, ref_grad)
+    assert np.array_equal(g.wrt_input, ref_wrt)
+    assert np.array_equal(approx.input_gradient(net, trace, up), ref_wrt)
+
+
+@pytest.mark.parametrize("hact,oact,out_dim", list(_reference_cases()))
+def test_column_slice_input_matches_contiguous_copy(hact, oact, out_dim):
+    # update feeds column slices of a sampled row matrix straight to the nets
+    rng = np.random.default_rng(22)
+    net = _net(rng, hact, oact, [5, 16, out_dim])
+    rows = rng.normal(size=(40, 9))
+    view = rows[:, :5]
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    assert np.array_equal(approx.forward(net, view), approx.forward(net, copy))
+    up = rng.normal(size=(40, out_dim))
+    gv = approx.backward_trace(net, approx.forward_trace(net, view)[1], up)
+    gc = approx.backward_trace(net, approx.forward_trace(net, copy)[1], up)
+    assert np.array_equal(gv.params, gc.params)
+    assert np.array_equal(gv.wrt_input, gc.wrt_input)
+
+
+@pytest.mark.parametrize("hact,oact,out_dim", list(_reference_cases()))
+@pytest.mark.parametrize("sizes", [[4, 7], [4, 7, 5]])
+@pytest.mark.parametrize("single", [False, True])
+def test_backward_leaves_upstream_and_trace_unmodified(hact, oact, out_dim, sizes, single):
+    rng = np.random.default_rng(23)
+    net = _net(rng, hact, oact, [*sizes, out_dim])
+    x = rng.normal(size=4 if single else (9, 4))
+    up = rng.normal(size=out_dim if single else (9, out_dim))
+    _, trace = approx.forward_trace(net, x)
+    up_before, trace_before = up.copy(), _trace_copy(trace)
+    approx.backward_trace(net, trace, up)
+    approx.input_gradient(net, trace, up)
+    assert np.array_equal(up, up_before)
+    _assert_traces_equal(trace, trace_before)
+
+
+def test_input_gradient_rejects_bad_upstream():
+    net = approx.network_init([3, 4, 2], np.random.default_rng(0))
+    _, trace = approx.forward_trace(net, np.zeros((5, 3)))
+    with pytest.raises(ShapeError):
+        approx.input_gradient(net, trace, np.zeros((5, 3)))
+    with pytest.raises(ShapeError):
+        approx.input_gradient(net, trace, np.zeros((4, 2)))

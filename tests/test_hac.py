@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hacx import hac, rnd
 from hacx.errors import ShapeError
 
+from helpers import buffer_sample, dump_transitions, stored_columns
+
 
 def vec(*xs):
     return np.array(xs, dtype=float)
@@ -185,7 +187,7 @@ def test_buffer_eviction_order():
     for i in range(3):
         hac.buffer_push(buf, goal_transition(i))
     assert buf.count == 2
-    states = buf._cols["state"][:2, 0]
+    states = stored_columns(buf)[0][:, 0]
     assert set(states.tolist()) == {2.0, 1.0}  # 0 was evicted
 
 
@@ -202,11 +204,13 @@ def test_buffer_sample_shapes_and_source():
     buf = hac.ReplayBuffer(100)
     for i in range(10):
         hac.buffer_push(buf, goal_transition(i))
-    s, a, r, ns, g, d = hac.sample_arrays(buf, 32, np.random.default_rng(0))
+    rows = hac.sample_arrays(buf, 32, np.random.default_rng(0))
+    assert rows.shape == (32, 14) and rows.dtype == np.float64
+    s, g, a, ns, r, d = buf.columns(rows)
     assert s.shape == (32, 4) and a.shape == (32, 2) and g.shape == (32, 2)
-    assert r.shape == (32,) and d.shape == (32,)
+    assert ns.shape == (32, 4) and r.shape == (32,) and d.shape == (32,)
     assert set(s[:, 0].tolist()) <= set(float(i) for i in range(10))
-    ts = hac.buffer_sample(buf, 5, np.random.default_rng(1))
+    ts = buffer_sample(buf, 5, np.random.default_rng(1))
     assert len(ts) == 5 and all(isinstance(t, hac.Transition) for t in ts)
 
 
@@ -214,7 +218,7 @@ def test_buffer_sampling_is_uniform():
     buf = hac.ReplayBuffer(4)
     for i in range(4):
         hac.buffer_push(buf, goal_transition(i))
-    s, *_ = hac.sample_arrays(buf, 10_000, np.random.default_rng(7))
+    s = hac.sample_arrays(buf, 10_000, np.random.default_rng(7))
     counts = np.array([(s[:, 0] == float(i)).sum() for i in range(4)])
     # each cell expected 2500, sd ~ 43; allow 5 sigma
     assert np.all(np.abs(counts - 2500) < 5 * np.sqrt(10_000 * 0.25 * 0.75))
@@ -232,8 +236,39 @@ def test_explore_buffer_has_no_goal_column():
     t = hac.Transition(vec(0, 0, 0, 0), vec(1, 1), 0.0, vec(1, 1, 0, 0),
                        hac.EXPLORE, 0.0)
     hac.buffer_push(buf, t)
-    s, a, r, ns, g, d = hac.sample_arrays(buf, 3, np.random.default_rng(0))
-    assert g is None
+    rows = hac.sample_arrays(buf, 3, np.random.default_rng(0))
+    assert rows.shape == (3, 12)
+    assert buf.columns(rows)[1] is None
+
+
+@pytest.mark.parametrize("explore", [False, True])
+def test_packed_rows_round_trip(explore):
+    # every pushed field reads back, as float32, from its column slice
+    rng = np.random.default_rng(4)
+    pushed = [hac.Transition(rng.normal(size=4), rng.normal(size=2), float(rng.normal()),
+                             rng.normal(size=4),
+                             hac.EXPLORE if explore else rng.normal(size=2),
+                             float(rng.uniform()))
+              for _ in range(5)]
+    buf = hac.ReplayBuffer(8)
+    for t in pushed:
+        hac.buffer_push(buf, t)
+    assert buf.rows.dtype == np.float32 and buf.rows.shape == (8, 12 if explore else 14)
+    s, g, a, ns, r, d = stored_columns(buf)
+    f32 = np.float32
+    for i, t in enumerate(pushed):
+        assert np.array_equal(s[i], t.state.astype(f32))
+        assert np.array_equal(a[i], t.action.astype(f32))
+        assert np.array_equal(ns[i], t.next_state.astype(f32))
+        assert r[i] == f32(t.reward) and d[i] == f32(t.discount)
+        if explore:
+            assert g is None
+        else:
+            assert np.array_equal(g[i], t.goal.astype(f32))
+    # a sample is the same values widened to float64, row by row
+    rows = hac.sample_arrays(buf, 16, np.random.default_rng(0))
+    stored = buf.rows[:buf.count].astype(float)
+    assert all(any(np.array_equal(row, st) for st in stored) for row in rows)
 
 
 # transition dumps ----------------------------------------------------------------
@@ -243,7 +278,7 @@ def test_dump_format():
                             vec(1.0, 2.0, 0.0, 0.0), vec(9.0, 9.0), 0.99)
     explore_t = hac.Transition(vec(0.0, 0.0, 0.0, 0.0), vec(1.0, 2.0), 0.0,
                                vec(1.0, 2.0, 0.0, 0.0), hac.EXPLORE, 0.0)
-    text = hac.dump_transitions([goal_t, explore_t])
+    text = dump_transitions([goal_t, explore_t])
     lines = text.strip().split("\n")
     assert lines[0] == "state,action,reward,next_state,goal,discount"
     assert lines[1] == "0.0;0.0;0.0;0.0,1.0;2.0,-1.0,1.0;2.0;0.0;0.0,9.0;9.0,0.99"

@@ -1,0 +1,41 @@
+"""The benchmark's per-layer tracer (perfbench/tracer.py) must keep finding
+every function it wraps, so that renaming a traced function fails here and
+not only when the benchmark runs."""
+
+import importlib.util
+import os
+
+from hacx import agent, approx, harness
+
+from test_harness import smoke_cfg
+
+TRACER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                           "perfbench", "tracer.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_covers_a_smoke_run(tmp_path):
+    tracer = load_tracer()
+    originals = (approx.forward, approx.backward_trace, agent.update, harness.update)
+    t = tracer.Tracer()
+    t.install()  # raises LookupError if a traced function is gone
+    try:
+        harness.run_trial(smoke_cfg(episodes=2), 0, str(tmp_path))
+    finally:
+        t.uninstall()
+    assert (approx.forward, approx.backward_trace, agent.update, harness.update) == originals
+
+    # raises LookupError unless every approx span resolves to the role of a
+    # network the agent owns, and every span to a declared name
+    metrics = t.layer_metrics(1.0, 1.0)
+    for name in ("agent.update", "approx.backward_trace.critic",
+                 "approx.backward_trace.actor", "approx.forward_trace.critic",
+                 "approx.optimizer_step.actor", "approx.forward.single",
+                 "hac.sample_arrays", "harness.evaluate"):
+        assert metrics[f"{name}.calls"][0] > 0, name
