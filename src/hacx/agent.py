@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from . import approx, envsim, hac, rnd
 from .approx import Network, Optimizer
 from .envsim import EnvSpec, EnvState, VisitGrid
 from .errors import CheckpointError, TrainingError
-from .hac import (DISCOUNT, EXPLORE, ReplayBuffer, Transition, buffer_push,
-                  exploration_transition, goal_reward, hindsight_action_transition,
-                  hindsight_goal_transitions, sample_arrays, subgoal_test_transition)
+from .hac import (DISCOUNT, EXPLORE, ReplayBuffer, buffer_push, exploration_transition,
+                  hindsight_action_transition, hindsight_goal_transitions, pack_row,
+                  sample_arrays, subgoal_test_transition)
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +65,11 @@ class LevelPolicy:
     goal_dim: int
     q_low: float
     q_high: float
+    # the actor's [s | g] input, refilled by select_action at every step
+    actor_in: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.actor_in = np.empty(self.actor.input_dim)
 
 
 @dataclass
@@ -117,8 +122,8 @@ def _make_policy(rng, state_dim, goal_dim, low, high, sigma, cfg_kwargs,
     critic = approx.network_init([state_dim + goal_dim + act_dim, *hidden, 1], rng)
     cfg = LevelConfig(noise_sigma=np.asarray(sigma, dtype=float) * np.ones(act_dim),
                       low=low, high=high, **cfg_kwargs)
-    return LevelPolicy(actor, critic, ReplayBuffer(capacity), cfg,
-                       Optimizer(actor_lr), Optimizer(critic_lr),
+    buffer = ReplayBuffer(capacity, (state_dim, goal_dim, act_dim))
+    return LevelPolicy(actor, critic, buffer, cfg, Optimizer(actor_lr), Optimizer(critic_lr),
                        goal_dim, float(q_low), float(q_high))
 
 
@@ -182,34 +187,37 @@ def select_action(policy: LevelPolicy, state, goal, mode: str,
     """Actor output, optionally with diagonal Gaussian noise, clipped to the
     level's bounds. goal is None (or the EXPLORE tag) for the exploration
     policy."""
-    s = np.asarray(state, dtype=float)
     if policy.goal_dim:
-        x = np.empty(len(s) + policy.goal_dim)
-        x[:len(s)] = s
-        x[len(s):] = goal
+        x = policy.actor_in
+        x[:-policy.goal_dim] = state
+        x[-policy.goal_dim:] = goal
     else:
-        x = s
+        x = state
     a = approx.forward(policy.actor, x)
     if mode == "noisy":
-        a = a + rng.normal(0.0, 1.0, size=a.shape) * policy.config.noise_sigma
-        a = np.clip(a, policy.config.low, policy.config.high)
+        noise = rng.normal(0.0, 1.0, size=a.shape)
+        noise *= policy.config.noise_sigma
+        a += noise
+        # np.clip, computed in place: the same floats, signed zeros and NaN included
+        np.maximum(a, policy.config.low, out=a)
+        np.minimum(a, policy.config.high, out=a)
     return a
 
 
 def _state_vec(s: EnvState) -> np.ndarray:
-    out = np.empty(4)
-    out[0:2] = s.position
-    out[2:4] = s.velocity
-    return out
+    return np.concatenate((s.position, s.velocity))
 
 
 class _Episode:
-    """Mutable state threaded through the level recursion."""
+    """Mutable state threaded through the level recursion. s_vec is the
+    current primitive state as one float64 (x, y, vx, vy) vector, built once
+    per environment step and never written afterwards."""
 
     def __init__(self, spec, state, task_goal, mode, top, rng, k):
         self.spec = spec
         self.state = state
-        self.task_goal = task_goal
+        self.s_vec = _state_vec(state)
+        self.task_xy = task_goal.tolist()
         self.mode = mode
         self.top = top
         self.rng = rng
@@ -222,55 +230,53 @@ class _Episode:
         self.level0_segments = []
 
 
-def _check_task_goal(ep: _Episode):
-    pos = ep.state.position
-    if math.hypot(float(pos[0]) - ep.task_goal[0],
-                  float(pos[1]) - ep.task_goal[1]) < ep.spec.epsilon_task:
-        ep.done = True
-
-
 def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
     k = agent.k
     is_top = i == k - 1
     train = ep.mode == "train"
+    mode = "noisy" if train and not testing else "deterministic"
     attempts = 0
     segment0 = [] if i == 0 else None
     explore_here = is_top and ep.top == "explore"
     policy = agent.explore_top if explore_here else agent.levels[i]
     cfg = policy.config
+    eps = cfg.epsilon
+    spec = ep.spec
+    if not explore_here:
+        gx, gy = float(goal[0]), float(goal[1])
 
     while True:
         attempts += 1
-        s_vec = _state_vec(ep.state)
-        noisy = train and not testing
-        action = select_action(policy, s_vec, None if explore_here else goal,
-                               "noisy" if noisy else "deterministic", ep.rng)
+        s_vec = ep.s_vec
+        action = select_action(policy, s_vec, None if explore_here else goal, mode, ep.rng)
 
         if i == 0:
-            ep.state = envsim.env_step(ep.spec, ep.state, action)
-            ns_vec = _state_vec(ep.state)
-            ep.primitive_states.append(ep.state)
+            state = envsim.env_step(spec, ep.state, action)
+            ns_vec = _state_vec(state)
+            x, y = state.position.tolist()
+            ep.state, ep.s_vec = state, ns_vec
+            ep.primitive_states.append(state)
             if train:
                 rnd.observe(agent.novelty, ns_vec)
-                envsim.record_visit(agent.visits, ep.state)
-            if ep.top == "goal":
-                _check_task_goal(ep)
-            if ep.state.steps_taken >= ep.spec.max_primitive_steps:
+                envsim.record_visit(agent.visits, state)
+            if ep.top == "goal" and math.hypot(x - ep.task_xy[0],
+                                               y - ep.task_xy[1]) < spec.epsilon_task:
+                ep.done = True
+            if state.steps_taken >= spec.max_primitive_steps:
                 ep.done = True
             reached = False
             if explore_here:
                 if train:
-                    t = exploration_transition(s_vec, action, ns_vec, agent.novelty)
-                    buffer_push(policy.buffer, t)
+                    buffer_push(policy.buffer,
+                                exploration_transition(s_vec, action, ns_vec, agent.novelty))
                     ep.counts["explore"] += 1
                     segment0.append((s_vec, action, ns_vec))
             else:
-                reward, reached = goal_reward(ns_vec[:2], goal, cfg.epsilon)
+                reached = math.hypot(x - gx, y - gy) < eps
                 if train:
-                    t = Transition(s_vec, action, reward, ns_vec,
-                                   np.asarray(goal, dtype=float),
-                                   0.0 if reached else DISCOUNT)
-                    buffer_push(policy.buffer, t)
+                    buffer_push(policy.buffer,
+                                pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
+                                         0.0 if reached else DISCOUNT))
                     ep.counts["level0"] += 1
                     segment0.append((s_vec, action, ns_vec))
             if ep.done:
@@ -281,37 +287,33 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
             child_testing = testing
             if train and not testing and ep.rng.random() < cfg.subgoal_test_rate:
                 child_testing = True
-            s_before = s_vec
             _run_level(agent, ep, i - 1, action, child_testing)
-            achieved_vec = _state_vec(ep.state)
+            achieved_vec = ep.s_vec
             if train:
                 if explore_here:
                     hind = achieved_vec[:2].copy()
-                    t = exploration_transition(s_before, hind, achieved_vec, agent.novelty)
-                    buffer_push(policy.buffer, t)
+                    buffer_push(policy.buffer, exploration_transition(
+                        s_vec, hind, achieved_vec, agent.novelty))
                     ep.counts["explore"] += 1
-                    ep.segments[i].append((s_before, hind, achieved_vec))
+                    ep.segments[i].append((s_vec, hind, achieved_vec))
                 else:
-                    t = hindsight_action_transition(s_before, action, achieved_vec,
-                                                    goal, cfg.epsilon)
-                    buffer_push(policy.buffer, t)
+                    buffer_push(policy.buffer, hindsight_action_transition(
+                        s_vec, action, achieved_vec, goal, eps))
                     ep.counts[f"level{i}"] += 1
-                    ep.segments[i].append((s_before, t.action, achieved_vec))
+                    ep.segments[i].append((s_vec, achieved_vec[:2], achieved_vec))
                 if child_testing:
-                    child_eps = agent.levels[i - 1].config.epsilon
-                    pt = subgoal_test_transition(
-                        s_before, action, achieved_vec,
-                        agent.levels[i - 1].config.horizon, child_eps,
-                        goal=EXPLORE if explore_here else goal)
-                    if pt is not None:
-                        buffer_push(policy.buffer, pt)
+                    child = agent.levels[i - 1].config
+                    row = subgoal_test_transition(s_vec, action, achieved_vec, child.horizon,
+                                                  child.epsilon,
+                                                  goal=EXPLORE if explore_here else goal)
+                    if row is not None:
+                        buffer_push(policy.buffer, row)
                         ep.counts["explore" if explore_here else f"level{i}"] += 1
             if ep.done:
                 break
-            if not explore_here:
-                _, reached_own = goal_reward(achieved_vec[:2], goal, cfg.epsilon)
-                if reached_own:
-                    break
+            if not explore_here and math.hypot(achieved_vec[0] - gx,
+                                               achieved_vec[1] - gy) < eps:
+                break
             if not is_top and attempts >= cfg.horizon:
                 break
 
@@ -333,17 +335,13 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
 
     if train and agent.relabel_enabled and agent.num_relabels > 0:
-        for seg in ep.level0_segments:
-            for t in hindsight_goal_transitions(seg, agent.num_relabels,
-                                                agent.levels[0].config.epsilon, rng):
-                buffer_push(agent.levels[0].buffer, t)
-                ep.counts["relabel"] += 1
-        for i in range(1, agent.k):
-            if ep.segments[i]:
-                for t in hindsight_goal_transitions(ep.segments[i], agent.num_relabels,
-                                                    agent.levels[i].config.epsilon, rng):
-                    buffer_push(agent.levels[i].buffer, t)
-                    ep.counts["relabel"] += 1
+        relabeled = [(0, seg) for seg in ep.level0_segments]
+        relabeled += [(i, ep.segments[i]) for i in range(1, agent.k) if ep.segments[i]]
+        for i, seg in relabeled:
+            p = agent.levels[i]
+            rows = hindsight_goal_transitions(seg, agent.num_relabels, p.config.epsilon, rng)
+            buffer_push(p.buffer, rows)
+            ep.counts["relabel"] += len(rows)
 
     positions = np.array([s.position for s in ep.primitive_states])
     closest = float(np.min(np.linalg.norm(positions - task_goal, axis=1)))
@@ -545,7 +543,7 @@ class _SnapshotReader:
 def _parse_array(sec: dict, key: str, shape) -> np.ndarray:
     if key not in sec:
         raise CheckpointError(f"missing parameter block {key!r}")
-    vals = np.array([float(v) for v in sec[key].split()], dtype=float)
+    vals = np.array(sec[key].split(), dtype=float)
     if vals.size != int(np.prod(shape)):
         raise CheckpointError(f"{key}: expected {int(np.prod(shape))} values, "
                               f"got {vals.size}")
@@ -599,10 +597,15 @@ def _read_policy(r: _SnapshotReader, tag: str) -> LevelPolicy:
                       float(sec["subgoal_test_rate"]),
                       _parse_array(sec, "low", (act_dim,)),
                       _parse_array(sec, "high", (act_dim,)))
-    return LevelPolicy(actor, critic, ReplayBuffer(int(sec["capacity"])), cfg,
+    goal_dim = int(sec["goal_dim"])
+    if not 0 <= goal_dim < actor.input_dim:
+        raise CheckpointError(f"[policy {tag}]: goal_dim {goal_dim} does not fit an actor "
+                              f"input of {actor.input_dim}")
+    widths = (actor.input_dim - goal_dim, goal_dim, act_dim)
+    return LevelPolicy(actor, critic, ReplayBuffer(int(sec["capacity"]), widths), cfg,
                        _read_opt(r, f"{tag}.actor", actor),
                        _read_opt(r, f"{tag}.critic", critic),
-                       int(sec["goal_dim"]), float(sec["q_low"]), float(sec["q_high"]))
+                       goal_dim, float(sec["q_low"]), float(sec["q_high"]))
 
 
 def restore(snapshot: str) -> HacxAgent:

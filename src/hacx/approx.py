@@ -80,11 +80,9 @@ class Network:
 
 @dataclass
 class GradientSet:
-    """Parameter gradients as one vector in the Network.params layout, plus
-    the gradient with respect to the network input."""
+    """Parameter gradients as one vector in the Network.params layout."""
 
     params: np.ndarray
-    wrt_input: np.ndarray
 
 
 @dataclass
@@ -194,11 +192,12 @@ def forward_trace(net: Network, x: np.ndarray):
     return (out[0] if single else out), (single, acts, t)
 
 
-def _propagate(net: Network, trace, upstream, grad: np.ndarray | None) -> np.ndarray:
+def _propagate(net: Network, trace, upstream, grad: np.ndarray | None):
     """Carry the gradient of sum(output * upstream) back through the stored
-    trace and return it with respect to the input. When grad is given, the
-    parameter gradients are written into it (Network.params layout). Neither
-    upstream nor the trace is ever written."""
+    trace. When grad is given, the parameter gradients are written into it
+    (Network.params layout) and the pass stops at the first layer; otherwise
+    the gradient with respect to the input is returned. Neither upstream nor
+    the trace is ever written."""
     single, acts, t = trace
     upstream = np.asarray(upstream, dtype=float)
     delta = upstream[None, :] if single else upstream
@@ -216,6 +215,8 @@ def _propagate(net: Network, trace, upstream, grad: np.ndarray | None) -> np.nda
         if grad is not None:
             np.matmul(delta.T, acts[i], out=gw[i])
             delta.sum(axis=0, out=gb[i])
+            if i == 0:
+                return None
         w = net.weights[i]
         # a 1-wide delta times a row is an outer product; a K=1 gemm costs more
         delta = np.multiply(delta, w) if delta.shape[1] == 1 else delta @ w
@@ -229,23 +230,17 @@ def _propagate(net: Network, trace, upstream, grad: np.ndarray | None) -> np.nda
 
 
 def backward_trace(net: Network, trace, upstream: np.ndarray) -> GradientSet:
-    """Gradients of sum(output * upstream) from a stored forward trace."""
+    """Parameter gradients of sum(output * upstream) from a stored forward
+    trace; see input_gradient for the gradient with respect to the input."""
     grad = np.empty_like(net.params)
-    wrt_input = _propagate(net, trace, upstream, grad)
-    return GradientSet(grad, wrt_input)
+    _propagate(net, trace, upstream, grad)
+    return GradientSet(grad)
 
 
 def input_gradient(net: Network, trace, upstream: np.ndarray) -> np.ndarray:
     """Gradient of sum(output * upstream) with respect to the input only, from
-    a stored forward trace; equal to backward_trace(...).wrt_input."""
+    a stored forward trace."""
     return _propagate(net, trace, upstream, None)
-
-
-def backward(net: Network, x: np.ndarray, upstream: np.ndarray) -> GradientSet:
-    """Exact reverse-mode gradients of output . upstream w.r.t. every
-    parameter and w.r.t. the input."""
-    _, trace = forward_trace(net, x)
-    return backward_trace(net, trace, upstream)
 
 
 def optimizer_step(net: Network, grads: GradientSet, opt: Optimizer) -> Network:
@@ -274,10 +269,6 @@ def optimizer_step(net: Network, grads: GradientSet, opt: Optimizer) -> Network:
     opt.v += (1.0 - opt.beta2) * (g * g)
     net.params -= opt.learning_rate * (opt.m / b1c) / (np.sqrt(opt.v / b2c) + opt.eps)
     return net
-
-
-def parameter_count(net: Network) -> int:
-    return net.params.size
 
 
 def copy_network(net: Network) -> Network:

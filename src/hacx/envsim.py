@@ -111,11 +111,10 @@ def env_reset(spec: EnvSpec, rng: np.random.Generator):
     return state, goal
 
 
-def _slide(pos, delta, axis, walls, bounds):
-    """Move one axis coordinate by delta, stopping at the first obstacle
-    face crossed. Returns (new_coordinate, blocked)."""
-    p = float(pos[axis])
-    other = float(pos[1 - axis])
+def _slide(p: float, other: float, delta: float, axis: int, walls, bounds):
+    """Move the axis coordinate p by delta, stopping at the first obstacle
+    face crossed; other is the coordinate along the other axis. Returns
+    (new_coordinate, blocked)."""
     c = p + delta
     blocked = False
     b_lo, b_hi = bounds[axis], bounds[axis + 2]
@@ -123,9 +122,9 @@ def _slide(pos, delta, axis, walls, bounds):
         c, blocked = b_lo, True
     elif c > b_hi:
         c, blocked = b_hi, True
+    o_lo_i, o_hi_i = 1 - axis, 3 - axis
     for w in walls:
-        o_lo, o_hi = w[1 - axis], w[1 - axis + 2]
-        if not (o_lo < other < o_hi):
+        if not (w[o_lo_i] < other < w[o_hi_i]):
             continue
         w_lo, w_hi = w[axis], w[axis + 2]
         if delta > 0 and p <= w_lo < c:
@@ -143,23 +142,23 @@ def env_step(spec: EnvSpec, state: EnvState, action) -> EnvState:
         raise ValueError(f"action must be a finite 2-vector, got {action!r}")
     if len(action) != 2 or not (math.isfinite(ax) and math.isfinite(ay)):
         raise ValueError(f"action must be a finite 2-vector, got {action!r}")
-    ab = spec.action_bounds
+    ab, dt = spec.action_bounds, spec.dt
     ax = -ab if ax < -ab else (ab if ax > ab else ax)
     ay = -ab if ay < -ab else (ab if ay > ab else ay)
-    vx = float(state.velocity[0]) + ax * spec.dt
-    vy = float(state.velocity[1]) + ay * spec.dt
+    vx, vy = state.velocity.tolist()
+    vx += ax * dt
+    vy += ay * dt
     speed = math.hypot(vx, vy)
     if speed > spec.max_speed:
         scale = spec.max_speed / speed
         vx *= scale
         vy *= scale
-    pos = state.position.copy()
-    new_x, bx = _slide(pos, vx * spec.dt, 0, spec.walls, spec.bounds)
-    pos[0] = new_x
-    new_y, by = _slide(pos, vy * spec.dt, 1, spec.walls, spec.bounds)
-    pos[1] = new_y
-    v = np.array([0.0 if bx else vx, 0.0 if by else vy])
-    return EnvState(pos, v, state.steps_taken + 1)
+    x, y = state.position.tolist()
+    x, bx = _slide(x, y, vx * dt, 0, spec.walls, spec.bounds)
+    y, by = _slide(y, x, vy * dt, 1, spec.walls, spec.bounds)
+    # a wall or bound face may be an int; positions stay float64
+    return EnvState(np.array((x, y), dtype=float),
+                    np.array((0.0 if bx else vx, 0.0 if by else vy)), state.steps_taken + 1)
 
 
 def _cross_walls(thickness=0.25):

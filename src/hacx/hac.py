@@ -1,19 +1,24 @@
 """Transition calculus for hierarchical goal-conditioned learning.
 
-Everything a level stores is built here: sparse goal rewards with
-termination-on-success, hindsight action transitions (the action component
-is the state actually reached, projected to goal space), hindsight goal
-relabeling, subgoal-test penalties, exploration transitions rewarded by the
-novelty model, and the per-level ring replay buffer.
+Everything a level stores is built here, as packed float64 rows
+state | goal | action | next_state | reward | discount (see pack_row): sparse
+goal rewards with termination-on-success, hindsight action transitions (the
+action component is the state actually reached, projected to goal space),
+hindsight goal relabeling (one block of rows per segment), subgoal-test
+penalties, and exploration transitions rewarded by the novelty model, which
+carry no goal columns. The per-level ring replay buffer stores such rows as
+float32, one row or one block per write.
 
 Rewards are 0 or -1 (or -H for a failed subgoal test); the stored discount
-is 0.99 except on terminal transitions, where it is exactly 0.
+is 0.99 except on terminal transitions, where it is exactly 0. Goal rewards
+come from one scalar test per row, math.hypot of the position difference
+against epsilon (as in goal_reward): a vectorised np.hypot can differ in the
+last bit at the epsilon boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +29,6 @@ DISCOUNT = 0.99
 
 # Goal tag for the exploration policy's transitions, which carry no goal.
 EXPLORE = "EXPLORE"
-
-
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    goal: object          # goal-space vector, or the EXPLORE tag
-    discount: float
 
 
 def project_goal(state) -> np.ndarray:
@@ -57,95 +52,101 @@ def goal_reward(achieved, goal, epsilon: float):
     return (0.0 if done else -1.0), done
 
 
+def pack_row(state, goal, action, next_state, reward: float,
+             discount: float) -> np.ndarray:
+    """One float64 row state | goal | action | next_state | reward | discount.
+    A goal of None (an EXPLORE row) leaves out the goal columns."""
+    parts = (state, action, next_state) if goal is None else (state, goal, action, next_state)
+    return np.concatenate((*parts, (reward, discount)), dtype=float)
+
+
 def hindsight_action_transition(state, proposed_subgoal, achieved_state, goal,
-                                epsilon: float) -> Transition:
-    """Subgoal-level transition with the action replaced by what the lower
-    levels actually achieved; the proposed subgoal is discarded."""
+                                epsilon: float) -> np.ndarray:
+    """Subgoal-level row with the action replaced by what the lower levels
+    actually achieved; the proposed subgoal is discarded."""
     achieved = np.asarray(achieved_state, dtype=float)
     action = project_goal(achieved)
     reward, done = goal_reward(action, goal, epsilon)
-    return Transition(np.asarray(state, dtype=float), action, reward, achieved,
-                      np.asarray(goal, dtype=float), 0.0 if done else DISCOUNT)
+    return pack_row(state, goal, action, achieved, reward, 0.0 if done else DISCOUNT)
 
 
 def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: int,
                             epsilon: float, goal=EXPLORE):
-    """Penalty for a tested subgoal the lower levels failed to reach:
+    """Penalty row for a tested subgoal the lower levels failed to reach:
     reward -horizon with discount 0. Returns None when the subgoal was
     reached (the hindsight action transition already rewards that)."""
     proposed = np.asarray(proposed_subgoal, dtype=float)
     achieved = np.asarray(achieved_state, dtype=float)
     if np.linalg.norm(project_goal(achieved) - proposed) < epsilon:
         return None
-    g = goal if isinstance(goal, str) else np.asarray(goal, dtype=float)
-    return Transition(np.asarray(state, dtype=float), proposed, -float(horizon),
-                      achieved, g, 0.0)
+    return pack_row(state, None if isinstance(goal, str) else goal, proposed, achieved,
+                    -float(horizon), 0.0)
 
 
 def hindsight_goal_transitions(segment, num_relabels: int, epsilon: float,
-                               rng: np.random.Generator) -> list:
+                               rng: np.random.Generator) -> np.ndarray:
     """Relabel a segment of (state, action, next_state) steps against
     substitute goals drawn from its own achieved states.
 
-    The final achieved state is always one of the substitutes; the rest are
+    The final achieved state is always the first substitute; the rest are
     uniform draws over the segment. Every step is relabeled against every
-    substitute goal.
+    substitute goal: the result is one (num_relabels * len(segment), width)
+    block of rows, goal outer, step inner.
     """
     if not segment:
         raise ValueError("empty segment")
+    states, actions, nexts = (np.array(c, dtype=float) for c in zip(*segment))
+    n, sd = states.shape
+    achieved = project_goal(nexts)
+    gd, ad = achieved.shape[1], actions.shape[1]
     if num_relabels <= 0:
-        return []
-    achieved = [project_goal(ns) for (_, _, ns) in segment]
-    goals = [achieved[-1]]
-    for _ in range(num_relabels - 1):
-        goals.append(achieved[int(rng.integers(0, len(achieved)))])
-    out = []
-    for g in goals:
-        for (s, a, ns) in segment:
-            reward, done = goal_reward(project_goal(ns), g, epsilon)
-            out.append(Transition(np.asarray(s, dtype=float), np.asarray(a, dtype=float),
-                                  reward, np.asarray(ns, dtype=float), g.copy(),
-                                  0.0 if done else DISCOUNT))
-    return out
+        return np.empty((0, 2 * sd + gd + ad + 2))
+    picks = [n - 1] + [int(rng.integers(0, n)) for _ in range(num_relabels - 1)]
+    xy = achieved.tolist()
+    done = np.array([[math.hypot(ax - gx, ay - gy) < epsilon for ax, ay in xy]
+                     for gx, gy in (xy[p] for p in picks)])
+    out = np.empty((num_relabels, n, 2 * sd + gd + ad + 2))
+    out[:, :, :sd] = states
+    out[:, :, sd:sd + gd] = achieved[picks][:, None, :]
+    out[:, :, sd + gd:sd + gd + ad] = actions
+    out[:, :, sd + gd + ad:-2] = nexts
+    out[:, :, -2] = np.where(done, 0.0, -1.0)
+    out[:, :, -1] = np.where(done, 0.0, DISCOUNT)
+    return out.reshape(num_relabels * n, -1)
 
 
 def exploration_transition(state, action, next_state,
-                           novelty_model: rnd.NoveltyModel) -> Transition:
-    """Top-level exploration step: reward 0 and terminate (discount 0) on
-    entering a new state, else reward -1 and discount 0.99."""
+                           novelty_model: rnd.NoveltyModel) -> np.ndarray:
+    """Top-level exploration row (no goal columns): reward 0 and terminate
+    (discount 0) on entering a new state, else reward -1 and discount 0.99."""
     ns = np.asarray(next_state, dtype=float)
     reward, new = rnd.exploration_reward(novelty_model, ns)
-    return Transition(np.asarray(state, dtype=float), np.asarray(action, dtype=float),
-                      reward, ns, EXPLORE, 0.0 if new else DISCOUNT)
+    return pack_row(state, None, action, ns, reward, 0.0 if new else DISCOUNT)
 
 
 class ReplayBuffer:
     """Uniform-sampling ring buffer of packed float32 rows.
 
-    Each row is state | goal | action | next_state | reward | discount; an
-    EXPLORE buffer has no goal columns. The column widths are fixed by the
-    first pushed transition; a buffer either holds goal-conditioned
-    transitions or EXPLORE ones, never both.
+    Each row is state | goal | action | next_state | reward | discount, with
+    the column widths (state, goal, action) fixed at construction; an
+    EXPLORE buffer has goal width 0 and no goal columns. Storage is
+    allocated at the first push.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, widths):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        sd, gd, ad = widths
         self.capacity = capacity
         self.count = 0
         self.next_index = 0
         self.rows = None
-        self.explore = None
-        self.widths = None   # (state, goal, action)
-        self._spans = None   # column slices of state, goal, action, next_state
-
-    def _alloc(self, t: Transition):
-        self.explore = isinstance(t.goal, str)
-        sd, gd, ad = len(t.state), 0 if self.explore else len(t.goal), len(t.action)
         self.widths = (sd, gd, ad)
+        self.width = 2 * sd + gd + ad + 2
+        self.explore = gd == 0
+        # column slices of state, goal, action, next_state
         self._spans = (slice(0, sd), slice(sd, sd + gd), slice(sd + gd, sd + gd + ad),
                        slice(sd + gd + ad, 2 * sd + gd + ad))
-        self.rows = np.zeros((self.capacity, 2 * sd + gd + ad + 2), dtype=np.float32)
 
     def columns(self, rows: np.ndarray):
         """(state, goal_or_None, action, next_state, reward, discount): views
@@ -155,23 +156,27 @@ class ReplayBuffer:
                 rows[:, -2], rows[:, -1])
 
 
-def buffer_push(buf: ReplayBuffer, t: Transition) -> ReplayBuffer:
+def buffer_push(buf: ReplayBuffer, rows: np.ndarray) -> ReplayBuffer:
+    """Store one row, or a block of rows in order, as float32; once the
+    buffer is full each new row overwrites the oldest."""
+    if rows.ndim not in (1, 2) or rows.shape[-1] != buf.width:
+        raise ShapeError(f"rows of shape {rows.shape} do not fit a buffer of "
+                         f"{buf.width}-wide rows")
     if buf.rows is None:
-        buf._alloc(t)
-    if buf.explore != isinstance(t.goal, str):
-        raise ShapeError("mixing EXPLORE and goal-conditioned transitions in one buffer")
-    i = buf.next_index
-    s, g, a, ns = buf._spans
-    row = buf.rows[i]
-    row[s] = t.state
-    if not buf.explore:
-        row[g] = t.goal
-    row[a] = t.action
-    row[ns] = t.next_state
-    row[-2] = t.reward
-    row[-1] = t.discount
-    buf.next_index = (i + 1) % buf.capacity
-    buf.count = min(buf.count + 1, buf.capacity)
+        buf.rows = np.zeros((buf.capacity, buf.width), dtype=np.float32)
+    cap, i = buf.capacity, buf.next_index
+    if rows.ndim == 1:
+        buf.rows[i] = rows
+        n = 1
+    else:
+        n = len(rows)
+        kept = rows[-cap:]     # of a block longer than the buffer, the newest rows
+        j = (i + n - len(kept)) % cap
+        first = min(len(kept), cap - j)
+        buf.rows[j:j + first] = kept[:first]
+        buf.rows[:len(kept) - first] = kept[first:]
+    buf.next_index = (i + n) % cap
+    buf.count = min(buf.count + n, cap)
     return buf
 
 

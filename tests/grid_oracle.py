@@ -3,7 +3,7 @@
 A 5x5 gridworld stands in for the continuous task: cells are integer
 positions, the low level takes up to 3 unit moves, the high level's action
 is (in hindsight) the cell those moves reached. Route A builds Q-values
-purely from Transition objects produced by the real transition machinery;
+purely from the packed rows produced by the real transition machinery;
 route B computes the same Q-values by value iteration on an independently
 derived "teleport" model (one high-level hop reaches any cell within
 Manhattan distance 3). If the transition calculus is right, route A's
@@ -13,6 +13,7 @@ empirical model IS route B's model, and the two tables agree.
 import numpy as np
 
 from hacx import hac
+from helpers import transition
 
 SIZE = 5
 HOPS = 3
@@ -50,8 +51,8 @@ def collect_transitions(repeats_per_cell, rng):
             for _ in range(repeats_per_cell):
                 achieved = random_hop(start, rng)
                 proposed = rng.uniform(0, SIZE - 1, 2)  # discarded in hindsight
-                t = hac.hindsight_action_transition(
-                    state4(start), proposed, state4(achieved), goal_vec, 0.5)
+                t = transition(hac.hindsight_action_transition(
+                    state4(start), proposed, state4(achieved), goal_vec, 0.5))
                 table[(start, achieved)] = t
     return table
 

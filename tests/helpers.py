@@ -1,5 +1,8 @@
 """Shared test oracles: finite differences, random network factories, a
-reference forward/backward pass, and replay-buffer inspection helpers."""
+reference forward/backward pass, gradients by name, and a named view of
+packed transition rows with replay-buffer inspection helpers."""
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,23 @@ def fd_input_gradient(net, x, upstream, h=1e-5):
         flat[i] = old
         gf[i] = (lp - lm) / (2 * h)
     return g
+
+
+class Gradients(NamedTuple):
+    params: np.ndarray      # in the Network.params layout
+    wrt_input: np.ndarray
+
+
+def backward(net, x, upstream) -> Gradients:
+    """Exact reverse-mode gradients of sum(forward(net, x) * upstream) with
+    respect to every parameter and to the input, from one forward trace."""
+    _, trace = approx.forward_trace(net, x)
+    return Gradients(approx.backward_trace(net, trace, upstream).params,
+                     approx.input_gradient(net, trace, upstream))
+
+
+def parameter_count(net) -> int:
+    return net.params.size
 
 
 def rel_close(a, b, tol=1e-4, floor=1e-3):
@@ -136,14 +156,42 @@ def ref_backward_trace(net, trace, upstream):
     return grad, (delta[0] if single else delta)
 
 
+# Packed transition rows by name
+
+STATE_DIM, ACTION_DIM = 4, 2
+
+
+class Transition(NamedTuple):
+    """Named columns of one packed row state | goal | action | next_state |
+    reward | discount (hac.pack_row); vectors are views into the row."""
+    state: np.ndarray
+    action: np.ndarray
+    reward: float
+    next_state: np.ndarray
+    goal: object          # goal-space vector, or the EXPLORE tag
+    discount: float
+
+
+def transition(row) -> Transition:
+    """Named view of one row with 4-wide states and 2-wide actions; goal is
+    the EXPLORE tag when the row has no goal columns."""
+    sd, ad = STATE_DIM, ACTION_DIM
+    gd = len(row) - 2 * sd - ad - 2
+    return Transition(row[:sd], row[sd + gd:sd + gd + ad], float(row[-2]),
+                      row[sd + gd + ad:-2], hac.EXPLORE if gd == 0 else row[sd:sd + gd],
+                      float(row[-1]))
+
+
+def transitions(block) -> list:
+    """Named views of the rows of a block, in order."""
+    return [transition(row) for row in block]
+
+
 # Replay-buffer inspection
 
 def buffer_sample(buf, batch_size, rng):
-    """Uniform sample with replacement, as Transition objects."""
-    s, g, a, ns, r, d = buf.columns(hac.sample_arrays(buf, batch_size, rng))
-    return [hac.Transition(s[i], a[i], float(r[i]), ns[i],
-                           hac.EXPLORE if g is None else g[i], float(d[i]))
-            for i in range(batch_size)]
+    """Uniform sample with replacement, as named transitions."""
+    return transitions(hac.sample_arrays(buf, batch_size, rng))
 
 
 def stored_columns(buf):
@@ -156,11 +204,11 @@ def _vec_text(v) -> str:
     return ";".join(repr(float(x)) for x in np.asarray(v, dtype=float).ravel())
 
 
-def dump_transitions(transitions) -> str:
+def dump_transitions(ts) -> str:
     """Debug dump: one transition per line; vector components joined by
     ';', fields by ','; an absent goal is the literal token EXPLORE."""
     lines = ["state,action,reward,next_state,goal,discount"]
-    for t in transitions:
+    for t in ts:
         goal = t.goal if isinstance(t.goal, str) else _vec_text(t.goal)
         lines.append(",".join([_vec_text(t.state), _vec_text(t.action),
                                repr(float(t.reward)), _vec_text(t.next_state),

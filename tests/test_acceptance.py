@@ -15,7 +15,7 @@ import pytest
 import acceptance_util as au
 import helpers
 from conftest import record_criterion
-from hacx import approx, envsim, hac, harness, rnd
+from hacx import envsim, hac, harness, rnd
 import grid_oracle
 
 
@@ -29,7 +29,7 @@ def test_gradient_checks_match_finite_differences():
         net = helpers.random_small_net(rng)
         x = helpers.input_off_relu_kinks(net, rng)
         upstream = rng.normal(size=net.layer_sizes[-1])
-        got = approx.backward(net, x, upstream)
+        got = helpers.backward(net, x, upstream)
         want_params = helpers.fd_param_gradients(net, x, upstream)
         want_x = helpers.fd_input_gradient(net, x, upstream)
         ok = helpers.rel_close(got.params, want_params)
@@ -75,7 +75,8 @@ def test_transition_invariants_hold_in_bulk():
         achieved = [hac.project_goal(ns) for (_, _, ns) in seg]
 
         for (s, a, ns) in seg:
-            t = hac.hindsight_action_transition(s, rng.uniform(-5, 5, 2), ns, goal, eps)
+            t = helpers.transition(
+                hac.hindsight_action_transition(s, rng.uniform(-5, 5, 2), ns, goal, eps))
             check(np.array_equal(t.action, hac.project_goal(ns)),
                   "hindsight action is not the achieved goal projection")
             r, done = hac.goal_reward(hac.project_goal(ns), goal, eps)
@@ -89,18 +90,19 @@ def test_transition_invariants_hold_in_bulk():
             pt = hac.subgoal_test_transition(s, rng.uniform(-5, 5, 2), ns,
                                              horizon, eps, goal)
             if pt is not None:
+                pt = helpers.transition(pt)
                 check(pt.reward == -float(horizon), "penalty reward is not -horizon")
                 check(pt.discount == 0.0, "penalty discount is not 0")
                 total += 1
 
-            et = hac.exploration_transition(s, a, ns, model)
+            et = helpers.transition(hac.exploration_transition(s, a, ns, model))
             check(et.reward in (0.0, -1.0), "exploration reward not in {0,-1}")
             check((et.reward == 0.0) == (et.discount == 0.0),
                   "reward/discount coupling broken (exploration)")
             check(isinstance(et.goal, str), "exploration transition carries a goal")
             total += 1
 
-        for t in hac.hindsight_goal_transitions(seg, 2, eps, rng):
+        for t in helpers.transitions(hac.hindsight_goal_transitions(seg, 2, eps, rng)):
             r, done = hac.goal_reward(hac.project_goal(t.next_state), t.goal, eps)
             check(t.reward == r, "relabeled reward inconsistent with its goal")
             check(t.discount == (0.0 if done else hac.DISCOUNT),

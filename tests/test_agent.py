@@ -299,7 +299,7 @@ def test_update_regresses_terminal_reward():
     ag = small_agent(spec, k=2, seed=4)
     p = ag.levels[0]
     s = np.array([5.0, 5.0, 0.0, 0.0])
-    t = hac.Transition(s, np.array([0.5, 0.0]), 0.0, s, np.array([5.0, 5.0]), 0.0)
+    t = hac.pack_row(s, np.array([5.0, 5.0]), np.array([0.5, 0.0]), s, 0.0, 0.0)
     for _ in range(32):
         hac.buffer_push(p.buffer, t)
     x = np.concatenate([s, [5.0, 5.0], [0.5, 0.0]])
@@ -320,10 +320,10 @@ def test_update_bellman_two_step_fixed_point():
     s2 = np.array([3.0, 3.0, 0.0, 0.0])
     a1 = np.array([0.3, 0.3])
     for _ in range(8):
-        hac.buffer_push(p.buffer, hac.Transition(s1, a1, -1.0, s2, g, hac.DISCOUNT))
+        hac.buffer_push(p.buffer, hac.pack_row(s1, g, a1, s2, -1.0, hac.DISCOUNT))
     for _ in range(56):
         a2 = rng.uniform(-1, 1, 2)
-        hac.buffer_push(p.buffer, hac.Transition(s2, a2, -1.0, s2, g, 0.0))
+        hac.buffer_push(p.buffer, hac.pack_row(s2, g, a2, s2, -1.0, 0.0))
     agent.update(ag, rounds=2000, batch_size=64, rng=np.random.default_rng(2))
     q2 = float(approx.forward(p.critic, np.concatenate([s2, g, rng.uniform(-1, 1, 2)]))[0])
     q1 = float(approx.forward(p.critic, np.concatenate([s1, g, a1]))[0])
@@ -341,8 +341,8 @@ def test_update_clamps_bellman_targets():
     rng = np.random.default_rng(3)
     for _ in range(64):
         s = rng.uniform(0, 10, 4)
-        hac.buffer_push(p.buffer, hac.Transition(
-            s, rng.uniform(0, 10, 2), -3.0, s, np.array([9.0, 9.0]), hac.DISCOUNT))
+        hac.buffer_push(p.buffer, hac.pack_row(
+            s, np.array([9.0, 9.0]), rng.uniform(0, 10, 2), s, -3.0, hac.DISCOUNT))
     agent.update(ag, rounds=1200, batch_size=32, rng=rng)
     s, g, a, *_ = stored_columns(p.buffer)
     pts = np.column_stack([s, g, a]).astype(float)
@@ -437,6 +437,16 @@ def test_snapshot_corrupt_array_rejected():
     lines[idx] = "A0 = " + " ".join(vals[:-2])  # drop two entries
     with pytest.raises(CheckpointError):
         agent.restore("\n".join(lines))
+
+
+def test_snapshot_numbers_parse_bitwise():
+    # every float written by repr reads back to the same bits
+    rng = np.random.default_rng(0)
+    vals = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, 500),
+                           [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                            0.0, -0.0, 0.1, 1 / 3]])
+    sec = {"v": " ".join(repr(float(v)) for v in vals)}
+    assert agent._parse_array(sec, "v", vals.shape).tobytes() == vals.tobytes()
 
 
 @pytest.mark.parametrize("line,bad", [("hidden = relu", "hidden = sigmoid"),

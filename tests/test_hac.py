@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hacx import hac, rnd
 from hacx.errors import ShapeError
 
-from helpers import buffer_sample, dump_transitions, stored_columns
+from helpers import (Transition, buffer_sample, dump_transitions, stored_columns,
+                     transition, transitions)
 
 
 def vec(*xs):
@@ -48,8 +49,8 @@ def test_goal_reward_matches_distance(ax, ay, gx, gy, eps):
 def test_hindsight_action_replaces_proposal():
     state = vec(0.0, 0.0, 0.0, 0.0)
     achieved = vec(1.0, 2.0, 0.3, 0.1)
-    t = hac.hindsight_action_transition(state, vec(5.0, 5.0), achieved,
-                                        vec(9.0, 9.0), 0.5)
+    t = transition(hac.hindsight_action_transition(state, vec(5.0, 5.0), achieved,
+                                                   vec(9.0, 9.0), 0.5))
     assert np.allclose(t.action, [1.0, 2.0])  # what was reached, not (5, 5)
     assert t.reward == -1.0
     assert t.discount == hac.DISCOUNT
@@ -58,8 +59,8 @@ def test_hindsight_action_replaces_proposal():
 
 
 def test_hindsight_action_success_terminates():
-    t = hac.hindsight_action_transition(vec(0, 0, 0, 0), vec(5, 5),
-                                        vec(8.9, 9.0, 0, 0), vec(9.0, 9.0), 0.5)
+    t = transition(hac.hindsight_action_transition(vec(0, 0, 0, 0), vec(5, 5),
+                                                   vec(8.9, 9.0, 0, 0), vec(9.0, 9.0), 0.5))
     assert t.reward == 0.0
     assert t.discount == 0.0
 
@@ -68,8 +69,8 @@ def test_hindsight_action_success_terminates():
 @given(px=coords, py=coords, x=coords, y=coords)
 def test_hindsight_action_identity(px, py, x, y):
     # the stored action is always the achieved position, whatever was proposed
-    t = hac.hindsight_action_transition(vec(0, 0, 0, 0), vec(px, py),
-                                        vec(x, y, 0.5, -0.5), vec(0.0, 0.0), 0.5)
+    t = transition(hac.hindsight_action_transition(vec(0, 0, 0, 0), vec(px, py),
+                                                   vec(x, y, 0.5, -0.5), vec(0.0, 0.0), 0.5))
     assert np.array_equal(t.action, vec(x, y))
     assert (t.reward == 0.0) == (t.discount == 0.0)
 
@@ -77,9 +78,9 @@ def test_hindsight_action_identity(px, py, x, y):
 # subgoal testing ---------------------------------------------------------------
 
 def test_subgoal_test_miss_pays_horizon_penalty():
-    t = hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
-                                    vec(1.0, 1.0, 0, 0), horizon=10, epsilon=0.5,
-                                    goal=vec(9.0, 9.0))
+    t = transition(hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
+                                               vec(1.0, 1.0, 0, 0), horizon=10, epsilon=0.5,
+                                               goal=vec(9.0, 9.0)))
     assert t.reward == -10.0
     assert t.discount == 0.0
     assert np.allclose(t.action, [5.0, 5.0])  # the tested proposal, not hindsight
@@ -87,8 +88,8 @@ def test_subgoal_test_miss_pays_horizon_penalty():
 
 
 def test_subgoal_test_horizon_one():
-    t = hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
-                                    vec(0.0, 0.0, 0, 0), horizon=1, epsilon=0.5)
+    t = transition(hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
+                                               vec(0.0, 0.0, 0, 0), horizon=1, epsilon=0.5))
     assert t.reward == -1.0 and t.discount == 0.0
     assert t.goal == hac.EXPLORE
 
@@ -109,6 +110,7 @@ def test_subgoal_test_threshold_consistency(px, py, x, y, h, eps):
     if reached:
         assert t is None
     else:
+        t = transition(t)
         assert t.reward == -float(h) and t.discount == 0.0
 
 
@@ -123,7 +125,7 @@ def three_step_segment():
 
 def test_relabel_counts_and_final_goal():
     seg = three_step_segment()
-    out = hac.hindsight_goal_transitions(seg, 2, 0.5, np.random.default_rng(0))
+    out = transitions(hac.hindsight_goal_transitions(seg, 2, 0.5, np.random.default_rng(0)))
     assert len(out) == 6  # 2 substitute goals x 3 steps
     first_goal = out[0].goal
     assert np.allclose(first_goal, [3.0, 0.0])  # final achieved position
@@ -135,7 +137,7 @@ def test_relabel_counts_and_final_goal():
 def test_relabel_goals_come_from_achieved_states():
     seg = three_step_segment()
     achieved = {(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)}
-    out = hac.hindsight_goal_transitions(seg, 5, 0.5, np.random.default_rng(3))
+    out = transitions(hac.hindsight_goal_transitions(seg, 5, 0.5, np.random.default_rng(3)))
     assert len(out) == 15
     for t in out:
         assert (float(t.goal[0]), float(t.goal[1])) in achieved
@@ -145,19 +147,48 @@ def test_relabel_goals_come_from_achieved_states():
 
 
 def test_relabel_zero_and_empty():
-    assert hac.hindsight_goal_transitions(three_step_segment(), 0, 0.5,
-                                          np.random.default_rng(0)) == []
+    assert len(hac.hindsight_goal_transitions(three_step_segment(), 0, 0.5,
+                                              np.random.default_rng(0))) == 0
     with pytest.raises(ValueError):
         hac.hindsight_goal_transitions([], 2, 0.5, np.random.default_rng(0))
 
 
 def test_relabel_preserves_original_actions():
     seg = three_step_segment()
-    out = hac.hindsight_goal_transitions(seg, 1, 0.5, np.random.default_rng(0))
+    out = transitions(hac.hindsight_goal_transitions(seg, 1, 0.5, np.random.default_rng(0)))
     for t, (s, a, ns) in zip(out, seg):
         assert np.array_equal(t.state, s)
         assert np.array_equal(t.action, a)
         assert np.array_equal(t.next_state, ns)
+
+
+def reference_relabel(segment, num_relabels, epsilon, rng):
+    """Row-by-row relabeling: the same goal draws, rewards from goal_reward."""
+    achieved = [hac.project_goal(ns) for (_, _, ns) in segment]
+    goals = [achieved[-1]]
+    for _ in range(num_relabels - 1):
+        goals.append(achieved[int(rng.integers(0, len(achieved)))])
+    rows = []
+    for g in goals:
+        for (s, a, ns) in segment:
+            reward, done = hac.goal_reward(hac.project_goal(ns), g, epsilon)
+            rows.append(hac.pack_row(s, g, a, ns, reward, 0.0 if done else hac.DISCOUNT))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("length,relabels", [(1, 1), (3, 2), (10, 2), (60, 4)])
+def test_relabel_block_matches_row_by_row_reference(length, relabels):
+    rng = np.random.default_rng(length)
+    # positions on a coarse grid, so that many steps sit on the epsilon boundary
+    seg = [(rng.normal(size=4), rng.normal(size=2),
+            np.concatenate([rng.integers(0, 3, 2) * 0.25, rng.normal(size=2)]))
+           for _ in range(length)]
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = hac.hindsight_goal_transitions(seg, relabels, 0.5, got_rng)
+    want = reference_relabel(seg, relabels, 0.5, want_rng)
+    assert got.shape == want.shape == (relabels * length, 14)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # exploration transitions ---------------------------------------------------------
@@ -167,23 +198,26 @@ def test_exploration_transition_coupling():
     s, a, ns = vec(0, 0, 0, 0), vec(1, 1), vec(1, 1, 0, 0)
 
     model.epsilon_rnd = -1.0  # everything is new
-    t = hac.exploration_transition(s, a, ns, model)
+    t = transition(hac.exploration_transition(s, a, ns, model))
     assert (t.reward, t.discount, t.goal) == (0.0, 0.0, hac.EXPLORE)
 
     model.epsilon_rnd = float("inf")  # nothing is new
-    t = hac.exploration_transition(s, a, ns, model)
+    t = transition(hac.exploration_transition(s, a, ns, model))
     assert (t.reward, t.discount, t.goal) == (-1.0, hac.DISCOUNT, hac.EXPLORE)
 
 
 # replay buffer -------------------------------------------------------------------
 
+GOAL_WIDTHS, EXPLORE_WIDTHS = (4, 2, 2), (4, 0, 2)
+
+
 def goal_transition(i):
-    return hac.Transition(vec(i, 0, 0, 0), vec(i, 1), -1.0, vec(i + 1, 0, 0, 0),
-                          vec(9, 9), hac.DISCOUNT)
+    return hac.pack_row(vec(i, 0, 0, 0), vec(9, 9), vec(i, 1), vec(i + 1, 0, 0, 0),
+                        -1.0, hac.DISCOUNT)
 
 
 def test_buffer_eviction_order():
-    buf = hac.ReplayBuffer(2)
+    buf = hac.ReplayBuffer(2, GOAL_WIDTHS)
     for i in range(3):
         hac.buffer_push(buf, goal_transition(i))
     assert buf.count == 2
@@ -192,16 +226,17 @@ def test_buffer_eviction_order():
 
 
 def test_buffer_rejects_mixed_streams():
-    buf = hac.ReplayBuffer(4)
+    buf = hac.ReplayBuffer(4, GOAL_WIDTHS)
     hac.buffer_push(buf, goal_transition(0))
-    explore = hac.Transition(vec(0, 0, 0, 0), vec(1, 1), 0.0, vec(1, 1, 0, 0),
-                             hac.EXPLORE, 0.0)
+    explore = hac.pack_row(vec(0, 0, 0, 0), None, vec(1, 1), vec(1, 1, 0, 0), 0.0, 0.0)
     with pytest.raises(ShapeError):
         hac.buffer_push(buf, explore)
+    with pytest.raises(ShapeError):
+        hac.buffer_push(hac.ReplayBuffer(4, EXPLORE_WIDTHS), goal_transition(0))
 
 
 def test_buffer_sample_shapes_and_source():
-    buf = hac.ReplayBuffer(100)
+    buf = hac.ReplayBuffer(100, GOAL_WIDTHS)
     for i in range(10):
         hac.buffer_push(buf, goal_transition(i))
     rows = hac.sample_arrays(buf, 32, np.random.default_rng(0))
@@ -211,11 +246,11 @@ def test_buffer_sample_shapes_and_source():
     assert ns.shape == (32, 4) and r.shape == (32,) and d.shape == (32,)
     assert set(s[:, 0].tolist()) <= set(float(i) for i in range(10))
     ts = buffer_sample(buf, 5, np.random.default_rng(1))
-    assert len(ts) == 5 and all(isinstance(t, hac.Transition) for t in ts)
+    assert len(ts) == 5 and all(isinstance(t, Transition) for t in ts)
 
 
 def test_buffer_sampling_is_uniform():
-    buf = hac.ReplayBuffer(4)
+    buf = hac.ReplayBuffer(4, GOAL_WIDTHS)
     for i in range(4):
         hac.buffer_push(buf, goal_transition(i))
     s = hac.sample_arrays(buf, 10_000, np.random.default_rng(7))
@@ -226,16 +261,15 @@ def test_buffer_sampling_is_uniform():
 
 def test_buffer_empty_sample_raises():
     with pytest.raises(ValueError):
-        hac.sample_arrays(hac.ReplayBuffer(4), 1, np.random.default_rng(0))
+        hac.sample_arrays(hac.ReplayBuffer(4, GOAL_WIDTHS), 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        hac.ReplayBuffer(0)
+        hac.ReplayBuffer(0, GOAL_WIDTHS)
 
 
 def test_explore_buffer_has_no_goal_column():
-    buf = hac.ReplayBuffer(4)
-    t = hac.Transition(vec(0, 0, 0, 0), vec(1, 1), 0.0, vec(1, 1, 0, 0),
-                       hac.EXPLORE, 0.0)
-    hac.buffer_push(buf, t)
+    buf = hac.ReplayBuffer(4, EXPLORE_WIDTHS)
+    hac.buffer_push(buf, hac.pack_row(vec(0, 0, 0, 0), None, vec(1, 1), vec(1, 1, 0, 0),
+                                      0.0, 0.0))
     rows = hac.sample_arrays(buf, 3, np.random.default_rng(0))
     assert rows.shape == (3, 12)
     assert buf.columns(rows)[1] is None
@@ -245,14 +279,15 @@ def test_explore_buffer_has_no_goal_column():
 def test_packed_rows_round_trip(explore):
     # every pushed field reads back, as float32, from its column slice
     rng = np.random.default_rng(4)
-    pushed = [hac.Transition(rng.normal(size=4), rng.normal(size=2), float(rng.normal()),
-                             rng.normal(size=4),
-                             hac.EXPLORE if explore else rng.normal(size=2),
-                             float(rng.uniform()))
+    pushed = [Transition(rng.normal(size=4), rng.normal(size=2), float(rng.normal()),
+                         rng.normal(size=4),
+                         hac.EXPLORE if explore else rng.normal(size=2),
+                         float(rng.uniform()))
               for _ in range(5)]
-    buf = hac.ReplayBuffer(8)
+    buf = hac.ReplayBuffer(8, EXPLORE_WIDTHS if explore else GOAL_WIDTHS)
     for t in pushed:
-        hac.buffer_push(buf, t)
+        hac.buffer_push(buf, hac.pack_row(t.state, None if explore else t.goal, t.action,
+                                          t.next_state, t.reward, t.discount))
     assert buf.rows.dtype == np.float32 and buf.rows.shape == (8, 12 if explore else 14)
     s, g, a, ns, r, d = stored_columns(buf)
     f32 = np.float32
@@ -271,13 +306,42 @@ def test_packed_rows_round_trip(explore):
     assert all(any(np.array_equal(row, st) for st in stored) for row in rows)
 
 
+@pytest.mark.parametrize("capacity", [1, 5, 7, 16])
+@pytest.mark.parametrize("first", [0, 3, 6])
+def test_block_push_equals_row_by_row(capacity, first):
+    # a block lands exactly where its rows would, pushed one by one: across
+    # the wrap-around, and when the block is longer than the buffer
+    rng = np.random.default_rng(capacity * 10 + first)
+    lead = rng.normal(size=(first, 14))
+    for n in (0, 1, 4, 9, 20):
+        block = rng.normal(size=(n, 14))
+        one, many = hac.ReplayBuffer(capacity, GOAL_WIDTHS), hac.ReplayBuffer(capacity, GOAL_WIDTHS)
+        for buf in (one, many):
+            for row in lead:
+                hac.buffer_push(buf, row)
+        for row in block:
+            hac.buffer_push(one, row)
+        assert hac.buffer_push(many, block) is many
+        assert (many.count, many.next_index) == (one.count, one.next_index)
+        if one.rows is not None:
+            assert np.array_equal(many.rows, one.rows)
+
+
+def test_buffer_rejects_badly_shaped_rows():
+    buf = hac.ReplayBuffer(4, GOAL_WIDTHS)
+    for bad in (np.zeros(13), np.zeros((2, 15)), np.zeros((1, 2, 14)), np.float64(1.0)):
+        with pytest.raises(ShapeError):
+            hac.buffer_push(buf, bad)
+    assert buf.count == 0 and buf.rows is None
+
+
 # transition dumps ----------------------------------------------------------------
 
 def test_dump_format():
-    goal_t = hac.Transition(vec(0.0, 0.0, 0.0, 0.0), vec(1.0, 2.0), -1.0,
-                            vec(1.0, 2.0, 0.0, 0.0), vec(9.0, 9.0), 0.99)
-    explore_t = hac.Transition(vec(0.0, 0.0, 0.0, 0.0), vec(1.0, 2.0), 0.0,
-                               vec(1.0, 2.0, 0.0, 0.0), hac.EXPLORE, 0.0)
+    goal_t = transition(hac.pack_row(vec(0.0, 0.0, 0.0, 0.0), vec(9.0, 9.0), vec(1.0, 2.0),
+                                     vec(1.0, 2.0, 0.0, 0.0), -1.0, 0.99))
+    explore_t = transition(hac.pack_row(vec(0.0, 0.0, 0.0, 0.0), None, vec(1.0, 2.0),
+                                        vec(1.0, 2.0, 0.0, 0.0), 0.0, 0.0))
     text = dump_transitions([goal_t, explore_t])
     lines = text.strip().split("\n")
     assert lines[0] == "state,action,reward,next_state,goal,discount"

@@ -22,14 +22,27 @@ def load_tracer():
 
 def test_tracer_covers_a_smoke_run(tmp_path):
     tracer = load_tracer()
-    originals = (approx.forward, approx.backward_trace, agent.update, harness.update)
+    originals = (approx.forward, approx.backward_trace, agent.update, harness.update,
+                 harness.run_episode)
     t = tracer.Tracer()
     t.install()  # raises LookupError if a traced function is gone
+    # primitive steps of every episode, as run_episode reports them
+    steps = []
+    traced_run_episode = harness.run_episode
+
+    def counted_run_episode(*args, **kwargs):
+        rec = traced_run_episode(*args, **kwargs)
+        steps.append(len(rec.primitive_states) - 1)
+        return rec
+
+    harness.run_episode = counted_run_episode
     try:
         harness.run_trial(smoke_cfg(episodes=2), 0, str(tmp_path))
     finally:
+        harness.run_episode = traced_run_episode
         t.uninstall()
-    assert (approx.forward, approx.backward_trace, agent.update, harness.update) == originals
+    assert (approx.forward, approx.backward_trace, agent.update, harness.update,
+            harness.run_episode) == originals
 
     # raises LookupError unless every approx span resolves to the role of a
     # network the agent owns, and every span to a declared name
@@ -37,5 +50,9 @@ def test_tracer_covers_a_smoke_run(tmp_path):
     for name in ("agent.update", "approx.backward_trace.critic",
                  "approx.backward_trace.actor", "approx.forward_trace.critic",
                  "approx.optimizer_step.actor", "approx.forward.single",
-                 "hac.sample_arrays", "harness.evaluate"):
+                 "hac.sample_arrays", "harness.evaluate",
+                 "hac.hindsight_goal_transitions"):
         assert metrics[f"{name}.calls"][0] > 0, name
+    # the counts the tracer derives at the builders' boundaries survive
+    assert metrics["hac.relabel.transitions_per_step"][0] > 0
+    assert metrics["envsim.env_step.calls"][0] == sum(steps) > 0
