@@ -28,6 +28,7 @@ from .errors import CheckpointError, TrainingError
 from .hac import (DISCOUNT, EXPLORE, ReplayBuffer, buffer_push, exploration_transition,
                   hindsight_action_transition, hindsight_goal_transitions, pack_row,
                   sample_arrays, subgoal_test_transition)
+from .kvtext import fmt_float, fmt_floats, read_entries
 
 log = logging.getLogger(__name__)
 
@@ -423,40 +424,32 @@ def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
 MAGIC = "HACX1"
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _fmt_vec(v) -> str:
-    return " ".join(_fmt(x) for x in np.asarray(v, dtype=float).ravel())
-
-
 def _net_lines(tag: str, net: Network) -> list:
     lines = [f"[network {tag}]",
              "sizes = " + " ".join(str(s) for s in net.layer_sizes),
              f"hidden = {net.hidden_activation}",
              f"output = {net.output_activation}"]
     if net.output_activation == "tanh_scaled":
-        lines.append("out_low = " + _fmt_vec(net.output_low))
-        lines.append("out_high = " + _fmt_vec(net.output_high))
+        lines.append("out_low = " + fmt_floats(net.output_low))
+        lines.append("out_high = " + fmt_floats(net.output_high))
     for j, (w, b) in enumerate(zip(net.weights, net.biases)):
-        lines.append(f"A{j} = " + _fmt_vec(w))
-        lines.append(f"B{j} = " + _fmt_vec(b))
+        lines.append(f"A{j} = " + fmt_floats(w))
+        lines.append(f"B{j} = " + fmt_floats(b))
     return lines
 
 
 def _opt_lines(tag: str, opt: Optimizer, net: Network) -> list:
-    lines = [f"[opt {tag}]", "kind = adam", f"lr = {_fmt(opt.learning_rate)}",
-             f"beta1 = {_fmt(opt.beta1)}", f"beta2 = {_fmt(opt.beta2)}",
-             f"eps = {_fmt(opt.eps)}", f"steps = {opt.step_count}"]
+    lines = [f"[opt {tag}]", "kind = adam", f"lr = {fmt_float(opt.learning_rate)}",
+             f"beta1 = {fmt_float(opt.beta1)}", f"beta2 = {fmt_float(opt.beta2)}",
+             f"eps = {fmt_float(opt.eps)}", f"steps = {opt.step_count}"]
     if opt.m is not None:
         mw, mb = approx.layer_views(net.layer_sizes, opt.m)
         vw, vb = approx.layer_views(net.layer_sizes, opt.v)
         for j in range(len(mw)):
-            lines.append(f"MA{j} = " + _fmt_vec(mw[j]))
-            lines.append(f"MB{j} = " + _fmt_vec(mb[j]))
-            lines.append(f"VA{j} = " + _fmt_vec(vw[j]))
-            lines.append(f"VB{j} = " + _fmt_vec(vb[j]))
+            lines.append(f"MA{j} = " + fmt_floats(mw[j]))
+            lines.append(f"MB{j} = " + fmt_floats(mb[j]))
+            lines.append(f"VA{j} = " + fmt_floats(vw[j]))
+            lines.append(f"VB{j} = " + fmt_floats(vb[j]))
     return lines
 
 
@@ -465,15 +458,15 @@ def _policy_lines(tag: str, p: LevelPolicy) -> list:
     lines = [f"[policy {tag}]",
              f"level_index = {cfg.level_index}",
              f"horizon = {cfg.horizon}",
-             f"epsilon = {_fmt(cfg.epsilon)}",
-             f"subgoal_test_rate = {_fmt(cfg.subgoal_test_rate)}",
+             f"epsilon = {fmt_float(cfg.epsilon)}",
+             f"subgoal_test_rate = {fmt_float(cfg.subgoal_test_rate)}",
              f"goal_dim = {p.goal_dim}",
-             f"q_low = {_fmt(p.q_low)}",
-             f"q_high = {_fmt(p.q_high)}",
+             f"q_low = {fmt_float(p.q_low)}",
+             f"q_high = {fmt_float(p.q_high)}",
              f"capacity = {p.buffer.capacity}",
-             "noise_sigma = " + _fmt_vec(cfg.noise_sigma),
-             "low = " + _fmt_vec(cfg.low),
-             "high = " + _fmt_vec(cfg.high)]
+             "noise_sigma = " + fmt_floats(cfg.noise_sigma),
+             "low = " + fmt_floats(cfg.low),
+             "high = " + fmt_floats(cfg.high)]
     lines += _net_lines(f"{tag}.actor", p.actor)
     lines += _opt_lines(f"{tag}.actor", p.actor_opt, p.actor)
     lines += _net_lines(f"{tag}.critic", p.critic)
@@ -487,20 +480,20 @@ def policy_snapshot(agent: HacxAgent) -> str:
     agent starts those empty)."""
     lines = [MAGIC, "[agent]",
              f"k = {agent.k}",
-             f"tau = {_fmt(agent.tau)}",
+             f"tau = {fmt_float(agent.tau)}",
              f"state_dim = {agent.state_dim}",
              f"goal_dim = {agent.goal_dim}",
              f"num_relabels = {agent.num_relabels}",
              f"relabel_enabled = {int(agent.relabel_enabled)}",
              f"env_name = {agent.env_name}",
-             "visit_bounds = " + _fmt_vec(agent.visits.bounds),
+             "visit_bounds = " + fmt_floats(agent.visits.bounds),
              f"visit_resolution = {agent.visits.resolution}"]
     for i, p in enumerate(agent.levels):
         lines += _policy_lines(f"level{i}", p)
     lines += _policy_lines("explore", agent.explore_top)
     lines += ["[rnd]",
               f"code_dim = {agent.novelty.code_dim}",
-              f"epsilon_rnd = {_fmt(agent.novelty.epsilon_rnd)}",
+              f"epsilon_rnd = {fmt_float(agent.novelty.epsilon_rnd)}",
               f"phase_index = {agent.novelty.phase_index}",
               f"state_capacity = {agent.novelty.state_buffer.shape[0]}"]
     lines += _net_lines("rnd.target", agent.novelty.target)
@@ -518,21 +511,10 @@ class _SnapshotReader:
         if "END" not in lines:
             raise CheckpointError("truncated snapshot: no END marker")
         self.sections = {}
-        current = None
-        for ln in lines[1:lines.index("END")]:
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("[") and ln.endswith("]"):
-                current = ln[1:-1]
-                self.sections[current] = {}
-            elif current is None:
-                raise CheckpointError(f"stray line before any section: {ln!r}")
-            else:
-                key, sep, val = ln.partition("=")
-                if not sep:
-                    raise CheckpointError(f"bad line in [{current}]: {ln!r}")
-                self.sections[current][key.strip()] = val.strip()
+        for section, key, val in read_entries(lines[1:lines.index("END")]):
+            if not section:
+                raise CheckpointError(f"stray key {key!r} before any section")
+            self.sections.setdefault(section, {})[key] = val
 
     def section(self, name: str) -> dict:
         if name not in self.sections:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .kvtext import fmt_float, fmt_floats, parse_value, read_entries
 
 Rect = tuple[float, float, float, float]
 
@@ -71,15 +72,15 @@ def rects_overlap(a: Rect, b: Rect) -> bool:
     return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
 
 
-def in_interior(r: Rect, x: float, y: float) -> bool:
-    return r[0] < x < r[2] and r[1] < y < r[3]
-
-
 def sample_in_rect(r: Rect, rng: np.random.Generator) -> np.ndarray:
     return np.array([rng.uniform(r[0], r[2]), rng.uniform(r[1], r[3])])
 
 
 def validate_spec(spec: EnvSpec) -> EnvSpec:
+    # spec_to_text and policy_snapshot write the name on one line, where `#`
+    # would start a comment
+    if "#" in spec.name or "".join(spec.name.splitlines()) != spec.name:
+        raise ConfigError(f"environment name {spec.name!r} contains '#' or a line break")
     for label, r in (("bounds", spec.bounds), ("start_region", spec.start_region),
                      ("task_goal_region", spec.task_goal_region)):
         if not rect_valid(r):
@@ -96,10 +97,10 @@ def validate_spec(spec: EnvSpec) -> EnvSpec:
             raise ConfigError(f"wall is not a valid rectangle: {w}")
         if not rect_inside(w, spec.bounds):
             raise ConfigError(f"wall {w} outside bounds {spec.bounds}")
-    if spec.epsilon_task <= 0 or spec.dt <= 0 or spec.max_speed <= 0 \
-            or spec.action_bounds <= 0 or spec.max_primitive_steps <= 0:
+    if not all(0 < v < math.inf for v in (spec.epsilon_task, spec.dt, spec.max_speed,
+                                          spec.action_bounds, spec.max_primitive_steps)):
         raise ConfigError("epsilon_task, dt, max_speed, action_bounds, "
-                          "max_primitive_steps must all be positive")
+                          "max_primitive_steps must all be positive and finite")
     return spec
 
 
@@ -379,68 +380,53 @@ def bool_grid_to_text(flags: np.ndarray) -> str:
     return "\n".join("".join("1" if v else "0" for v in row) for row in img) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _parse_rect(v: str) -> Rect:
+    rect = tuple(float(p) for p in v.split())
+    if len(rect) != 4:
+        raise ValueError("a rectangle needs 4 numbers")
+    return rect
+
+
+# geometry key -> (EnvSpec field, parser, writer), in file order
+GEOMETRY_KEYS = {
+    "name": ("name", str, str),
+    "bounds": ("bounds", _parse_rect, fmt_floats),
+    "start": ("start_region", _parse_rect, fmt_floats),
+    "goal": ("task_goal_region", _parse_rect, fmt_floats),
+    "epsilon": ("epsilon_task", float, fmt_float),
+    "max_steps": ("max_primitive_steps", int, str),
+    "action_bounds": ("action_bounds", float, fmt_float),
+    "dt": ("dt", float, fmt_float),
+    "max_speed": ("max_speed", float, fmt_float),
+    "wall": ("walls", _parse_rect, fmt_floats),
+}
 
 
 def spec_to_text(spec: EnvSpec) -> str:
     """Serialize geometry as plain key = value text (one wall per line)."""
-    lines = [
-        "[env]",
-        f"name = {spec.name}",
-        f"bounds = {' '.join(_fmt(v) for v in spec.bounds)}",
-        f"start = {' '.join(_fmt(v) for v in spec.start_region)}",
-        f"goal = {' '.join(_fmt(v) for v in spec.task_goal_region)}",
-        f"epsilon = {_fmt(spec.epsilon_task)}",
-        f"max_steps = {spec.max_primitive_steps}",
-        f"action_bounds = {_fmt(spec.action_bounds)}",
-        f"dt = {_fmt(spec.dt)}",
-        f"max_speed = {_fmt(spec.max_speed)}",
-    ]
-    for w in spec.walls:
-        lines.append(f"wall = {' '.join(_fmt(v) for v in w)}")
+    lines = ["[env]"]
+    for key, (field_name, _, write) in GEOMETRY_KEYS.items():
+        values = spec.walls if key == "wall" else [getattr(spec, field_name)]
+        lines += [f"{key} = {write(v)}" for v in values]
     return "\n".join(lines) + "\n"
 
 
 def spec_from_text(text: str) -> EnvSpec:
-    fields = {"name": "custom", "epsilon": 0.5, "max_steps": 500,
-              "action_bounds": 1.0, "dt": 0.1, "max_speed": 1.0}
-    rects = {}
-    walls = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("["):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad geometry line: {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in ("bounds", "start", "goal", "wall"):
-            parts = val.split()
-            if len(parts) != 4:
-                raise ConfigError(f"{key} needs 4 numbers, got {val!r}")
-            rect = tuple(float(p) for p in parts)
-            if key == "wall":
-                walls.append(rect)
-            else:
-                rects[key] = rect
-        elif key == "name":
-            fields["name"] = val
-        elif key == "max_steps":
-            fields["max_steps"] = int(val)
-        elif key in ("epsilon", "action_bounds", "dt", "max_speed"):
-            fields[key] = float(val)
-        else:
+    """Read spec_to_text output; omitted keys take EnvSpec's defaults."""
+    kw = {"name": "custom", "walls": []}
+    for _, key, val in read_entries(text):
+        if key not in GEOMETRY_KEYS:
             raise ConfigError(f"unknown geometry key {key!r}")
+        field_name, parser, _ = GEOMETRY_KEYS[key]
+        value = parse_value(key, parser, val)
+        if key == "wall":
+            kw["walls"].append(value)
+        else:
+            kw[field_name] = value
     for needed in ("bounds", "start", "goal"):
-        if needed not in rects:
+        if GEOMETRY_KEYS[needed][0] not in kw:
             raise ConfigError(f"geometry text missing {needed!r}")
-    return validate_spec(EnvSpec(
-        name=fields["name"], bounds=rects["bounds"], walls=walls,
-        start_region=rects["start"], task_goal_region=rects["goal"],
-        epsilon_task=fields["epsilon"], max_primitive_steps=fields["max_steps"],
-        action_bounds=fields["action_bounds"], dt=fields["dt"],
-        max_speed=fields["max_speed"]))
+    return validate_spec(EnvSpec(**kw))
 
 
 def load_spec(name_or_path: str) -> EnvSpec:

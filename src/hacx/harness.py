@@ -1,10 +1,10 @@
 """Experiment orchestration: configuration, CLI, train/eval loops, metrics,
 maps, and checkpoint files.
 
-Config files are plain text, one `key = value` per line. Keys live in dotted
-sections (`agent.levels = 3`); a `[section]` header line sets the prefix for
-the lines after it, so both spellings work. `#` starts a comment. The full
-key list is the KEYMAP table below.
+Config files use the `key = value` grammar of hacx.kvtext, shared with
+geometry files and checkpoints. Keys live in dotted sections
+(`agent.levels = 3`); a `[section]` header line sets the prefix for the lines
+after it, so both spellings work. The full key list is the KEYMAP table below.
 
 Metrics are CSV with the fixed header
 episode,mean_closest_distance,success_rate,explore_fraction,novelty_new_fraction,seconds.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import agent as agent_mod
-from . import envsim, rnd
+from . import envsim, kvtext, rnd
 from .agent import HacxAgent, make_agent, policy_snapshot, restore, run_episode, update
 from .envsim import EnvSpec, load_spec
 from .errors import CheckpointError, ConfigError, TrainingError
@@ -126,26 +126,12 @@ KEYMAP = {
 
 def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
     cfg = base if base is not None else RunConfig()
-    prefix = ""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            prefix = line[1:-1].strip()
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ConfigError(f"bad config line: {raw!r}")
-        key, val = key.strip(), val.strip()
-        full = f"{prefix}.{key}" if prefix else key
+    for section, key, val in kvtext.read_entries(text):
+        full = f"{section}.{key}" if section else key
         if full not in KEYMAP:
             raise ConfigError(f"unknown config key {full!r}")
         field_name, parser = KEYMAP[full]
-        try:
-            cfg = replace(cfg, **{field_name: parser(val)})
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad value for {full}: {val!r} ({e})")
+        cfg = replace(cfg, **{field_name: kvtext.parse_value(full, parser, val)})
     return cfg
 
 
@@ -167,7 +153,7 @@ def config_to_text(cfg: RunConfig) -> str:
         elif isinstance(v, bool):
             v = int(v)
         elif isinstance(v, float):
-            v = repr(v)
+            v = kvtext.fmt_float(v)
         lines.append(f"{rev[f.name]} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -361,6 +347,21 @@ def _cfg_from_args(args) -> RunConfig:
     return cfg.validate()
 
 
+def _checkpoint_spec(agent: HacxAgent, env: str) -> EnvSpec:
+    """The --env environment, else the one the checkpoint names. A geometry
+    file may reuse a builtin's name (the 5x5 spiral is called spiral_maze),
+    so a named environment with other bounds than the checkpoint's is refused."""
+    if env:
+        return load_spec(env)
+    spec = load_spec(agent.env_name)
+    if tuple(spec.bounds) != tuple(agent.visits.bounds):
+        raise ConfigError(
+            f"the checkpoint was trained on bounds {agent.visits.bounds}, but "
+            f"{agent.env_name!r} has bounds {spec.bounds}; pass --env with the "
+            "geometry it was trained on")
+    return spec
+
+
 BASELINES = {"hac": dict(tau=0.0), "rnd": dict(levels=1), "hacx": {}}
 
 
@@ -403,13 +404,13 @@ def main(argv=None) -> int:
             print(f"aggregate written to {agg}")
         elif args.command == "eval":
             agent = read_checkpoint(args.checkpoint)
-            spec = load_spec(args.env or agent.env_name)
+            spec = _checkpoint_spec(agent, args.env)
             rng = np.random.default_rng(args.seed)
             mcd, sr = evaluate(agent, spec, args.test_episodes, rng)
             print(f"mean_closest_distance={mcd!r} success_rate={sr!r}")
         elif args.command == "map":
             agent = read_checkpoint(args.checkpoint)
-            spec = load_spec(args.env or agent.env_name)
+            spec = _checkpoint_spec(agent, args.env)
             os.makedirs(args.output_dir, exist_ok=True)
             write_maps(agent, spec, args.output_dir)
             print(f"maps written to {args.output_dir}")

@@ -307,3 +307,21 @@ def test_spec_from_text_rejects_garbage():
         envsim.spec_from_text("[env]\nname = x\nbounds = 1 2\n")
     with pytest.raises(ConfigError):
         envsim.spec_from_text("[env]\nmystery = 3\n")
+
+
+def test_spec_from_text_defaults_and_repeated_walls():
+    spec = envsim.spec_from_text("bounds = 0 0 10 10\nstart = 1 1 2 2\ngoal = 8 8 9 9\n"
+                                 "wall = 4 2 4.5 8\nwall = 6 2 6.5 8\n")
+    assert spec == envsim.EnvSpec("custom", (0.0, 0.0, 10.0, 10.0),
+                                  [(4.0, 2.0, 4.5, 8.0), (6.0, 2.0, 6.5, 8.0)],
+                                  (1.0, 1.0, 2.0, 2.0), (8.0, 8.0, 9.0, 9.0))
+
+
+@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\rb", "trailing\n"])
+def test_spec_names_the_text_formats_cannot_carry_are_rejected(name):
+    # spec_to_text and policy_snapshot write the name on one line, where a
+    # `#` starts a comment and a line break ends the entry
+    with pytest.raises(ConfigError, match="name"):
+        envsim.spiral_spec(cells=3, name=name)
+    with pytest.raises(ConfigError, match="name"):
+        tiny_spec(name=name)

@@ -7,6 +7,9 @@ from hacx import agent as agent_mod
 from hacx import envsim, harness
 from hacx.errors import ConfigError, TrainingError
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+
 SMOKE = """
 env = open_field_near
 [agent]
@@ -88,6 +91,12 @@ def test_validate_rejects_bad_settings():
                dict(seeds=()), dict(relabels=-1)):
         with pytest.raises(ConfigError):
             smoke_cfg(**kw)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_shipped_configs_load_and_name_a_known_env(name):
+    cfg = harness.load_config(os.path.join(CONFIGS, name)).validate()
+    assert envsim.load_spec(cfg.env).name == cfg.env
 
 
 def test_load_config_missing_file():
@@ -367,3 +376,39 @@ def test_cli_config_file_plus_flag_override(tmp_path, capsys):
     echoed = harness.load_config(os.path.join(out, "config.txt"))
     assert echoed.episodes == 1       # flag wins
     assert echoed.levels == 2         # from the file
+
+
+@pytest.mark.parametrize("line,bad", [("bounds = 0.0 0.0 10.0 10.0", "bounds = 0 0 10 ten"),
+                                      ("max_steps = 500", "max_steps = 3.5"),
+                                      ("dt = 0.1", "dt = nan"),
+                                      ("max_speed = 1.0", "max_speed = inf")])
+def test_cli_bad_number_in_geometry_file_exits_2(tmp_path, capsys, line, bad):
+    text = envsim.spec_to_text(envsim.EnvSpec("g", (0.0, 0.0, 10.0, 10.0), [],
+                                              (1.0, 1.0, 2.0, 2.0), (8.0, 8.0, 9.0, 9.0)))
+    geometry = tmp_path / "g.txt"
+    geometry.write_text(text.replace(line, bad))
+    assert geometry.read_text() != text
+    assert harness.main(["--quiet", "train", "--env", str(geometry),
+                         "--episodes", "1", "--seed", "0",
+                         "--output-dir", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_eval_and_map_refuse_a_checkpoint_from_other_geometry(tmp_path, capsys):
+    # the reduced spiral of the long-horizon comparison shares the builtin
+    # 7x7 maze's name, so the name alone would evaluate on the wrong maze
+    spiral5 = envsim.spiral_spec(cells=5, max_steps=600)
+    assert spiral5.name == "spiral_maze"
+    geometry = tmp_path / "spiral_small.txt"
+    geometry.write_text(envsim.spec_to_text(spiral5))
+    ckpt = str(tmp_path / "c.txt")
+    harness.write_checkpoint(
+        harness.build_agent(smoke_cfg(), spiral5, np.random.default_rng(0)), ckpt)
+    maps = str(tmp_path / "maps")
+    for argv in (["eval", "--checkpoint", ckpt, "--test-episodes", "1"],
+                 ["map", "--checkpoint", ckpt, "--output-dir", maps]):
+        assert harness.main(["--quiet"] + argv) == 2
+        assert "--env" in capsys.readouterr().err
+        assert harness.main(["--quiet"] + argv + ["--env", str(geometry)]) == 0
+        capsys.readouterr()
+    assert os.path.exists(os.path.join(maps, "novelty.pgm"))
