@@ -3,10 +3,13 @@ primitive level, plus a goal-free exploration policy at the top that is
 rewarded by the novelty model.
 
 Each episode either pursues the task goal or explores (chosen with
-probability tau). Control descends recursively: a level proposes a subgoal,
-the level below gets up to H of its own actions to reach it, and the
-bottom level acts in the environment. What a level stores is hindsight:
-its action component is the state the subtree actually reached. Proposed
+probability tau). Control descends recursively, and every level runs the
+same loop: act, let the level below carry the action out (the bottom level
+acts in the environment), store one row. A level below the top stops when
+it comes within epsilon of its subgoal or after H actions; the top level
+acts until the episode ends, at task success or the step limit. What a
+level stores is hindsight: above the bottom level its action component is
+the state the subtree actually reached. Proposed
 subgoals are occasionally tested (noise-free descent) and penalized when
 missed. Training is deterministic-policy-gradient style on each level's own
 buffer, with no target networks; critics are bounded to the feasible
@@ -25,7 +28,7 @@ from . import approx, envsim, hac, rnd
 from .approx import Network, Optimizer
 from .envsim import EnvSpec, EnvState, VisitGrid
 from .errors import CheckpointError, TrainingError
-from .hac import (DISCOUNT, EXPLORE, ReplayBuffer, buffer_push, exploration_transition,
+from .hac import (DISCOUNT, ReplayBuffer, buffer_push, exploration_transition,
                   hindsight_action_transition, hindsight_goal_transitions, pack_row,
                   sample_arrays, subgoal_test_transition)
 from .kvtext import fmt_float, fmt_floats, read_entries
@@ -152,12 +155,11 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
         bottom = i == 0
         low, high = (act_low, act_high) if bottom else (sub_low, sub_high)
         sigma = _noise_scale(i, k) * (high - low) / 2.0
-        h_eff = float(horizon) if k >= 2 else h_eff_top
         levels.append(_make_policy(
             rng, STATE_DIM, GOAL_DIM, low, high, sigma,
             dict(level_index=i, horizon=horizon, epsilon=epsilon_level,
                  subgoal_test_rate=subgoal_test_rate),
-            hidden, actor_lr, critic_lr, -h_eff, 0.0, replay_capacity))
+            hidden, actor_lr, critic_lr, -h_eff_top, 0.0, replay_capacity))
 
     elow, ehigh = (sub_low, sub_high) if k >= 2 else (act_low, act_high)
     esigma = 0.2 * (ehigh - elow) / 2.0
@@ -212,7 +214,9 @@ def _state_vec(s: EnvState) -> np.ndarray:
 class _Episode:
     """Mutable state threaded through the level recursion. s_vec is the
     current primitive state as one float64 (x, y, vx, vy) vector, built once
-    per environment step and never written afterwards."""
+    per environment step and never written afterwards. segments[i] holds
+    the level's hindsight segments: one per call at level 0, one per episode
+    above."""
 
     def __init__(self, spec, state, task_goal, mode, top, rng, k):
         self.spec = spec
@@ -227,99 +231,85 @@ class _Episode:
         self.counts = {f"level{i}": 0 for i in range(k)}
         self.counts["explore"] = 0
         self.counts["relabel"] = 0
-        self.segments = {i: [] for i in range(1, k)}
-        self.level0_segments = []
+        self.segments = [[]] + [[[]] for _ in range(1, k)]
+
+
+def _env_step(agent: HacxAgent, ep: _Episode, action, train: bool):
+    """Level 0's advance: one environment step, the novelty and visit
+    records of a training step, and the task-success and step-limit tests.
+    Returns the new position as Python floats."""
+    spec = ep.spec
+    state = envsim.env_step(spec, ep.state, action)
+    ep.state, ep.s_vec = state, _state_vec(state)
+    x, y = state.position.tolist()
+    ep.primitive_states.append(state)
+    if train:
+        rnd.observe(agent.novelty, ep.s_vec)
+        envsim.record_visit(agent.visits, state)
+    ep.done = (state.steps_taken >= spec.max_primitive_steps
+               or (ep.top == "goal" and math.hypot(x - ep.task_xy[0], y - ep.task_xy[1])
+                   < spec.epsilon_task))
+    return x, y
 
 
 def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
-    k = agent.k
-    is_top = i == k - 1
+    """Level i pursues goal (None for the explore policy): act, let the level
+    below (or the environment) carry the action out, store one row.
+    A level below the top stops on reaching its goal or after H actions; the
+    top level acts until the episode ends. Returns the position reached, as
+    Python floats."""
+    is_top = i == agent.k - 1
     train = ep.mode == "train"
     mode = "noisy" if train and not testing else "deterministic"
-    attempts = 0
-    segment0 = [] if i == 0 else None
     explore_here = is_top and ep.top == "explore"
     policy = agent.explore_top if explore_here else agent.levels[i]
     cfg = policy.config
     eps = cfg.epsilon
-    spec = ep.spec
-    if not explore_here:
+    name = "explore" if explore_here else f"level{i}"
+    if explore_here:
+        goal = None
+    else:
         gx, gy = float(goal[0]), float(goal[1])
+    if i == 0:
+        ep.segments[0].append([])
+    segment = ep.segments[i][-1]
+    attempts = 0
 
     while True:
         attempts += 1
         s_vec = ep.s_vec
-        action = select_action(policy, s_vec, None if explore_here else goal, mode, ep.rng)
-
+        action = select_action(policy, s_vec, goal, mode, ep.rng)
+        child_testing = i > 0 and (testing or (train and ep.rng.random() < cfg.subgoal_test_rate))
         if i == 0:
-            state = envsim.env_step(spec, ep.state, action)
-            ns_vec = _state_vec(state)
-            x, y = state.position.tolist()
-            ep.state, ep.s_vec = state, ns_vec
-            ep.primitive_states.append(state)
-            if train:
-                rnd.observe(agent.novelty, ns_vec)
-                envsim.record_visit(agent.visits, state)
-            if ep.top == "goal" and math.hypot(x - ep.task_xy[0],
-                                               y - ep.task_xy[1]) < spec.epsilon_task:
-                ep.done = True
-            if state.steps_taken >= spec.max_primitive_steps:
-                ep.done = True
-            reached = False
-            if explore_here:
-                if train:
-                    buffer_push(policy.buffer,
-                                exploration_transition(s_vec, action, ns_vec, agent.novelty))
-                    ep.counts["explore"] += 1
-                    segment0.append((s_vec, action, ns_vec))
-            else:
-                reached = math.hypot(x - gx, y - gy) < eps
-                if train:
-                    buffer_push(policy.buffer,
-                                pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
-                                         0.0 if reached else DISCOUNT))
-                    ep.counts["level0"] += 1
-                    segment0.append((s_vec, action, ns_vec))
-            if ep.done:
-                break
-            if not is_top and (reached or attempts >= cfg.horizon):
-                break
+            x, y = _env_step(agent, ep, action, train)
         else:
-            child_testing = testing
-            if train and not testing and ep.rng.random() < cfg.subgoal_test_rate:
-                child_testing = True
-            _run_level(agent, ep, i - 1, action, child_testing)
-            achieved_vec = ep.s_vec
-            if train:
-                if explore_here:
-                    hind = achieved_vec[:2].copy()
-                    buffer_push(policy.buffer, exploration_transition(
-                        s_vec, hind, achieved_vec, agent.novelty))
-                    ep.counts["explore"] += 1
-                    ep.segments[i].append((s_vec, hind, achieved_vec))
-                else:
-                    buffer_push(policy.buffer, hindsight_action_transition(
-                        s_vec, action, achieved_vec, goal, eps))
-                    ep.counts[f"level{i}"] += 1
-                    ep.segments[i].append((s_vec, achieved_vec[:2], achieved_vec))
-                if child_testing:
-                    child = agent.levels[i - 1].config
-                    row = subgoal_test_transition(s_vec, action, achieved_vec, child.horizon,
-                                                  child.epsilon,
-                                                  goal=EXPLORE if explore_here else goal)
-                    if row is not None:
-                        buffer_push(policy.buffer, row)
-                        ep.counts["explore" if explore_here else f"level{i}"] += 1
-            if ep.done:
-                break
-            if not explore_here and math.hypot(achieved_vec[0] - gx,
-                                               achieved_vec[1] - gy) < eps:
-                break
-            if not is_top and attempts >= cfg.horizon:
-                break
+            x, y = _run_level(agent, ep, i - 1, action, child_testing)
+        ns_vec = ep.s_vec
+        reached = goal is not None and math.hypot(x - gx, y - gy) < eps
 
-    if i == 0 and train and segment0:
-        ep.level0_segments.append(segment0)
+        if train:
+            # above level 0 the stored action is the state the subtree reached
+            act = action if i == 0 else ns_vec[:2]
+            if explore_here:
+                row = exploration_transition(s_vec, act, ns_vec, agent.novelty)
+            elif i == 0:
+                row = pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
+                               0.0 if reached else DISCOUNT)
+            else:
+                row = hindsight_action_transition(s_vec, action, ns_vec, goal, eps)
+            buffer_push(policy.buffer, row)
+            ep.counts[name] += 1
+            segment.append((s_vec, act, ns_vec))
+            if child_testing:
+                child = agent.levels[i - 1].config
+                row = subgoal_test_transition(s_vec, action, ns_vec, child.horizon,
+                                              child.epsilon, goal)
+                if row is not None:
+                    buffer_push(policy.buffer, row)
+                    ep.counts[name] += 1
+
+        if ep.done or (not is_top and (reached or attempts >= cfg.horizon)):
+            return x, y
 
 
 def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
@@ -336,13 +326,11 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
 
     if train and agent.relabel_enabled and agent.num_relabels > 0:
-        relabeled = [(0, seg) for seg in ep.level0_segments]
-        relabeled += [(i, ep.segments[i]) for i in range(1, agent.k) if ep.segments[i]]
-        for i, seg in relabeled:
-            p = agent.levels[i]
-            rows = hindsight_goal_transitions(seg, agent.num_relabels, p.config.epsilon, rng)
-            buffer_push(p.buffer, rows)
-            ep.counts["relabel"] += len(rows)
+        for p, segments in zip(agent.levels, ep.segments):
+            for seg in filter(None, segments):
+                rows = hindsight_goal_transitions(seg, agent.num_relabels, p.config.epsilon, rng)
+                buffer_push(p.buffer, rows)
+                ep.counts["relabel"] += len(rows)
 
     positions = np.array([s.position for s in ep.primitive_states])
     closest = float(np.min(np.linalg.norm(positions - task_goal, axis=1)))

@@ -78,9 +78,11 @@ def sample_in_rect(r: Rect, rng: np.random.Generator) -> np.ndarray:
 
 def validate_spec(spec: EnvSpec) -> EnvSpec:
     # spec_to_text and policy_snapshot write the name on one line, where `#`
-    # would start a comment
-    if "#" in spec.name or "".join(spec.name.splitlines()) != spec.name:
-        raise ConfigError(f"environment name {spec.name!r} contains '#' or a line break")
+    # would start a comment, and the reader strips the value's ends
+    name = spec.name
+    if "#" in name or "".join(name.splitlines()) != name or name.strip() != name:
+        raise ConfigError(f"environment name {name!r} contains '#', a line break, "
+                          "or leading or trailing whitespace")
     for label, r in (("bounds", spec.bounds), ("start_region", spec.start_region),
                      ("task_goal_region", spec.task_goal_region)):
         if not rect_valid(r):

@@ -11,9 +11,10 @@ float32, one row or one block per write.
 
 Rewards are 0 or -1 (or -H for a failed subgoal test); the stored discount
 is 0.99 except on terminal transitions, where it is exactly 0. Goal rewards
-come from one scalar test per row, math.hypot of the position difference
-against epsilon (as in goal_reward): a vectorised np.hypot can differ in the
-last bit at the epsilon boundary.
+and the subgoal test come from one scalar test per row, math.hypot of the
+position difference against epsilon (as in goal_reward): a vectorised
+np.hypot or np.linalg.norm can differ in the last bit at the epsilon
+boundary.
 """
 
 from __future__ import annotations
@@ -39,16 +40,12 @@ def project_goal(state) -> np.ndarray:
 
 def goal_reward(achieved, goal, epsilon: float):
     """Sparse reward against a goal-space point: (0, True) inside the open
-    epsilon-ball, (-1, False) otherwise."""
-    if len(achieved) == 2 and len(goal) == 2:
-        done = math.hypot(float(achieved[0]) - float(goal[0]),
-                          float(achieved[1]) - float(goal[1])) < epsilon
-        return (0.0 if done else -1.0), done
-    a = np.asarray(achieved, dtype=float)
-    g = np.asarray(goal, dtype=float)
-    if a.shape != g.shape:
-        raise ShapeError(f"achieved {a.shape} vs goal {g.shape}")
-    done = bool(np.linalg.norm(a - g) < epsilon)
+    epsilon-ball, (-1, False) otherwise. Both points are 2-vectors."""
+    if len(achieved) != 2 or len(goal) != 2:
+        raise ShapeError(f"achieved {np.shape(achieved)} and goal {np.shape(goal)} "
+                         "must be 2-vectors")
+    done = math.hypot(float(achieved[0]) - float(goal[0]),
+                      float(achieved[1]) - float(goal[1])) < epsilon
     return (0.0 if done else -1.0), done
 
 
@@ -77,7 +74,7 @@ def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: in
     reached (the hindsight action transition already rewards that)."""
     proposed = np.asarray(proposed_subgoal, dtype=float)
     achieved = np.asarray(achieved_state, dtype=float)
-    if np.linalg.norm(project_goal(achieved) - proposed) < epsilon:
+    if goal_reward(project_goal(achieved), proposed, epsilon)[1]:
         return None
     return pack_row(state, None if isinstance(goal, str) else goal, proposed, achieved,
                     -float(horizon), 0.0)

@@ -69,7 +69,7 @@ class RunConfig:
         if not (0.0 <= self.tau <= 1.0):
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         for name in ("horizon", "episodes", "batch_size", "test_episodes",
-                     "eval_every", "rnd_phase_episodes", "rnd_code_dim"):
+                     "eval_every", "rnd_phase_episodes", "rnd_code_dim", "rnd_batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.rounds_per_episode < 0 or self.relabels < 0:

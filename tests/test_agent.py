@@ -232,6 +232,18 @@ def test_motionless_agent_closest_is_start_distance():
     assert not rec.success
 
 
+def test_top_level_acts_until_the_episode_ends():
+    # the top level coming within epsilon_level of the task goal is not task
+    # success: it keeps acting until epsilon_task success or the step limit
+    spec = envsim.builtin_spec("open_field_near")
+    ag = small_agent(spec, k=2, epsilon_level=3.0)
+    assert ag.levels[-1].config.epsilon > spec.epsilon_task
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        rec = agent.run_episode(ag, spec, "test", rng)
+        assert rec.success or len(rec.primitive_states) - 1 == spec.max_primitive_steps
+
+
 def test_flat_explore_episode_emission_profile():
     spec = arena()
     ag = small_agent(spec, k=1, tau=1.0, num_relabels=2)

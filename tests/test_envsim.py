@@ -317,10 +317,11 @@ def test_spec_from_text_defaults_and_repeated_walls():
                                   (1.0, 1.0, 2.0, 2.0), (8.0, 8.0, 9.0, 9.0))
 
 
-@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\rb", "trailing\n"])
+@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\rb", "trailing\n", " a ", "a\t"])
 def test_spec_names_the_text_formats_cannot_carry_are_rejected(name):
     # spec_to_text and policy_snapshot write the name on one line, where a
-    # `#` starts a comment and a line break ends the entry
+    # `#` starts a comment, a line break ends the entry and the value's ends
+    # are stripped
     with pytest.raises(ConfigError, match="name"):
         envsim.spiral_spec(cells=3, name=name)
     with pytest.raises(ConfigError, match="name"):

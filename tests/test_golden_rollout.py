@@ -1,8 +1,9 @@
 """Golden rollout: a few seeded training episodes, one update each, of a
-crit7-shaped four_rooms agent and a crit6-shaped 5x5 spiral agent must leave
-exactly the recorded bytes behind: every replay buffer's stored rows, the
-novelty state buffer, the visit counts, the generator state, the snapshot
-and a fixture-style evaluate result.
+crit7-shaped four_rooms agent, a crit6-shaped 5x5 spiral agent and a
+crit5-shaped flat (one-level) open-field agent must leave exactly the
+recorded bytes behind: every replay buffer's stored rows, the novelty state
+buffer, the visit counts, the generator state, the snapshot and a
+fixture-style evaluate result.
 
 The constants were recorded once and must never be edited to make a change
 pass: a rollout or update change that keeps every float keeps these hashes,
@@ -21,6 +22,7 @@ from hacx import agent, harness
 CASES = {
     "crit7_hacx": (lambda: au.crit7_configs()["crit7_hacx"], 4, 5),
     "crit6_hacx": (lambda: au.crit6_configs()["crit6_hacx"], 3, 2),
+    "crit5": (au.crit5_config, 6, 5),
 }
 
 GOLDEN = {
@@ -55,6 +57,18 @@ GOLDEN = {
         "rng": "622b1179d1de5941156d02b5ae921d0aa38cac125d96d882c59cffba9f5a00a8",
         "snapshot": "3046b8ae2c3793adb7124555dc736dcf45e7a53e1492bd82b71d19ea12c4d6a8",
         "evaluate": "(2.1810552837535133, 0.0)",
+    },
+    "crit5": {
+        "level0.count": 1300,
+        "level0.rows": "7b197425a072d92591370b91bf82b65ccc0688eccf3a797ab99fd95cdb651244",
+        "explore.count": 500,
+        "explore.rows": "8e9641fb028842bb6ca8c3999669c0c38e17fa8fdf69906f0ee409d2f4d041da",
+        "novelty.count": 600,
+        "novelty.states": "39f8ad35bf7ac1b16f64c0c8f7c76fb215df5e7d15c63dc709810728524eb15d",
+        "visits": "0f0c6bed4f7178e063e5f56ba71302e417ef4bd40d7ac4613d66745e969b81e1",
+        "rng": "43adfae15cd6c6cbbdb495580ba63b7291d72fc7622adedcfec7be783676062a",
+        "snapshot": "afd1c7eff69d07928f552446bb35535b0e27aa52bc5aaa0a0b4b95af1196a08c",
+        "evaluate": "(2.8168149508866067, 0.0)",
     },
 }
 

@@ -100,6 +100,15 @@ def test_subgoal_test_hit_is_silent():
     assert t is None
 
 
+def test_subgoal_test_agrees_with_goal_reward_at_the_boundary():
+    # np.linalg.norm puts this point a last bit outside epsilon; math.hypot,
+    # which goal_reward uses, puts it inside: no penalty for a reached subgoal
+    achieved, eps = vec(0.20345524067614962, 0.2623133404418495, 0, 0), 0.3319673531122475
+    assert hac.goal_reward(achieved[:2], vec(0.0, 0.0), eps) == (0.0, True)
+    assert hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(0.0, 0.0), achieved,
+                                       horizon=10, epsilon=eps) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(px=coords, py=coords, x=coords, y=coords,
        h=st.integers(1, 50), eps=st.floats(1e-3, 5.0, allow_nan=False))

@@ -88,7 +88,8 @@ def test_config_round_trip():
 
 def test_validate_rejects_bad_settings():
     for kw in (dict(levels=0), dict(tau=1.5), dict(episodes=0),
-               dict(seeds=()), dict(relabels=-1)):
+               dict(seeds=()), dict(relabels=-1), dict(rnd_batch_size=-5),
+               dict(rnd_batch_size=0)):
         with pytest.raises(ConfigError):
             smoke_cfg(**kw)
 
