@@ -2,18 +2,23 @@
 primitive level, plus a goal-free exploration policy at the top that is
 rewarded by the novelty model.
 
-Each episode either pursues the task goal or explores (chosen with
-probability tau). Control descends recursively, and every level runs the
-same loop: act, let the level below carry the action out (the bottom level
-acts in the environment), store one row. A level below the top stops when
+Each level is one LevelPolicy record: actor, critic, their optimizers, its
+replay buffer and its control settings; its action bounds are the actor's
+output bounds. Each episode either pursues the task goal or explores
+(chosen with probability tau). Control descends recursively, and every
+level runs the same loop: act, let the level below carry the action out (the
+bottom level acts in the environment), store one row. The rollout carries
+the primitive state as one float64 vector (x, y, vx, vy) per environment
+step, and no vector is written once built. A level below the top stops when
 it comes within epsilon of its subgoal or after H actions; the top level
-acts until the episode ends, at task success or the step limit. What a
-level stores is hindsight: above the bottom level its action component is
-the state the subtree actually reached. Proposed
-subgoals are occasionally tested (noise-free descent) and penalized when
-missed. Training is deterministic-policy-gradient style on each level's own
-buffer, with no target networks; critics are bounded to the feasible
-sparse-reward range.
+acts until the episode ends, at task success or the step limit. An episode
+is a success when any of its states, the start included, passes the same
+task-success test that ends a goal episode. What a level stores is
+hindsight: above the bottom level its action component is the state the
+subtree actually reached. Proposed subgoals are occasionally tested
+(noise-free descent) and penalized when missed. Training is
+deterministic-policy-gradient style on each level's own buffer, with no
+target networks; critics are bounded to the feasible sparse-reward range.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from . import approx, envsim, hac, rnd
 from .approx import Network, Optimizer
-from .envsim import EnvSpec, EnvState, VisitGrid
+from .envsim import EnvSpec, VisitGrid
 from .errors import CheckpointError, TrainingError
 from .hac import (DISCOUNT, ReplayBuffer, buffer_push, exploration_transition,
                   hindsight_action_transition, hindsight_goal_transitions, pack_row,
@@ -48,27 +53,23 @@ ACTION_PENALTY = 0.05
 
 
 @dataclass
-class LevelConfig:
-    level_index: int
-    horizon: int
-    epsilon: float
-    noise_sigma: np.ndarray
-    subgoal_test_rate: float
-    low: np.ndarray
-    high: np.ndarray
-
-
-@dataclass
 class LevelPolicy:
+    """One level's policy. Its actions lie in [actor.output_low,
+    actor.output_high]; horizon, epsilon and subgoal_test_rate govern how it
+    runs, noise_sigma is the per-dimension Gaussian exploration noise."""
+
     actor: Network
     critic: Network
     buffer: ReplayBuffer
-    config: LevelConfig
     actor_opt: Optimizer
     critic_opt: Optimizer
     goal_dim: int
     q_low: float
     q_high: float
+    horizon: int
+    epsilon: float
+    subgoal_test_rate: float
+    noise_sigma: np.ndarray
     # the actor's [s | g] input, refilled by select_action at every step
     actor_in: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -112,25 +113,6 @@ def _noise_scale(i: int, k: int) -> float:
     return 0.2 if i == k - 1 else 0.15
 
 
-def _make_policy(rng, state_dim, goal_dim, low, high, sigma, cfg_kwargs,
-                 hidden, actor_lr, critic_lr, q_low, q_high, capacity):
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    act_dim = len(low)
-    actor = approx.network_init([state_dim + goal_dim, *hidden, act_dim], rng,
-                                output_activation="tanh_scaled",
-                                output_bounds=(low, high), final_scale=0.1)
-    # identity output: the feasible value range is enforced by clamping the
-    # bootstrapped values and regression targets, not by squashing (a squashed
-    # output saturates at the reward-0 end and stops learning)
-    critic = approx.network_init([state_dim + goal_dim + act_dim, *hidden, 1], rng)
-    cfg = LevelConfig(noise_sigma=np.asarray(sigma, dtype=float) * np.ones(act_dim),
-                      low=low, high=high, **cfg_kwargs)
-    buffer = ReplayBuffer(capacity, (state_dim, goal_dim, act_dim))
-    return LevelPolicy(actor, critic, buffer, cfg, Optimizer(actor_lr), Optimizer(critic_lr),
-                       goal_dim, float(q_low), float(q_high))
-
-
 def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
                horizon: int = 10, epsilon_level: float = 0.5,
                subgoal_test_rate: float = 0.3, tau: float = 0.6,
@@ -144,30 +126,30 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
     if k < 1:
         raise ValueError(f"need at least 1 level, got {k}")
     x0, y0, x1, y1 = spec.bounds
-    sub_low, sub_high = np.array([x0, y0]), np.array([x1, y1])
-    act_low = np.array([-spec.action_bounds, -spec.action_bounds])
-    act_high = -act_low
+    sub = (np.array([x0, y0]), np.array([x1, y1]))
+    ab = spec.action_bounds
+    act = (np.array([-ab, -ab]), np.array([ab, ab]))
     # With one level the whole episode is that level's horizon.
-    h_eff_top = float(horizon if k >= 2 else spec.max_primitive_steps)
+    q_low = -float(horizon if k >= 2 else spec.max_primitive_steps)
 
-    levels = []
-    for i in range(k):
-        bottom = i == 0
-        low, high = (act_low, act_high) if bottom else (sub_low, sub_high)
-        sigma = _noise_scale(i, k) * (high - low) / 2.0
-        levels.append(_make_policy(
-            rng, STATE_DIM, GOAL_DIM, low, high, sigma,
-            dict(level_index=i, horizon=horizon, epsilon=epsilon_level,
-                 subgoal_test_rate=subgoal_test_rate),
-            hidden, actor_lr, critic_lr, -h_eff_top, 0.0, replay_capacity))
+    def policy(goal_dim, bounds, noise_scale):
+        low, high = bounds
+        act_dim = len(low)
+        actor = approx.network_init([STATE_DIM + goal_dim, *hidden, act_dim], rng,
+                                    output_activation="tanh_scaled",
+                                    output_bounds=bounds, final_scale=0.1)
+        # identity output: the feasible value range is enforced by clamping the
+        # bootstrapped values and regression targets, not by squashing (a
+        # squashed output saturates at the reward-0 end and stops learning)
+        critic = approx.network_init([STATE_DIM + goal_dim + act_dim, *hidden, 1], rng)
+        return LevelPolicy(actor, critic,
+                           ReplayBuffer(replay_capacity, (STATE_DIM, goal_dim, act_dim)),
+                           Optimizer(actor_lr), Optimizer(critic_lr), goal_dim, q_low, 0.0,
+                           horizon, epsilon_level, subgoal_test_rate,
+                           noise_scale * (high - low) / 2.0)
 
-    elow, ehigh = (sub_low, sub_high) if k >= 2 else (act_low, act_high)
-    esigma = 0.2 * (ehigh - elow) / 2.0
-    explore_top = _make_policy(
-        rng, STATE_DIM, 0, elow, ehigh, esigma,
-        dict(level_index=k - 1, horizon=horizon, epsilon=epsilon_level,
-             subgoal_test_rate=subgoal_test_rate),
-        hidden, actor_lr, critic_lr, -h_eff_top, 0.0, replay_capacity)
+    levels = [policy(GOAL_DIM, act if i == 0 else sub, _noise_scale(i, k)) for i in range(k)]
+    explore_top = policy(0, sub if k >= 2 else act, 0.2)
 
     novelty = rnd.novelty_model_init(rng, code_dim=rnd_code_dim, hidden=rnd_hidden,
                                      learning_rate=rnd_lr, capacity=rnd_capacity)
@@ -188,8 +170,7 @@ def choose_top_policy(tau: float, rng: np.random.Generator) -> str:
 def select_action(policy: LevelPolicy, state, goal, mode: str,
                   rng: np.random.Generator = None) -> np.ndarray:
     """Actor output, optionally with diagonal Gaussian noise, clipped to the
-    level's bounds. goal is None (or the EXPLORE tag) for the exploration
-    policy."""
+    level's bounds. goal is None for the exploration policy."""
     if policy.goal_dim:
         x = policy.actor_in
         x[:-policy.goal_dim] = state
@@ -199,56 +180,57 @@ def select_action(policy: LevelPolicy, state, goal, mode: str,
     a = approx.forward(policy.actor, x)
     if mode == "noisy":
         noise = rng.normal(0.0, 1.0, size=a.shape)
-        noise *= policy.config.noise_sigma
+        noise *= policy.noise_sigma
         a += noise
         # np.clip, computed in place: the same floats, signed zeros and NaN included
-        np.maximum(a, policy.config.low, out=a)
-        np.minimum(a, policy.config.high, out=a)
+        np.maximum(a, policy.actor.output_low, out=a)
+        np.minimum(a, policy.actor.output_high, out=a)
     return a
-
-
-def _state_vec(s: EnvState) -> np.ndarray:
-    return np.concatenate((s.position, s.velocity))
 
 
 class _Episode:
     """Mutable state threaded through the level recursion. s_vec is the
     current primitive state as one float64 (x, y, vx, vy) vector, built once
-    per environment step and never written afterwards. segments[i] holds
-    the level's hindsight segments: one per call at level 0, one per episode
+    per environment step and never written afterwards; primitive_states
+    holds every one of them, the start included. segments[i] holds the
+    level's hindsight segments: one per call at level 0, one per episode
     above."""
 
-    def __init__(self, spec, state, task_goal, mode, top, rng, k):
+    def __init__(self, spec, s, task_goal, mode, top, rng, k):
         self.spec = spec
-        self.state = state
-        self.s_vec = _state_vec(state)
+        self.s_vec = s
+        self.steps = 0
         self.task_xy = task_goal.tolist()
         self.mode = mode
         self.top = top
         self.rng = rng
         self.done = False
-        self.primitive_states = [state]
+        self.success = self.at_task_goal(*s[:2].tolist())
+        self.primitive_states = [s]
         self.counts = {f"level{i}": 0 for i in range(k)}
         self.counts["explore"] = 0
         self.counts["relabel"] = 0
         self.segments = [[]] + [[[]] for _ in range(1, k)]
+
+    def at_task_goal(self, x: float, y: float) -> bool:
+        """The task-success test, on Python floats."""
+        return math.hypot(x - self.task_xy[0], y - self.task_xy[1]) < self.spec.epsilon_task
 
 
 def _env_step(agent: HacxAgent, ep: _Episode, action, train: bool):
     """Level 0's advance: one environment step, the novelty and visit
     records of a training step, and the task-success and step-limit tests.
     Returns the new position as Python floats."""
-    spec = ep.spec
-    state = envsim.env_step(spec, ep.state, action)
-    ep.state, ep.s_vec = state, _state_vec(state)
-    x, y = state.position.tolist()
-    ep.primitive_states.append(state)
+    s = ep.s_vec = envsim.env_step(ep.spec, ep.s_vec, action)
+    ep.steps += 1
+    ep.primitive_states.append(s)
+    x, y, _, _ = s.tolist()
     if train:
-        rnd.observe(agent.novelty, ep.s_vec)
-        envsim.record_visit(agent.visits, state)
-    ep.done = (state.steps_taken >= spec.max_primitive_steps
-               or (ep.top == "goal" and math.hypot(x - ep.task_xy[0], y - ep.task_xy[1])
-                   < spec.epsilon_task))
+        rnd.observe(agent.novelty, s)
+        envsim.record_visit(agent.visits, x, y)
+    hit = ep.at_task_goal(x, y)
+    ep.success = ep.success or hit
+    ep.done = ep.steps >= ep.spec.max_primitive_steps or (hit and ep.top == "goal")
     return x, y
 
 
@@ -263,8 +245,7 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
     mode = "noisy" if train and not testing else "deterministic"
     explore_here = is_top and ep.top == "explore"
     policy = agent.explore_top if explore_here else agent.levels[i]
-    cfg = policy.config
-    eps = cfg.epsilon
+    eps = policy.epsilon
     name = "explore" if explore_here else f"level{i}"
     if explore_here:
         goal = None
@@ -279,7 +260,8 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
         attempts += 1
         s_vec = ep.s_vec
         action = select_action(policy, s_vec, goal, mode, ep.rng)
-        child_testing = i > 0 and (testing or (train and ep.rng.random() < cfg.subgoal_test_rate))
+        child_testing = i > 0 and (testing or (train and ep.rng.random()
+                                               < policy.subgoal_test_rate))
         if i == 0:
             x, y = _env_step(agent, ep, action, train)
         else:
@@ -301,14 +283,14 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
             ep.counts[name] += 1
             segment.append((s_vec, act, ns_vec))
             if child_testing:
-                child = agent.levels[i - 1].config
+                child = agent.levels[i - 1]
                 row = subgoal_test_transition(s_vec, action, ns_vec, child.horizon,
                                               child.epsilon, goal)
                 if row is not None:
                     buffer_push(policy.buffer, row)
                     ep.counts[name] += 1
 
-        if ep.done or (not is_top and (reached or attempts >= cfg.horizon)):
+        if ep.done or (not is_top and (reached or attempts >= policy.horizon)):
             return x, y
 
 
@@ -319,23 +301,22 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     if mode not in ("train", "test"):
         raise ValueError(f"mode must be train or test, got {mode!r}")
     train = mode == "train"
-    state, task_goal = envsim.env_reset(spec, rng)
+    s, task_goal = envsim.env_reset(spec, rng)
     top = choose_top_policy(agent.tau, rng) if train else "goal"
-    ep = _Episode(spec, state, task_goal, mode, top, rng, agent.k)
+    ep = _Episode(spec, s, task_goal, mode, top, rng, agent.k)
 
     _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
 
     if train and agent.relabel_enabled and agent.num_relabels > 0:
         for p, segments in zip(agent.levels, ep.segments):
             for seg in filter(None, segments):
-                rows = hindsight_goal_transitions(seg, agent.num_relabels, p.config.epsilon, rng)
+                rows = hindsight_goal_transitions(seg, agent.num_relabels, p.epsilon, rng)
                 buffer_push(p.buffer, rows)
                 ep.counts["relabel"] += len(rows)
 
-    positions = np.array([s.position for s in ep.primitive_states])
+    positions = np.array(ep.primitive_states)[:, :2]
     closest = float(np.min(np.linalg.norm(positions - task_goal, axis=1)))
-    return EpisodeRecord(mode, top, ep.primitive_states, closest,
-                         closest < spec.epsilon_task, ep.counts)
+    return EpisodeRecord(mode, top, ep.primitive_states, closest, ep.success, ep.counts)
 
 
 def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
@@ -363,8 +344,7 @@ def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
         sd, gd, ad = p.buffer.widths
         sg_w, sga_w = sd + gd, sd + gd + ad
         next_in = np.empty((batch_size, sga_w))     # [ns, g, actor(ns, g)]
-        mid = 0.5 * (p.config.high + p.config.low)
-        half = 0.5 * (p.config.high - p.config.low)
+        mid, half = p.actor.mid, p.actor.half
         pen_scale = half * half * batch_size
         mean_up = np.full((batch_size, 1), 1.0 / batch_size)
         losses, qmeans = [], []
@@ -441,20 +421,19 @@ def _opt_lines(tag: str, opt: Optimizer, net: Network) -> list:
     return lines
 
 
-def _policy_lines(tag: str, p: LevelPolicy) -> list:
-    cfg = p.config
+def _policy_lines(tag: str, level_index: int, p: LevelPolicy) -> list:
     lines = [f"[policy {tag}]",
-             f"level_index = {cfg.level_index}",
-             f"horizon = {cfg.horizon}",
-             f"epsilon = {fmt_float(cfg.epsilon)}",
-             f"subgoal_test_rate = {fmt_float(cfg.subgoal_test_rate)}",
+             f"level_index = {level_index}",
+             f"horizon = {p.horizon}",
+             f"epsilon = {fmt_float(p.epsilon)}",
+             f"subgoal_test_rate = {fmt_float(p.subgoal_test_rate)}",
              f"goal_dim = {p.goal_dim}",
              f"q_low = {fmt_float(p.q_low)}",
              f"q_high = {fmt_float(p.q_high)}",
              f"capacity = {p.buffer.capacity}",
-             "noise_sigma = " + fmt_floats(cfg.noise_sigma),
-             "low = " + fmt_floats(cfg.low),
-             "high = " + fmt_floats(cfg.high)]
+             "noise_sigma = " + fmt_floats(p.noise_sigma),
+             "low = " + fmt_floats(p.actor.output_low),
+             "high = " + fmt_floats(p.actor.output_high)]
     lines += _net_lines(f"{tag}.actor", p.actor)
     lines += _opt_lines(f"{tag}.actor", p.actor_opt, p.actor)
     lines += _net_lines(f"{tag}.critic", p.critic)
@@ -477,8 +456,8 @@ def policy_snapshot(agent: HacxAgent) -> str:
              "visit_bounds = " + fmt_floats(agent.visits.bounds),
              f"visit_resolution = {agent.visits.resolution}"]
     for i, p in enumerate(agent.levels):
-        lines += _policy_lines(f"level{i}", p)
-    lines += _policy_lines("explore", agent.explore_top)
+        lines += _policy_lines(f"level{i}", i, p)
+    lines += _policy_lines("explore", agent.k - 1, agent.explore_top)
     lines += ["[rnd]",
               f"code_dim = {agent.novelty.code_dim}",
               f"epsilon_rnd = {fmt_float(agent.novelty.epsilon_rnd)}",
@@ -532,16 +511,12 @@ def _parse_layers(sec: dict, wkey: str, bkey: str, sizes) -> np.ndarray:
 def _read_net(r: _SnapshotReader, tag: str) -> Network:
     sec = r.section(f"network {tag}")
     sizes = [int(v) for v in sec["sizes"].split()]
-    hidden, out_act = sec["hidden"], sec["output"]
-    if hidden not in approx.HIDDEN_ACTIVATIONS:
-        raise CheckpointError(f"[network {tag}]: unknown hidden activation {hidden!r}")
-    if out_act not in approx.OUTPUT_ACTIVATIONS:
-        raise CheckpointError(f"[network {tag}]: unknown output activation {out_act!r}")
     low = high = None
-    if out_act == "tanh_scaled":
+    if sec["output"] == "tanh_scaled":
         low = _parse_array(sec, "out_low", (sizes[-1],))
         high = _parse_array(sec, "out_high", (sizes[-1],))
-    return Network(sizes, _parse_layers(sec, "A", "B", sizes), hidden, out_act, low, high)
+    return Network(sizes, _parse_layers(sec, "A", "B", sizes), sec["hidden"], sec["output"],
+                   low, high)
 
 
 def _read_opt(r: _SnapshotReader, tag: str, net: Network) -> Optimizer:
@@ -561,21 +536,22 @@ def _read_policy(r: _SnapshotReader, tag: str) -> LevelPolicy:
     actor = _read_net(r, f"{tag}.actor")
     critic = _read_net(r, f"{tag}.critic")
     act_dim = actor.layer_sizes[-1]
-    cfg = LevelConfig(int(sec["level_index"]), int(sec["horizon"]),
-                      float(sec["epsilon"]),
-                      _parse_array(sec, "noise_sigma", (act_dim,)),
-                      float(sec["subgoal_test_rate"]),
-                      _parse_array(sec, "low", (act_dim,)),
-                      _parse_array(sec, "high", (act_dim,)))
+    for key, bound in (("low", actor.output_low), ("high", actor.output_high)):
+        if bound is None or not np.array_equal(_parse_array(sec, key, (act_dim,)), bound):
+            raise CheckpointError(f"[policy {tag}]: {key} differs from the actor's "
+                                  "output bounds")
     goal_dim = int(sec["goal_dim"])
     if not 0 <= goal_dim < actor.input_dim:
         raise CheckpointError(f"[policy {tag}]: goal_dim {goal_dim} does not fit an actor "
                               f"input of {actor.input_dim}")
     widths = (actor.input_dim - goal_dim, goal_dim, act_dim)
-    return LevelPolicy(actor, critic, ReplayBuffer(int(sec["capacity"]), widths), cfg,
+    return LevelPolicy(actor, critic, ReplayBuffer(int(sec["capacity"]), widths),
                        _read_opt(r, f"{tag}.actor", actor),
                        _read_opt(r, f"{tag}.critic", critic),
-                       goal_dim, float(sec["q_low"]), float(sec["q_high"]))
+                       goal_dim, float(sec["q_low"]), float(sec["q_high"]),
+                       int(sec["horizon"]), float(sec["epsilon"]),
+                       float(sec["subgoal_test_rate"]),
+                       _parse_array(sec, "noise_sigma", (act_dim,)))
 
 
 def restore(snapshot: str) -> HacxAgent:
@@ -599,8 +575,8 @@ def _restore(snapshot: str) -> HacxAgent:
     novelty = rnd.NoveltyModel(
         _read_net(r, "rnd.target"), predictor,
         _read_opt(r, "rnd.predictor", predictor),
-        int(rs["code_dim"]), float(rs["epsilon_rnd"]), int(rs["phase_index"]),
-        state_buffer=np.zeros((int(rs["state_capacity"]), 2), dtype=np.float32))
+        int(rs["code_dim"]), float(rs["epsilon_rnd"]),
+        np.zeros((int(rs["state_capacity"]), 2), dtype=np.float32), int(rs["phase_index"]))
     vb = _parse_array(a, "visit_bounds", (4,))
     visits = VisitGrid(tuple(float(v) for v in vb), int(a["visit_resolution"]))
     return HacxAgent(levels, explore_top, float(a["tau"]), novelty, visits,

@@ -24,6 +24,12 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh_scaled")
 
 
 def _param_count(sizes) -> int:
+    """Parameters of a network with these layer sizes, which must be at least
+    two positive integers (ConfigError otherwise)."""
+    if len(sizes) < 2:
+        raise ConfigError(f"need at least 2 layer sizes, got {sizes}")
+    if any((not isinstance(s, (int, np.integer))) or s <= 0 for s in sizes):
+        raise ConfigError(f"layer sizes must be positive integers, got {sizes}")
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
 
@@ -47,7 +53,8 @@ class Network:
     """A stack of affine layers whose parameters live in one vector.
 
     ``tanh_scaled`` output maps tanh(z) affinely onto [output_low, output_high]
-    per dimension, so outputs can never leave those bounds.
+    per dimension, so outputs can never leave those bounds. Construction
+    checks the sizes, the activations and the bounds, and raises ConfigError.
     """
 
     layer_sizes: list[int]
@@ -63,9 +70,20 @@ class Network:
     half: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.weights, self.biases = layer_views(self.layer_sizes, self.params)
+        sizes = self.layer_sizes
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ConfigError(f"unknown output activation {self.output_activation!r}")
+        self.weights, self.biases = layer_views(sizes, self.params)   # checks the sizes
         self.mid = self.half = None
         if self.output_activation == "tanh_scaled":
+            low, high = self.output_low, self.output_high
+            if not (np.shape(low) == np.shape(high) == (sizes[-1],)
+                    and np.all(np.isfinite(low)) and np.all(np.isfinite(high))
+                    and np.all(low < high)):
+                raise ConfigError(f"tanh_scaled output needs finite bounds low < high, one "
+                                  f"pair per output; got low={low} high={high}")
             self.mid = 0.5 * (self.output_high + self.output_low)
             self.half = 0.5 * (self.output_high - self.output_low)
 
@@ -76,13 +94,6 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
-
-
-@dataclass
-class GradientSet:
-    """Parameter gradients as one vector in the Network.params layout."""
-
-    params: np.ndarray
 
 
 @dataclass
@@ -112,27 +123,12 @@ def network_init(
     required for tanh_scaled output. ``final_scale`` multiplies the last
     layer's parameters; actors use 0.1 to start near the bounds' midpoint.
     """
-    if len(layer_sizes) < 2:
-        raise ConfigError(f"need at least 2 layer sizes, got {layer_sizes}")
-    if any((not isinstance(s, (int, np.integer))) or s <= 0 for s in layer_sizes):
-        raise ConfigError(f"layer sizes must be positive integers, got {layer_sizes}")
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ConfigError(f"unknown hidden activation {hidden_activation!r}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ConfigError(f"unknown output activation {output_activation!r}")
-
-    out_dim = layer_sizes[-1]
+    params = np.empty(_param_count(layer_sizes))
     low = high = None
-    if output_activation == "tanh_scaled":
-        if output_bounds is None:
-            raise ConfigError("tanh_scaled output requires output_bounds=(low, high)")
-        low = np.broadcast_to(np.asarray(output_bounds[0], dtype=float), (out_dim,)).copy()
-        high = np.broadcast_to(np.asarray(output_bounds[1], dtype=float), (out_dim,)).copy()
-        if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high)) and np.all(low < high)):
-            raise ConfigError(f"invalid output bounds low={low} high={high}")
-
-    net = Network(list(layer_sizes), np.empty(_param_count(layer_sizes)),
-                  hidden_activation, output_activation, low, high)
+    if output_activation == "tanh_scaled" and output_bounds is not None:
+        low, high = (np.broadcast_to(np.asarray(b, dtype=float), (layer_sizes[-1],)).copy()
+                     for b in output_bounds)
+    net = Network(list(layer_sizes), params, hidden_activation, output_activation, low, high)
     for w, b in zip(net.weights, net.biases):
         limit = 1.0 / np.sqrt(w.shape[1])
         w[:] = rng.uniform(-limit, limit, size=w.shape)
@@ -229,12 +225,13 @@ def _propagate(net: Network, trace, upstream, grad: np.ndarray | None):
     return delta[0] if single else delta
 
 
-def backward_trace(net: Network, trace, upstream: np.ndarray) -> GradientSet:
+def backward_trace(net: Network, trace, upstream: np.ndarray) -> np.ndarray:
     """Parameter gradients of sum(output * upstream) from a stored forward
-    trace; see input_gradient for the gradient with respect to the input."""
+    trace, as one vector in the Network.params layout; see input_gradient for
+    the gradient with respect to the input."""
     grad = np.empty_like(net.params)
     _propagate(net, trace, upstream, grad)
-    return GradientSet(grad)
+    return grad
 
 
 def input_gradient(net: Network, trace, upstream: np.ndarray) -> np.ndarray:
@@ -243,12 +240,12 @@ def input_gradient(net: Network, trace, upstream: np.ndarray) -> np.ndarray:
     return _propagate(net, trace, upstream, None)
 
 
-def optimizer_step(net: Network, grads: GradientSet, opt: Optimizer) -> Network:
-    """Apply one Adam update in place and return the network.
+def optimizer_step(net: Network, g: np.ndarray, opt: Optimizer) -> Network:
+    """Apply one Adam update in place and return the network; g is a flat
+    gradient in the Network.params layout.
 
     Rejects the whole update if any gradient entry is non-finite.
     """
-    g = grads.params
     if g.shape != net.params.shape or (opt.m is not None and opt.m.shape != g.shape):
         raise ShapeError(f"gradient or moment shape does not match the network's "
                          f"{net.params.size} parameters")

@@ -3,8 +3,10 @@
 The body is a point under acceleration control: velocity integrates the
 (clipped) action, speed is capped, and wall collisions resolve by
 axis-separated sliding (move x, then y; a blocked axis zeroes that velocity
-component). Also provides a discretized visitation recorder used for maps,
-and a scripted waypoint controller that proves the builtin tasks solvable.
+component). A state is one float64 vector (x, y, vx, vy); env_step never
+writes the vector it is given. Also provides a discretized visitation
+recorder used for maps, and a scripted waypoint controller that proves the
+builtin tasks solvable.
 
 Rectangles are (x0, y0, x1, y1) tuples throughout.
 """
@@ -34,13 +36,6 @@ class EnvSpec:
     action_bounds: float = 1.0
     dt: float = 0.1
     max_speed: float = 1.0
-
-
-@dataclass
-class EnvState:
-    position: np.ndarray
-    velocity: np.ndarray
-    steps_taken: int = 0
 
 
 @dataclass
@@ -109,9 +104,9 @@ def validate_spec(spec: EnvSpec) -> EnvSpec:
 def env_reset(spec: EnvSpec, rng: np.random.Generator):
     """Sample (state, task_goal): position uniform in the start region,
     velocity zero, goal uniform in the goal region."""
-    state = EnvState(sample_in_rect(spec.start_region, rng), np.zeros(2), 0)
-    goal = sample_in_rect(spec.task_goal_region, rng)
-    return state, goal
+    s = np.zeros(4)
+    s[:2] = sample_in_rect(spec.start_region, rng)
+    return s, sample_in_rect(spec.task_goal_region, rng)
 
 
 def _slide(p: float, other: float, delta: float, axis: int, walls, bounds):
@@ -137,8 +132,9 @@ def _slide(p: float, other: float, delta: float, axis: int, walls, bounds):
     return c, blocked
 
 
-def env_step(spec: EnvSpec, state: EnvState, action) -> EnvState:
-    """Advance one timestep; pure function of (spec, state, action)."""
+def env_step(spec: EnvSpec, s: np.ndarray, action) -> np.ndarray:
+    """Advance one timestep from the state vector s = (x, y, vx, vy); pure
+    function of (spec, s, action) that returns a new vector."""
     try:
         ax, ay = float(action[0]), float(action[1])
     except (TypeError, IndexError, ValueError):
@@ -148,7 +144,7 @@ def env_step(spec: EnvSpec, state: EnvState, action) -> EnvState:
     ab, dt = spec.action_bounds, spec.dt
     ax = -ab if ax < -ab else (ab if ax > ab else ax)
     ay = -ab if ay < -ab else (ab if ay > ab else ay)
-    vx, vy = state.velocity.tolist()
+    x, y, vx, vy = s.tolist()
     vx += ax * dt
     vy += ay * dt
     speed = math.hypot(vx, vy)
@@ -156,12 +152,10 @@ def env_step(spec: EnvSpec, state: EnvState, action) -> EnvState:
         scale = spec.max_speed / speed
         vx *= scale
         vy *= scale
-    x, y = state.position.tolist()
     x, bx = _slide(x, y, vx * dt, 0, spec.walls, spec.bounds)
     y, by = _slide(y, x, vy * dt, 1, spec.walls, spec.bounds)
-    # a wall or bound face may be an int; positions stay float64
-    return EnvState(np.array((x, y), dtype=float),
-                    np.array((0.0 if bx else vx, 0.0 if by else vy)), state.steps_taken + 1)
+    # a wall or bound face may be an int; the state stays float64
+    return np.array((x, y, 0.0 if bx else vx, 0.0 if by else vy), dtype=float)
 
 
 def _cross_walls(thickness=0.25):
@@ -308,22 +302,22 @@ def builtin_waypoints(name: str) -> list:
     raise ConfigError(f"unknown environment {name!r}")
 
 
-def waypoint_action(state: EnvState, waypoint, spec: EnvSpec):
+def waypoint_action(s: np.ndarray, waypoint, spec: EnvSpec):
     """Proportional tracking controller: accelerate toward the velocity that
     closes the gap to the waypoint."""
-    err = waypoint - state.position
+    err = waypoint - s[:2]
     desired = err / max(spec.dt * 10.0, 1e-9)
     speed = float(np.linalg.norm(desired))
     if speed > spec.max_speed:
         desired = desired * (spec.max_speed / speed)
-    return np.clip((desired - state.velocity) / spec.dt,
+    return np.clip((desired - s[2:]) / spec.dt,
                    -spec.action_bounds, spec.action_bounds)
 
 
-def follow_waypoints(spec: EnvSpec, waypoints, start_state: EnvState,
+def follow_waypoints(spec: EnvSpec, waypoints, start_state: np.ndarray,
                      reach_radius: float = 0.35, max_steps: int | None = None):
     """Run the scripted controller through the waypoint list; returns the
-    visited states (including the start)."""
+    visited state vectors (including the start)."""
     state = start_state
     states = [state]
     budget = max_steps if max_steps is not None else spec.max_primitive_steps
@@ -333,20 +327,19 @@ def follow_waypoints(spec: EnvSpec, waypoints, start_state: EnvState,
             break
         state = env_step(spec, state, waypoint_action(state, waypoints[idx], spec))
         states.append(state)
-        if np.linalg.norm(state.position - waypoints[idx]) < reach_radius:
+        if np.linalg.norm(state[:2] - waypoints[idx]) < reach_radius:
             idx += 1
     return states
 
 
-def record_visit(grid: VisitGrid, state) -> VisitGrid:
-    """Increment the count of the cell containing the state's position."""
-    pos = state.position if isinstance(state, EnvState) else np.asarray(state, dtype=float)
+def record_visit(grid: VisitGrid, x: float, y: float) -> VisitGrid:
+    """Increment the count of the cell containing the position (x, y)."""
     x0, y0, x1, y1 = grid.bounds
-    if not (x0 <= pos[0] <= x1 and y0 <= pos[1] <= y1):
-        raise ValueError(f"position {pos} outside bounds {grid.bounds}; physics bug?")
+    if not (x0 <= x <= x1 and y0 <= y <= y1):
+        raise ValueError(f"position ({x}, {y}) outside bounds {grid.bounds}; physics bug?")
     res = grid.resolution
-    ix = min(int((pos[0] - x0) / (x1 - x0) * res), res - 1)
-    iy = min(int((pos[1] - y0) / (y1 - y0) * res), res - 1)
+    ix = min(int((x - x0) / (x1 - x0) * res), res - 1)
+    iy = min(int((y - y0) / (y1 - y0) * res), res - 1)
     grid.counts[ix, iy] += 1
     grid.recorded += 1
     return grid

@@ -28,9 +28,6 @@ from .errors import ShapeError
 
 DISCOUNT = 0.99
 
-# Goal tag for the exploration policy's transitions, which carry no goal.
-EXPLORE = "EXPLORE"
-
 
 def project_goal(state) -> np.ndarray:
     """g(s): goal space is the (x, y) position."""
@@ -52,7 +49,7 @@ def goal_reward(achieved, goal, epsilon: float):
 def pack_row(state, goal, action, next_state, reward: float,
              discount: float) -> np.ndarray:
     """One float64 row state | goal | action | next_state | reward | discount.
-    A goal of None (an EXPLORE row) leaves out the goal columns."""
+    A goal of None (an exploration row) leaves out the goal columns."""
     parts = (state, action, next_state) if goal is None else (state, goal, action, next_state)
     return np.concatenate((*parts, (reward, discount)), dtype=float)
 
@@ -68,16 +65,16 @@ def hindsight_action_transition(state, proposed_subgoal, achieved_state, goal,
 
 
 def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: int,
-                            epsilon: float, goal=EXPLORE):
+                            epsilon: float, goal=None):
     """Penalty row for a tested subgoal the lower levels failed to reach:
-    reward -horizon with discount 0. Returns None when the subgoal was
-    reached (the hindsight action transition already rewards that)."""
+    reward -horizon with discount 0; goal is None for the exploration policy.
+    Returns None when the subgoal was reached (the hindsight action
+    transition already rewards that)."""
     proposed = np.asarray(proposed_subgoal, dtype=float)
     achieved = np.asarray(achieved_state, dtype=float)
     if goal_reward(project_goal(achieved), proposed, epsilon)[1]:
         return None
-    return pack_row(state, None if isinstance(goal, str) else goal, proposed, achieved,
-                    -float(horizon), 0.0)
+    return pack_row(state, goal, proposed, achieved, -float(horizon), 0.0)
 
 
 def hindsight_goal_transitions(segment, num_relabels: int, epsilon: float,
@@ -125,8 +122,8 @@ class ReplayBuffer:
     """Uniform-sampling ring buffer of packed float32 rows.
 
     Each row is state | goal | action | next_state | reward | discount, with
-    the column widths (state, goal, action) fixed at construction; an
-    EXPLORE buffer has goal width 0 and no goal columns. Storage is
+    the column widths (state, goal, action) fixed at construction; the
+    exploration policy's buffer has goal width 0 and no goal columns. Storage is
     allocated at the first push.
     """
 

@@ -36,14 +36,10 @@ class NoveltyModel:
     predictor_opt: Optimizer
     code_dim: int
     epsilon_rnd: float
+    state_buffer: np.ndarray    # (capacity, 2) float32 ring of visited h(s)
     phase_index: int = 0
-    state_buffer: np.ndarray = None
     buffer_count: int = 0
     buffer_next: int = 0
-
-    def __post_init__(self):
-        if self.state_buffer is None:
-            self.state_buffer = np.zeros((STATE_BUFFER_CAPACITY, 2), dtype=np.float32)
 
 
 def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
@@ -53,10 +49,8 @@ def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
     sizes = [2, *hidden, code_dim]
     target = approx.network_init(sizes, rng)
     predictor = approx.network_init(sizes, rng)
-    model = NoveltyModel(target, predictor, Optimizer(learning_rate),
-                         code_dim, epsilon_rnd,
-                         state_buffer=np.zeros((capacity, 2), dtype=np.float32))
-    return model
+    return NoveltyModel(target, predictor, Optimizer(learning_rate), code_dim, epsilon_rnd,
+                        np.zeros((capacity, 2), dtype=np.float32))
 
 
 def calibrate_epsilon(model: NoveltyModel, bounds, rng: np.random.Generator,

@@ -61,7 +61,7 @@ def backward(net, x, upstream) -> Gradients:
     """Exact reverse-mode gradients of sum(forward(net, x) * upstream) with
     respect to every parameter and to the input, from one forward trace."""
     _, trace = approx.forward_trace(net, x)
-    return Gradients(approx.backward_trace(net, trace, upstream).params,
+    return Gradients(approx.backward_trace(net, trace, upstream),
                      approx.input_gradient(net, trace, upstream))
 
 
@@ -168,17 +168,17 @@ class Transition(NamedTuple):
     action: np.ndarray
     reward: float
     next_state: np.ndarray
-    goal: object          # goal-space vector, or the EXPLORE tag
+    goal: object          # goal-space vector, or None for no goal
     discount: float
 
 
 def transition(row) -> Transition:
     """Named view of one row with 4-wide states and 2-wide actions; goal is
-    the EXPLORE tag when the row has no goal columns."""
+    None when the row has no goal columns."""
     sd, ad = STATE_DIM, ACTION_DIM
     gd = len(row) - 2 * sd - ad - 2
     return Transition(row[:sd], row[sd + gd:sd + gd + ad], float(row[-2]),
-                      row[sd + gd + ad:-2], hac.EXPLORE if gd == 0 else row[sd:sd + gd],
+                      row[sd + gd + ad:-2], None if gd == 0 else row[sd:sd + gd],
                       float(row[-1]))
 
 
@@ -209,7 +209,7 @@ def dump_transitions(ts) -> str:
     ';', fields by ','; an absent goal is the literal token EXPLORE."""
     lines = ["state,action,reward,next_state,goal,discount"]
     for t in ts:
-        goal = t.goal if isinstance(t.goal, str) else _vec_text(t.goal)
+        goal = "EXPLORE" if t.goal is None else _vec_text(t.goal)
         lines.append(",".join([_vec_text(t.state), _vec_text(t.action),
                                repr(float(t.reward)), _vec_text(t.next_state),
                                goal, repr(float(t.discount))]))

@@ -99,7 +99,7 @@ def test_transition_invariants_hold_in_bulk():
             check(et.reward in (0.0, -1.0), "exploration reward not in {0,-1}")
             check((et.reward == 0.0) == (et.discount == 0.0),
                   "reward/discount coupling broken (exploration)")
-            check(isinstance(et.goal, str), "exploration transition carries a goal")
+            check(et.goal is None, "exploration transition carries a goal")
             total += 1
 
         for t in helpers.transitions(hac.hindsight_goal_transitions(seg, 2, eps, rng)):
@@ -160,7 +160,7 @@ def test_novelty_curriculum_is_monotone_under_random_walk():
                 steps_left = spec.max_primitive_steps
             state = envsim.env_step(spec, state, rng.uniform(-1, 1, 2))
             steps_left -= 1
-            rnd.observe(model, np.concatenate([state.position, state.velocity]))
+            rnd.observe(model, state)
         rnd.advance_phase(model, 2000, 128, rng)
         fractions.append(rnd.new_fraction(model, spec.bounds))
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,19 @@ def zero_actor(policy):
         b[:] = 0.0
 
 
+def record_states(monkeypatch):
+    """Patch env_reset and env_step to keep a copy of every state vector
+    they hand to the rollout; returns the list of copies."""
+    seen = []
+    for name in ("env_reset", "env_step"):
+        def spy(*args, _real=getattr(envsim, name)):
+            out = _real(*args)
+            seen.append((out[0] if isinstance(out, tuple) else out).copy())
+            return out
+        monkeypatch.setattr(envsim, name, spy)
+    return seen
+
+
 class SpyRng:
     """Wraps a generator and counts normal() draws."""
 
@@ -56,11 +72,11 @@ def test_make_agent_shapes_and_bounds():
     spec = arena()
     ag = small_agent(spec, k=3)
     assert ag.k == 3
-    low, high = ag.levels[0].config.low, ag.levels[0].config.high
+    low, high = ag.levels[0].actor.output_low, ag.levels[0].actor.output_high
     assert np.allclose(low, [-1, -1]) and np.allclose(high, [1, 1])
     for lvl in ag.levels[1:]:
-        assert np.allclose(lvl.config.low, [0, 0])
-        assert np.allclose(lvl.config.high, [10, 10])
+        assert np.allclose(lvl.actor.output_low, [0, 0])
+        assert np.allclose(lvl.actor.output_high, [10, 10])
     assert ag.explore_top.goal_dim == 0
     # actor input: state alone for the explore policy, state+goal otherwise
     assert ag.explore_top.actor.layer_sizes[0] == 4
@@ -76,15 +92,15 @@ def test_make_agent_flat_value_range():
     assert ag.levels[0].q_low == -float(spec.max_primitive_steps)
     assert ag.explore_top.q_low == -float(spec.max_primitive_steps)
     # flat explore policy emits primitive actions
-    assert np.allclose(ag.explore_top.config.high, [1, 1])
+    assert np.allclose(ag.explore_top.actor.output_high, [1, 1])
 
 
 def test_noise_scale_schedule():
     ag = small_agent(k=3)
-    assert np.allclose(ag.levels[0].config.noise_sigma, 0.1 * 1.0)
-    assert np.allclose(ag.levels[1].config.noise_sigma, 0.15 * 5.0)
-    assert np.allclose(ag.levels[2].config.noise_sigma, 0.2 * 5.0)
-    assert np.allclose(ag.explore_top.config.noise_sigma, 0.2 * 5.0)
+    assert np.allclose(ag.levels[0].noise_sigma, 0.1 * 1.0)
+    assert np.allclose(ag.levels[1].noise_sigma, 0.15 * 5.0)
+    assert np.allclose(ag.levels[2].noise_sigma, 0.2 * 5.0)
+    assert np.allclose(ag.explore_top.noise_sigma, 0.2 * 5.0)
 
 
 def test_make_agent_seed_reproducible():
@@ -111,7 +127,7 @@ def test_choose_top_policy_extremes_and_rate():
 def test_zero_sigma_noisy_equals_deterministic():
     ag = small_agent()
     p = ag.levels[0]
-    p.config.noise_sigma[:] = 0.0
+    p.noise_sigma[:] = 0.0
     s, g = np.array([1.0, 2.0, 0.0, 0.0]), np.array([5.0, 5.0])
     det = agent.select_action(p, s, g, "deterministic")
     noisy = agent.select_action(p, s, g, "noisy", np.random.default_rng(0))
@@ -127,7 +143,7 @@ def test_noisy_actions_respect_bounds():
         for _ in range(2500):
             s = rng.uniform(0, 10, 4)
             a = agent.select_action(p, s, g, "noisy", rng)
-            assert np.all(a >= p.config.low) and np.all(a <= p.config.high)
+            assert np.all(a >= p.actor.output_low) and np.all(a <= p.actor.output_high)
 
 
 def test_noise_magnitude_matches_sigma():
@@ -138,7 +154,7 @@ def test_noise_magnitude_matches_sigma():
     rng = np.random.default_rng(11)
     samples = np.array([agent.select_action(p, s, g, "noisy", rng) for _ in range(4000)])
     std = (samples - det).std(axis=0)
-    assert np.all(np.abs(std - p.config.noise_sigma) / p.config.noise_sigma < 0.05)
+    assert np.all(np.abs(std - p.noise_sigma) / p.noise_sigma < 0.05)
 
 
 # episodes ----------------------------------------------------------------------
@@ -161,7 +177,7 @@ def test_test_mode_writes_nothing_and_uses_goal_policy():
     assert ag.novelty.buffer_count == 0
     assert ag.visits.recorded == 0
     assert agent.policy_snapshot(ag) == snap_before
-    positions = np.array([s.position for s in rec.primitive_states])
+    positions = np.array(rec.primitive_states)[:, :2]
     dists = np.linalg.norm(positions - positions[-1], axis=1)
     assert len(rec.primitive_states) == spec.max_primitive_steps + 1 or rec.success
     assert rec.closest_distance >= 0.0 and len(dists) > 1
@@ -177,22 +193,30 @@ def test_test_mode_never_draws_gaussian_noise():
     assert spy2.normal_calls > 0
 
 
-def test_test_mode_deterministic():
+def test_test_mode_deterministic(monkeypatch):
     ag = small_agent()
+    seen = record_states(monkeypatch)
     recs = [agent.run_episode(ag, arena(), "test", np.random.default_rng(6))
             for _ in range(2)]
-    a = np.array([s.position for s in recs[0].primitive_states])
-    b = np.array([s.position for s in recs[1].primitive_states])
+    a = np.array(recs[0].primitive_states)
+    b = np.array(recs[1].primitive_states)
     assert np.array_equal(a, b)
+    # the stored state vectors still hold what the environment returned
+    assert np.array_equal(np.concatenate((a, b)), np.array(seen))
 
 
-def test_train_episode_deterministic_given_seeds():
-    out = []
+def test_train_episode_deterministic_given_seeds(monkeypatch):
+    out, states = [], []
+    seen = record_states(monkeypatch)
     for _ in range(2):
-        ag = small_agent(seed=13)
-        agent.run_episode(ag, arena(), "train", np.random.default_rng(5))
+        ag = small_agent(seed=13, k=3, horizon=2)
+        rec = agent.run_episode(ag, arena(), "train", np.random.default_rng(5))
         out.append(ag.levels[0].buffer.rows[:ag.levels[0].buffer.count].copy())
+        states += rec.primitive_states
     assert np.array_equal(out[0], out[1])
+    # neither the rollout nor the row builders and relabelling wrote a stored
+    # state vector
+    assert np.array_equal(np.array(states), np.array(seen))
 
 
 def test_motionless_lower_level_structure():
@@ -202,9 +226,9 @@ def test_motionless_lower_level_structure():
     ag = small_agent(spec, k=2, tau=0.0, subgoal_test_rate=0.0,
                      relabel_enabled=False)
     zero_actor(ag.levels[0])
-    ag.levels[0].config.noise_sigma[:] = 0.0
+    ag.levels[0].noise_sigma[:] = 0.0
     rec = agent.run_episode(ag, spec, "train", np.random.default_rng(8))
-    start = rec.primitive_states[0].position
+    start = rec.primitive_states[0][:2]
     counts = rec.transitions_emitted
     assert counts["level0"] == 60
     assert counts["level1"] == 20  # horizon-3 attempts covering 60 steps
@@ -223,13 +247,35 @@ def test_motionless_agent_closest_is_start_distance():
     ag = small_agent(spec, k=2)
     zero_actor(ag.levels[0])
     rec = agent.run_episode(ag, spec, "test", np.random.default_rng(3))
-    start = rec.primitive_states[0].position
+    start = rec.primitive_states[0][:2]
     goal_dist = rec.closest_distance
     # reconstruct the reset draw to know the task goal
     state, goal = envsim.env_reset(spec, np.random.default_rng(3))
-    assert np.allclose(start, state.position)
+    assert np.allclose(start, state[:2])
     assert abs(goal_dist - float(np.linalg.norm(start - goal))) < 1e-9
     assert not rec.success
+
+
+def test_success_is_the_test_that_ends_the_episode():
+    # np.linalg.norm and math.hypot can differ in the last bit. With
+    # epsilon_task between the two distances of a motionless agent's start,
+    # the episode stops as a task success exactly when it is recorded as one.
+    checked = 0
+    for seed in range(40):
+        spec = arena(start_region=(1.0, 1.0, 1.5, 1.5), task_goal_region=(2.0, 2.0, 2.5, 2.5))
+        s, goal = envsim.env_reset(spec, np.random.default_rng(seed))
+        d_hypot = math.hypot(s[0] - goal[0], s[1] - goal[1])
+        d_norm = float(np.linalg.norm((s[:2] - goal)[None, :], axis=1)[0])
+        if d_hypot == d_norm:
+            continue
+        spec = replace(spec, epsilon_task=max(d_hypot, d_norm))
+        ag = small_agent(spec, k=1)
+        zero_actor(ag.levels[0])
+        rec = agent.run_episode(ag, spec, "test", np.random.default_rng(seed))
+        stopped = len(rec.primitive_states) - 1 < spec.max_primitive_steps
+        assert rec.success == stopped == (d_hypot < d_norm)
+        checked += 1
+    assert checked >= 2
 
 
 def test_top_level_acts_until_the_episode_ends():
@@ -237,7 +283,7 @@ def test_top_level_acts_until_the_episode_ends():
     # success: it keeps acting until epsilon_task success or the step limit
     spec = envsim.builtin_spec("open_field_near")
     ag = small_agent(spec, k=2, epsilon_level=3.0)
-    assert ag.levels[-1].config.epsilon > spec.epsilon_task
+    assert ag.levels[-1].epsilon > spec.epsilon_task
     rng = np.random.default_rng(4)
     for _ in range(10):
         rec = agent.run_episode(ag, spec, "test", rng)
@@ -459,6 +505,21 @@ def test_snapshot_numbers_parse_bitwise():
                             0.0, -0.0, 0.1, 1 / 3]])
     sec = {"v": " ".join(repr(float(v)) for v in vals)}
     assert agent._parse_array(sec, "v", vals.shape).tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("old,new,why", [
+    # an actor whose bounds are inverted and not finite
+    ("out_low = -1.0 -1.0\nout_high = 1.0 1.0", "out_low = 1.0 1.0\nout_high = -1.0 nan",
+     "finite bounds"),
+    # a policy whose clip bounds are not its actor's output bounds
+    ("low = -1.0 -1.0\nhigh = 1.0 1.0", "low = -5.0 -5.0\nhigh = 1.0 1.0", "differs"),
+    ("low = -1.0 -1.0\nhigh = 1.0 1.0", "low = -1.0 -1.0\nhigh = 2.0 1.0", "differs"),
+])
+def test_snapshot_inconsistent_bounds_rejected(old, new, why):
+    snap = agent.policy_snapshot(small_agent())
+    assert "\n" + old + "\n" in snap
+    with pytest.raises(CheckpointError, match=why):
+        agent.restore(snap.replace("\n" + old + "\n", "\n" + new + "\n", 1))
 
 
 @pytest.mark.parametrize("line,bad", [("hidden = relu", "hidden = sigmoid"),

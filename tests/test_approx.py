@@ -50,6 +50,30 @@ def test_init_rejects_inverted_bounds():
                             output_activation="tanh_scaled", output_bounds=(1.0, -1.0))
 
 
+@pytest.mark.parametrize("sizes,kw", [
+    ([3, 0], {}),
+    ([3, 2.0], {}),
+    ([3, 2], dict(hidden_activation="sigmoid")),
+    ([3, 2], dict(output_activation="tanh_scaled")),
+    ([3, 2], dict(output_activation="tanh_scaled", output_low=np.array([1.0, 1.0]),
+                  output_high=np.array([-1.0, np.nan]))),
+    ([3, 2], dict(output_activation="tanh_scaled", output_low=np.array([-1.0]),
+                  output_high=np.array([1.0]))),
+])
+def test_network_construction_checks_itself(sizes, kw):
+    # the one check network_init, restore and copy_network all go through
+    with pytest.raises(ConfigError):
+        approx.Network(sizes, np.zeros(8), **kw)
+
+
+def test_copy_network_rechecks_bounds():
+    net = approx.network_init([3, 2], np.random.default_rng(0),
+                              output_activation="tanh_scaled", output_bounds=(-1.0, 1.0))
+    net.output_high[1] = np.inf
+    with pytest.raises(ConfigError):
+        approx.copy_network(net)
+
+
 def test_parameter_count():
     net = approx.network_init([2, 64, 64, 2], np.random.default_rng(3))
     assert parameter_count(net) == 4482
@@ -191,7 +215,7 @@ def test_batch_gradients_sum_over_samples():
 def test_zero_gradient_step_changes_nothing():
     net = random_small_net(np.random.default_rng(8))
     before = net.params.copy()
-    zeros = approx.GradientSet(np.zeros_like(net.params))
+    zeros = np.zeros_like(net.params)
     approx.optimizer_step(net, zeros, approx.Optimizer(0.5))
     assert np.array_equal(net.params, before)
 
@@ -212,7 +236,7 @@ def test_layer_views_alias_the_parameter_vector():
 def test_optimizer_step_is_visible_through_weights():
     net = approx.network_init([2, 3, 1], np.random.default_rng(3))
     w0, b1 = net.weights[0].copy(), net.biases[1].copy()
-    grads = approx.GradientSet(np.ones_like(net.params))
+    grads = np.ones_like(net.params)
     approx.optimizer_step(net, grads, approx.Optimizer(0.01))
     # a positive gradient moves every parameter down by lr on the first step
     assert np.allclose(net.weights[0], w0 - 0.01)
@@ -226,7 +250,7 @@ def test_adam_first_step_hand_oracle():
     net.weights[0][:] = 0.5
     net.biases[0][:] = -0.25
     g = 3.0
-    grads = approx.GradientSet(np.full(2, g))
+    grads = np.full(2, g)
     opt = approx.Optimizer(0.01)
     approx.optimizer_step(net, grads, opt)
     expected = 0.01 * g / (abs(g) + 1e-8)
@@ -247,8 +271,7 @@ def test_adam_matches_reference_sequence():
 
     for t in range(1, 6):
         g = rng.normal(size=ref.shape)
-        approx.optimizer_step(
-            net, approx.GradientSet(g.copy()), opt)
+        approx.optimizer_step(net, g.copy(), opt)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         mh = m / (1 - b1 ** t)
@@ -261,8 +284,8 @@ def test_adam_matches_reference_sequence():
 def test_nonfinite_gradients_rejected_and_params_untouched():
     net = approx.network_init([2, 3, 1], np.random.default_rng(6))
     before = net.params.copy()
-    grads = approx.GradientSet(np.zeros_like(net.params))
-    approx.layer_views(net.layer_sizes, grads.params)[0][1][0, 0] = np.nan
+    grads = np.zeros_like(net.params)
+    approx.layer_views(net.layer_sizes, grads)[0][1][0, 0] = np.nan
     opt = approx.Optimizer(0.1)
     with pytest.raises(TrainingError) as err:
         approx.optimizer_step(net, grads, opt)
@@ -273,15 +296,15 @@ def test_nonfinite_gradients_rejected_and_params_untouched():
 
 def test_mismatched_gradient_shapes_rejected():
     net = approx.network_init([2, 3, 1], np.random.default_rng(6))
-    grads = approx.GradientSet(np.zeros(net.params.size + 1))
+    grads = np.zeros(net.params.size + 1)
     with pytest.raises(ShapeError):
         approx.optimizer_step(net, grads, approx.Optimizer(0.1))
     # moments sized for another network
     other = approx.network_init([2, 4, 1], np.random.default_rng(6))
     opt = approx.Optimizer(0.1)
-    approx.optimizer_step(other, approx.GradientSet(np.zeros_like(other.params)), opt)
+    approx.optimizer_step(other, np.zeros_like(other.params), opt)
     with pytest.raises(ShapeError):
-        approx.optimizer_step(net, approx.GradientSet(np.zeros_like(net.params)), opt)
+        approx.optimizer_step(net, np.zeros_like(net.params), opt)
 
 
 def test_copy_network_is_independent():
@@ -349,7 +372,7 @@ def test_core_matches_reference_bitwise(hact, oact, out_dim, single):
 
     ref_grad, ref_wrt = ref_backward_trace(net, ref_trace, up)
     g = approx.backward_trace(net, trace, up)
-    assert np.array_equal(g.params, ref_grad)
+    assert np.array_equal(g, ref_grad)
     assert np.array_equal(approx.input_gradient(net, trace, up), ref_wrt)
 
 

@@ -49,11 +49,11 @@ def test_reset_positions_uniform_chi_square():
     x0, y0, x1, y1 = spec.start_region
     for _ in range(n):
         state, goal = envsim.env_reset(spec, rng)
-        px, py = state.position
+        px, py, vx, vy = state
         assert x0 <= px <= x1 and y0 <= py <= y1
         gx, gy = spec.task_goal_region[:2], spec.task_goal_region[2:]
         assert gx[0] <= goal[0] <= gy[0] and gx[1] <= goal[1] <= gy[1]
-        assert np.all(state.velocity == 0.0) and state.steps_taken == 0
+        assert vx == vy == 0.0
         ix = min(int((px - x0) / (x1 - x0) * bins), bins - 1)
         iy = min(int((py - y0) / (y1 - y0) * bins), bins - 1)
         counts[ix, iy] += 1
@@ -67,7 +67,7 @@ def test_reset_determinism():
     spec = envsim.builtin_spec("open_field")
     s1, g1 = envsim.env_reset(spec, np.random.default_rng(5))
     s2, g2 = envsim.env_reset(spec, np.random.default_rng(5))
-    assert np.array_equal(s1.position, s2.position)
+    assert np.array_equal(s1, s2)
     assert np.array_equal(g1, g2)
 
 
@@ -81,16 +81,15 @@ def test_sample_in_tiny_rect_stays_inside():
 
 def test_step_action_clipped_to_bounds():
     spec = tiny_spec()
-    state = envsim.EnvState(np.array([5.0, 5.0]), np.zeros(2))
+    state = np.array([5.0, 5.0, 0.0, 0.0])
     a = envsim.env_step(spec, state, np.array([5.0, -7.0]))
     b = envsim.env_step(spec, state, np.array([1.0, -1.0]))
-    assert np.array_equal(a.position, b.position)
-    assert np.array_equal(a.velocity, b.velocity)
+    assert np.array_equal(a, b)
 
 
 def test_step_rejects_bad_actions():
     spec = tiny_spec()
-    state = envsim.EnvState(np.array([5.0, 5.0]), np.zeros(2))
+    state = np.array([5.0, 5.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         envsim.env_step(spec, state, np.array([1.0]))
     with pytest.raises(ValueError):
@@ -100,58 +99,61 @@ def test_step_rejects_bad_actions():
 def test_step_speed_capped():
     spec = tiny_spec(walls=[])
     rng = np.random.default_rng(31)
-    state = envsim.EnvState(np.array([5.0, 5.0]), np.zeros(2))
+    state = np.array([5.0, 5.0, 0.0, 0.0])
     for _ in range(500):
         state = envsim.env_step(spec, state, rng.uniform(-1, 1, 2))
-        assert np.linalg.norm(state.velocity) <= spec.max_speed + 1e-12
+        assert np.linalg.norm(state[2:]) <= spec.max_speed + 1e-12
 
 
 def test_step_free_motion_oracle():
     # no walls, small velocity: position integrates v*dt exactly
     spec = tiny_spec(walls=[])
-    state = envsim.EnvState(np.array([5.0, 5.0]), np.array([0.2, -0.1]))
+    state = np.array([5.0, 5.0, 0.2, -0.1])
+    before = state.copy()
     nxt = envsim.env_step(spec, state, np.array([0.5, 0.5]))
     v = np.array([0.2 + 0.05, -0.1 + 0.05])
-    assert np.allclose(nxt.velocity, v)
-    assert np.allclose(nxt.position, state.position + v * spec.dt)
-    assert nxt.steps_taken == 1
+    assert np.allclose(nxt[2:], v)
+    assert np.allclose(nxt[:2], state[:2] + v * spec.dt)
+    # pure: a new float64 vector, and the given state is never written
+    assert nxt.dtype == np.float64 and not np.shares_memory(nxt, state)
+    assert np.array_equal(state, before)
 
 
 def test_wall_stops_on_face_and_kills_normal_velocity():
     spec = tiny_spec()
-    state = envsim.EnvState(np.array([3.0, 5.0]), np.zeros(2))
+    state = np.array([3.0, 5.0, 0.0, 0.0])
     for _ in range(30):
         state = envsim.env_step(spec, state, np.array([1.0, 0.0]))
-    assert state.position[0] == 4.0  # exactly on the left face of the wall
-    assert state.velocity[0] == 0.0
-    assert state.position[1] == 5.0
+    assert state[0] == 4.0  # exactly on the left face of the wall
+    assert state[2] == 0.0
+    assert state[1] == 5.0
 
 
 def test_wall_face_is_legal_standing_ground():
     spec = tiny_spec()
-    state = envsim.EnvState(np.array([4.0, 5.0]), np.zeros(2))
+    state = np.array([4.0, 5.0, 0.0, 0.0])
     for _ in range(10):
         state = envsim.env_step(spec, state, np.array([-1.0, 0.0]))
-    assert state.position[0] < 4.0  # walked away freely
+    assert state[0] < 4.0  # walked away freely
 
 
 def test_sliding_keeps_tangential_motion():
     spec = tiny_spec()
-    state = envsim.EnvState(np.array([3.9, 5.0]), np.zeros(2))
+    state = np.array([3.9, 5.0, 0.0, 0.0])
     for _ in range(20):
         state = envsim.env_step(spec, state, np.array([1.0, 1.0]))
-    assert state.position[0] == 4.0
-    assert state.position[1] > 5.1  # slid upward along the wall
-    assert state.velocity[0] == 0.0 and state.velocity[1] > 0.0
+    assert state[0] == 4.0
+    assert state[1] > 5.1  # slid upward along the wall
+    assert state[2] == 0.0 and state[3] > 0.0
 
 
 def test_arena_bounds_contain_motion():
     spec = tiny_spec(walls=[])
-    state = envsim.EnvState(np.array([9.9, 0.1]), np.zeros(2))
+    state = np.array([9.9, 0.1, 0.0, 0.0])
     for _ in range(50):
         state = envsim.env_step(spec, state, np.array([1.0, -1.0]))
-    assert state.position[0] == 10.0 and state.position[1] == 0.0
-    assert np.all(state.velocity == 0.0)
+    assert state[0] == 10.0 and state[1] == 0.0
+    assert np.all(state[2:] == 0.0)
 
 
 def test_step_determinism_bitwise():
@@ -162,7 +164,7 @@ def test_step_determinism_bitwise():
         state, _ = envsim.env_reset(spec, rng)
         for _ in range(100):
             state = envsim.env_step(spec, state, rng.uniform(-1, 1, 2))
-        out.append(state.position.copy())
+        out.append(state)
     assert np.array_equal(out[0], out[1])
 
 
@@ -185,7 +187,7 @@ def test_containment_fuzz(name):
         state, _ = envsim.env_reset(spec, rng)
         for _ in range(5000):
             state = envsim.env_step(spec, state, rng.uniform(-1, 1, 2))
-            positions.append(state.position)
+            positions.append(state[:2])
     pos = np.array(positions)
     x0, y0, x1, y1 = spec.bounds
     assert np.all((pos[:, 0] >= x0) & (pos[:, 0] <= x1))
@@ -201,7 +203,7 @@ def _steps_to_goal(name, seed):
     state, goal = envsim.env_reset(spec, rng)
     route = envsim.builtin_waypoints(name) + [goal]
     states = envsim.follow_waypoints(spec, route, state)
-    dists = [float(np.linalg.norm(s.position - goal)) for s in states]
+    dists = [float(np.linalg.norm(s[:2] - goal)) for s in states]
     best = int(np.argmin(dists))
     if dists[best] >= spec.epsilon_task:
         return None
@@ -233,7 +235,7 @@ def test_four_rooms_blocks_straight_line():
     rng = np.random.default_rng(0)
     state, goal = envsim.env_reset(spec, rng)
     states = envsim.follow_waypoints(spec, [goal], state)
-    assert min(float(np.linalg.norm(s.position - goal)) for s in states) \
+    assert min(float(np.linalg.norm(s[:2] - goal)) for s in states) \
         >= spec.epsilon_task
 
 
@@ -241,19 +243,19 @@ def test_four_rooms_blocks_straight_line():
 
 def test_record_visit_counts_and_bounds():
     grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0), resolution=4)
-    envsim.record_visit(grid, np.array([1.0, 1.0]))
-    envsim.record_visit(grid, np.array([1.2, 1.2]))
-    envsim.record_visit(grid, np.array([10.0, 10.0]))  # edge clamps into last cell
+    envsim.record_visit(grid, 1.0, 1.0)
+    envsim.record_visit(grid, 1.2, 1.2)
+    envsim.record_visit(grid, 10.0, 10.0)  # edge clamps into last cell
     assert grid.counts[0, 0] == 2
     assert grid.counts[3, 3] == 1
     assert grid.recorded == 3
     with pytest.raises(ValueError):
-        envsim.record_visit(grid, np.array([10.5, 1.0]))
+        envsim.record_visit(grid, 10.5, 1.0)
 
 
 def test_grid_to_image_format_and_orientation():
     grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0), resolution=4)
-    envsim.record_visit(grid, np.array([9.9, 9.9]))  # top-right corner
+    envsim.record_visit(grid, 9.9, 9.9)  # top-right corner
     img = envsim.grid_to_image(grid)
     assert img.startswith(b"P5\n4 4\n255\n")
     pixels = np.frombuffer(img[len(b"P5\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4)

@@ -91,7 +91,7 @@ def test_subgoal_test_horizon_one():
     t = transition(hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
                                                vec(0.0, 0.0, 0, 0), horizon=1, epsilon=0.5))
     assert t.reward == -1.0 and t.discount == 0.0
-    assert t.goal == hac.EXPLORE
+    assert t.goal is None
 
 
 def test_subgoal_test_hit_is_silent():
@@ -208,11 +208,11 @@ def test_exploration_transition_coupling():
 
     model.epsilon_rnd = -1.0  # everything is new
     t = transition(hac.exploration_transition(s, a, ns, model))
-    assert (t.reward, t.discount, t.goal) == (0.0, 0.0, hac.EXPLORE)
+    assert (t.reward, t.discount, t.goal) == (0.0, 0.0, None)
 
     model.epsilon_rnd = float("inf")  # nothing is new
     t = transition(hac.exploration_transition(s, a, ns, model))
-    assert (t.reward, t.discount, t.goal) == (-1.0, hac.DISCOUNT, hac.EXPLORE)
+    assert (t.reward, t.discount, t.goal) == (-1.0, hac.DISCOUNT, None)
 
 
 # replay buffer -------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_packed_rows_round_trip(explore):
     rng = np.random.default_rng(4)
     pushed = [Transition(rng.normal(size=4), rng.normal(size=2), float(rng.normal()),
                          rng.normal(size=4),
-                         hac.EXPLORE if explore else rng.normal(size=2),
+                         None if explore else rng.normal(size=2),
                          float(rng.uniform()))
               for _ in range(5)]
     buf = hac.ReplayBuffer(8, EXPLORE_WIDTHS if explore else GOAL_WIDTHS)
