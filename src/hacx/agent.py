@@ -3,8 +3,9 @@ primitive level, plus a goal-free exploration policy at the top that is
 rewarded by the novelty model.
 
 Each level is one LevelPolicy record: actor, critic, their optimizers, its
-replay buffer and its control settings; its action bounds are the actor's
-output bounds. Each episode either pursues the task goal or explores
+replay buffer and its control settings, and no copies: its action bounds
+are its actor's output bounds, its goal width is its buffer's (0 for the
+explore policy). Each episode either pursues the task goal or explores
 (chosen with probability tau). Control descends recursively, and every
 level runs the same loop: act, let the level below carry the action out (the
 bottom level acts in the environment), store one row. The rollout carries
@@ -44,6 +45,7 @@ STATE_DIM = 4   # (x, y, vx, vy)
 GOAL_DIM = 2    # (x, y)
 
 REPLAY_CAPACITY = 1_000_000
+Q_HIGH = 0.0    # the top of every level's value range: rewards are never positive
 
 # Quadratic penalty on normalized actor outputs during updates. Without a
 # restoring force the bounded actor drifts into the tanh tails over tens of
@@ -63,9 +65,7 @@ class LevelPolicy:
     buffer: ReplayBuffer
     actor_opt: Optimizer
     critic_opt: Optimizer
-    goal_dim: int
     q_low: float
-    q_high: float
     horizon: int
     epsilon: float
     subgoal_test_rate: float
@@ -79,7 +79,6 @@ class LevelPolicy:
 
 @dataclass
 class EpisodeRecord:
-    mode: str
     top_policy_used: str
     primitive_states: list
     closest_distance: float
@@ -94,8 +93,6 @@ class HacxAgent:
     tau: float
     novelty: rnd.NoveltyModel
     visits: VisitGrid
-    state_dim: int = STATE_DIM
-    goal_dim: int = GOAL_DIM
     num_relabels: int = 2
     relabel_enabled: bool = True
     env_name: str = ""
@@ -144,7 +141,7 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
         critic = approx.network_init([STATE_DIM + goal_dim + act_dim, *hidden, 1], rng)
         return LevelPolicy(actor, critic,
                            ReplayBuffer(replay_capacity, (STATE_DIM, goal_dim, act_dim)),
-                           Optimizer(actor_lr), Optimizer(critic_lr), goal_dim, q_low, 0.0,
+                           Optimizer(actor_lr), Optimizer(critic_lr), q_low,
                            horizon, epsilon_level, subgoal_test_rate,
                            noise_scale * (high - low) / 2.0)
 
@@ -171,12 +168,12 @@ def select_action(policy: LevelPolicy, state, goal, mode: str,
                   rng: np.random.Generator = None) -> np.ndarray:
     """Actor output, optionally with diagonal Gaussian noise, clipped to the
     level's bounds. goal is None for the exploration policy."""
-    if policy.goal_dim:
-        x = policy.actor_in
-        x[:-policy.goal_dim] = state
-        x[-policy.goal_dim:] = goal
-    else:
+    if goal is None:
         x = state
+    else:
+        x = policy.actor_in
+        x[:STATE_DIM] = state
+        x[STATE_DIM:] = goal
     a = approx.forward(policy.actor, x)
     if mode == "noisy":
         noise = rng.normal(0.0, 1.0, size=a.shape)
@@ -316,21 +313,19 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
 
     positions = np.array(ep.primitive_states)[:, :2]
     closest = float(np.min(np.linalg.norm(positions - task_goal, axis=1)))
-    return EpisodeRecord(mode, top, ep.primitive_states, closest, ep.success, ep.counts)
+    return EpisodeRecord(top, ep.primitive_states, closest, ep.success, ep.counts)
 
 
-def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
-           rng: np.random.Generator = None) -> dict:
+def update(agent: HacxAgent, rounds: int, batch_size: int,
+           rng: np.random.Generator) -> dict:
     """Interleaved critic and actor steps on every level's own buffer.
 
     Critic regresses on r + discount * q(s', g, actor(s', g)) computed from
     the current networks (no target copies), with the target clamped to the
-    level's feasible value range. The actor ascends the critic's action
-    gradient. Levels whose buffers hold fewer than batch_size transitions
+    level's feasible value range [q_low, Q_HIGH]. The actor ascends the
+    critic's action gradient. Levels whose buffers hold fewer than batch_size transitions
     are skipped.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     diag = {}
     named = [(f"level{i}", p) for i, p in enumerate(agent.levels)]
     named.append(("explore", agent.explore_top))
@@ -357,8 +352,8 @@ def update(agent: HacxAgent, rounds: int = 40, batch_size: int = 128,
                 next_in[:, sd:sg_w] = g
             next_in[:, sg_w:] = approx.forward(p.actor, next_in[:, :sg_w])
             q_next = approx.forward(p.critic, next_in)[:, 0]
-            q_next = np.clip(q_next, p.q_low, p.q_high)
-            y = np.clip(rew + disc * q_next, p.q_low, p.q_high)
+            q_next = np.clip(q_next, p.q_low, Q_HIGH)
+            y = np.clip(rew + disc * q_next, p.q_low, Q_HIGH)
 
             q_pred, trace = approx.forward_trace(p.critic, sga)
             diff = q_pred[:, 0] - y
@@ -427,9 +422,9 @@ def _policy_lines(tag: str, level_index: int, p: LevelPolicy) -> list:
              f"horizon = {p.horizon}",
              f"epsilon = {fmt_float(p.epsilon)}",
              f"subgoal_test_rate = {fmt_float(p.subgoal_test_rate)}",
-             f"goal_dim = {p.goal_dim}",
+             f"goal_dim = {p.buffer.widths[1]}",
              f"q_low = {fmt_float(p.q_low)}",
-             f"q_high = {fmt_float(p.q_high)}",
+             f"q_high = {fmt_float(Q_HIGH)}",
              f"capacity = {p.buffer.capacity}",
              "noise_sigma = " + fmt_floats(p.noise_sigma),
              "low = " + fmt_floats(p.actor.output_low),
@@ -448,8 +443,8 @@ def policy_snapshot(agent: HacxAgent) -> str:
     lines = [MAGIC, "[agent]",
              f"k = {agent.k}",
              f"tau = {fmt_float(agent.tau)}",
-             f"state_dim = {agent.state_dim}",
-             f"goal_dim = {agent.goal_dim}",
+             f"state_dim = {STATE_DIM}",
+             f"goal_dim = {GOAL_DIM}",
              f"num_relabels = {agent.num_relabels}",
              f"relabel_enabled = {int(agent.relabel_enabled)}",
              f"env_name = {agent.env_name}",
@@ -459,7 +454,7 @@ def policy_snapshot(agent: HacxAgent) -> str:
         lines += _policy_lines(f"level{i}", i, p)
     lines += _policy_lines("explore", agent.k - 1, agent.explore_top)
     lines += ["[rnd]",
-              f"code_dim = {agent.novelty.code_dim}",
+              f"code_dim = {agent.novelty.target.output_dim}",
               f"epsilon_rnd = {fmt_float(agent.novelty.epsilon_rnd)}",
               f"phase_index = {agent.novelty.phase_index}",
               f"state_capacity = {agent.novelty.state_buffer.shape[0]}"]
@@ -531,25 +526,36 @@ def _read_opt(r: _SnapshotReader, tag: str, net: Network) -> Optimizer:
     return opt
 
 
-def _read_policy(r: _SnapshotReader, tag: str) -> LevelPolicy:
-    sec = r.section(f"policy {tag}")
+def _check_equal(where: str, key: str, got, want, source: str) -> None:
+    """Refuse a parsed value that differs from want, the value source fixes."""
+    if not np.array_equal(got, want):
+        raise CheckpointError(f"[{where}]: {key} {got} differs from {want}, {source}")
+
+
+def _read_policy(r: _SnapshotReader, tag: str, level_index: int, goal_dim: int) -> LevelPolicy:
+    """The policy at level_index with a goal_dim-wide goal (0 for the explore
+    policy); its written copies must equal their sources."""
+    where = f"policy {tag}"
+    sec = r.section(where)
     actor = _read_net(r, f"{tag}.actor")
     critic = _read_net(r, f"{tag}.critic")
-    act_dim = actor.layer_sizes[-1]
+    act_dim = actor.output_dim
+    _check_equal(where, "level_index", int(sec["level_index"]), level_index, "its place")
+    _check_equal(where, "goal_dim", int(sec["goal_dim"]), goal_dim, "its place")
+    _check_equal(where, "q_high", float(sec["q_high"]), Q_HIGH, "Q_HIGH")
     for key, bound in (("low", actor.output_low), ("high", actor.output_high)):
-        if bound is None or not np.array_equal(_parse_array(sec, key, (act_dim,)), bound):
-            raise CheckpointError(f"[policy {tag}]: {key} differs from the actor's "
-                                  "output bounds")
-    goal_dim = int(sec["goal_dim"])
-    if not 0 <= goal_dim < actor.input_dim:
-        raise CheckpointError(f"[policy {tag}]: goal_dim {goal_dim} does not fit an actor "
-                              f"input of {actor.input_dim}")
-    widths = (actor.input_dim - goal_dim, goal_dim, act_dim)
-    return LevelPolicy(actor, critic, ReplayBuffer(int(sec["capacity"]), widths),
+        _check_equal(where, key, _parse_array(sec, key, (act_dim,)), bound,
+                     "the actor's output bounds")
+    _check_equal(f"network {tag}.actor", "input size", actor.input_dim, STATE_DIM + goal_dim,
+                 "STATE_DIM + goal_dim")
+    _check_equal(f"network {tag}.critic", "input and output sizes",
+                 (critic.input_dim, critic.output_dim), (actor.input_dim + act_dim, 1),
+                 "the actor's input and output, and one value")
+    return LevelPolicy(actor, critic,
+                       ReplayBuffer(int(sec["capacity"]), (STATE_DIM, goal_dim, act_dim)),
                        _read_opt(r, f"{tag}.actor", actor),
                        _read_opt(r, f"{tag}.critic", critic),
-                       goal_dim, float(sec["q_low"]), float(sec["q_high"]),
-                       int(sec["horizon"]), float(sec["epsilon"]),
+                       float(sec["q_low"]), int(sec["horizon"]), float(sec["epsilon"]),
                        float(sec["subgoal_test_rate"]),
                        _parse_array(sec, "noise_sigma", (act_dim,)))
 
@@ -557,7 +563,8 @@ def _read_policy(r: _SnapshotReader, tag: str) -> LevelPolicy:
 def restore(snapshot: str) -> HacxAgent:
     """Rebuild an agent from policy_snapshot output. Replay buffers and the
     novelty state buffer come back empty. Any malformed content raises
-    CheckpointError."""
+    CheckpointError, and so does a snapshot that contradicts itself: a copy
+    that differs from its source, or networks that do not fit together."""
     try:
         return _restore(snapshot)
     except (KeyError, ValueError) as e:
@@ -568,18 +575,24 @@ def _restore(snapshot: str) -> HacxAgent:
     r = _SnapshotReader(snapshot)
     a = r.section("agent")
     k = int(a["k"])
-    levels = [_read_policy(r, f"level{i}") for i in range(k)]
-    explore_top = _read_policy(r, "explore")
+    if k < 1:
+        raise CheckpointError(f"[agent]: k = {k}, need at least 1 level")
+    _check_equal("agent", "state_dim", int(a["state_dim"]), STATE_DIM, "STATE_DIM")
+    _check_equal("agent", "goal_dim", int(a["goal_dim"]), GOAL_DIM, "GOAL_DIM")
+    levels = [_read_policy(r, f"level{i}", i, GOAL_DIM) for i in range(k)]
+    explore_top = _read_policy(r, "explore", k - 1, 0)
     rs = r.section("rnd")
-    predictor = _read_net(r, "rnd.predictor")
+    target, predictor = _read_net(r, "rnd.target"), _read_net(r, "rnd.predictor")
+    _check_equal("rnd", "code_dim", int(rs["code_dim"]), target.output_dim,
+                 "the target's output size")
+    _check_equal("network rnd.target", "input size", target.input_dim, 2, "the (x, y) position")
+    _check_equal("network rnd.predictor", "sizes", predictor.layer_sizes, target.layer_sizes,
+                 "the target's sizes")
     novelty = rnd.NoveltyModel(
-        _read_net(r, "rnd.target"), predictor,
-        _read_opt(r, "rnd.predictor", predictor),
-        int(rs["code_dim"]), float(rs["epsilon_rnd"]),
+        target, predictor, _read_opt(r, "rnd.predictor", predictor), float(rs["epsilon_rnd"]),
         np.zeros((int(rs["state_capacity"]), 2), dtype=np.float32), int(rs["phase_index"]))
     vb = _parse_array(a, "visit_bounds", (4,))
     visits = VisitGrid(tuple(float(v) for v in vb), int(a["visit_resolution"]))
     return HacxAgent(levels, explore_top, float(a["tau"]), novelty, visits,
-                     int(a["state_dim"]), int(a["goal_dim"]),
                      int(a["num_relabels"]), bool(int(a["relabel_enabled"])),
                      a.get("env_name", ""))

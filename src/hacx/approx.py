@@ -13,7 +13,7 @@ caller scales the upstream gradient to get means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,10 +266,3 @@ def optimizer_step(net: Network, g: np.ndarray, opt: Optimizer) -> Network:
     opt.v += (1.0 - opt.beta2) * (g * g)
     net.params -= opt.learning_rate * (opt.m / b1c) / (np.sqrt(opt.v / b2c) + opt.eps)
     return net
-
-
-def copy_network(net: Network) -> Network:
-    """A deep copy: parameters and output bounds share no memory with net."""
-    return replace(net, layer_sizes=list(net.layer_sizes), params=net.params.copy(),
-                   output_low=None if net.output_low is None else net.output_low.copy(),
-                   output_high=None if net.output_high is None else net.output_high.copy())

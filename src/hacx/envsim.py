@@ -46,7 +46,6 @@ class VisitGrid:
     bounds: Rect
     resolution: int = 64
     counts: np.ndarray = None
-    recorded: int = 0
 
     def __post_init__(self):
         if self.counts is None:
@@ -341,7 +340,6 @@ def record_visit(grid: VisitGrid, x: float, y: float) -> VisitGrid:
     ix = min(int((x - x0) / (x1 - x0) * res), res - 1)
     iy = min(int((y - y0) / (y1 - y0) * res), res - 1)
     grid.counts[ix, iy] += 1
-    grid.recorded += 1
     return grid
 
 

@@ -137,7 +137,6 @@ class ReplayBuffer:
         self.rows = None
         self.widths = (sd, gd, ad)
         self.width = 2 * sd + gd + ad + 2
-        self.explore = gd == 0
         # column slices of state, goal, action, next_state
         self._spans = (slice(0, sd), slice(sd, sd + gd), slice(sd + gd, sd + gd + ad),
                        slice(sd + gd + ad, 2 * sd + gd + ad))
@@ -146,7 +145,7 @@ class ReplayBuffer:
         """(state, goal_or_None, action, next_state, reward, discount): views
         into rows laid out like this buffer's rows."""
         s, g, a, ns = self._spans
-        return (rows[:, s], None if self.explore else rows[:, g], rows[:, a], rows[:, ns],
+        return (rows[:, s], None if self.widths[1] == 0 else rows[:, g], rows[:, a], rows[:, ns],
                 rows[:, -2], rows[:, -1])
 
 

@@ -182,16 +182,12 @@ def evaluate(agent: HacxAgent, spec: EnvSpec, n_test: int,
 
 
 def write_metrics(rows, path: str) -> None:
+    """One line per row, in METRICS_HEADER's column order: the episode as an
+    int, every other column as the repr of a float."""
+    episode, *floats = METRICS_HEADER.split(",")
     lines = [METRICS_HEADER]
     for r in rows:
-        lines.append(",".join([
-            str(int(r["episode"])),
-            repr(float(r["mean_closest_distance"])),
-            repr(float(r["success_rate"])),
-            repr(float(r["explore_fraction"])),
-            repr(float(r["novelty_new_fraction"])),
-            repr(float(r["seconds"])),
-        ]))
+        lines.append(",".join([str(int(r[episode])), *(repr(float(r[n])) for n in floats)]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

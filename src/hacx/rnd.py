@@ -5,7 +5,7 @@ target's by more than a threshold. The reward is binary: 0 for new states,
 -1 otherwise. The predictor is only trained in one large batch update at
 phase boundaries (advance_phase); between phases the reward is a frozen,
 pure function of the state, which is what makes the shrinking-novelty
-curriculum well defined.
+curriculum well defined. The code size is the target network's output size.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class NoveltyModel:
     target: Network
     predictor: Network
     predictor_opt: Optimizer
-    code_dim: int
     epsilon_rnd: float
     state_buffer: np.ndarray    # (capacity, 2) float32 ring of visited h(s)
     phase_index: int = 0
@@ -49,7 +48,7 @@ def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
     sizes = [2, *hidden, code_dim]
     target = approx.network_init(sizes, rng)
     predictor = approx.network_init(sizes, rng)
-    return NoveltyModel(target, predictor, Optimizer(learning_rate), code_dim, epsilon_rnd,
+    return NoveltyModel(target, predictor, Optimizer(learning_rate), epsilon_rnd,
                         np.zeros((capacity, 2), dtype=np.float32))
 
 
@@ -91,8 +90,8 @@ def observe(model: NoveltyModel, state) -> NoveltyModel:
     return model
 
 
-def advance_phase(model: NoveltyModel, gradient_steps: int = 2000,
-                  batch_size: int = 128, rng: np.random.Generator = None) -> NoveltyModel:
+def advance_phase(model: NoveltyModel, gradient_steps: int, batch_size: int,
+                  rng: np.random.Generator) -> NoveltyModel:
     """End the current curriculum phase: one large predictor update toward
     the target on states visited so far, then bump the phase counter.
 
@@ -101,9 +100,7 @@ def advance_phase(model: NoveltyModel, gradient_steps: int = 2000,
     if model.buffer_count == 0:
         log.warning("advance_phase called with empty state buffer; skipping")
         return model
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d = model.code_dim
+    d = model.target.output_dim
     for _ in range(gradient_steps):
         idx = rng.integers(0, model.buffer_count, batch_size)
         pts = model.state_buffer[idx].astype(float)

@@ -77,13 +77,14 @@ def test_make_agent_shapes_and_bounds():
     for lvl in ag.levels[1:]:
         assert np.allclose(lvl.actor.output_low, [0, 0])
         assert np.allclose(lvl.actor.output_high, [10, 10])
-    assert ag.explore_top.goal_dim == 0
+    assert ag.explore_top.buffer.widths[1] == 0
     # actor input: state alone for the explore policy, state+goal otherwise
     assert ag.explore_top.actor.layer_sizes[0] == 4
     assert ag.levels[0].actor.layer_sizes[0] == 6
-    # q ranges: (-horizon, 0) everywhere in a deep hierarchy
+    # q ranges: (-horizon, Q_HIGH = 0) everywhere in a deep hierarchy
+    assert agent.Q_HIGH == 0.0
     for lvl in ag.levels:
-        assert (lvl.q_low, lvl.q_high) == (-3.0, 0.0)
+        assert lvl.q_low == -3.0
 
 
 def test_make_agent_flat_value_range():
@@ -170,12 +171,11 @@ def test_test_mode_writes_nothing_and_uses_goal_policy():
     ag = small_agent(spec, tau=1.0)
     snap_before = agent.policy_snapshot(ag)
     rec = agent.run_episode(ag, spec, "test", np.random.default_rng(4))
-    assert rec.mode == "test"
     assert rec.top_policy_used == "goal"
     assert all(p.buffer.count == 0 for p in ag.levels)
     assert ag.explore_top.buffer.count == 0
     assert ag.novelty.buffer_count == 0
-    assert ag.visits.recorded == 0
+    assert ag.visits.counts.sum() == 0
     assert agent.policy_snapshot(ag) == snap_before
     positions = np.array(rec.primitive_states)[:, :2]
     dists = np.linalg.norm(positions - positions[-1], axis=1)
@@ -317,7 +317,7 @@ def test_novelty_and_visits_written_during_training():
     rec = agent.run_episode(ag, spec, "train", np.random.default_rng(1))
     steps = len(rec.primitive_states) - 1
     assert ag.novelty.buffer_count == steps
-    assert ag.visits.recorded == steps
+    assert ag.visits.counts.sum() == steps
 
 
 # updates -------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_update_trains_filled_policies():
     # unbounded; targets are clamped, so estimates cannot drift far)
     for name, p in (("level0", ag.levels[0]), ("level1", ag.levels[1])):
         if diag[name]["rounds"]:
-            assert p.q_low - 1.0 <= diag[name]["mean_q"] <= p.q_high + 1.0
+            assert p.q_low - 1.0 <= diag[name]["mean_q"] <= agent.Q_HIGH + 1.0
 
 
 def test_update_regresses_terminal_reward():
@@ -410,9 +410,10 @@ def test_update_clamps_bellman_targets():
 
 # snapshots -----------------------------------------------------------------------
 
-def test_snapshot_round_trip_preserves_behavior():
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_snapshot_round_trip_preserves_behavior(k):
     spec = arena()
-    ag = small_agent(spec, k=2, tau=0.37)
+    ag = small_agent(spec, k=k, tau=0.37)
     rng = np.random.default_rng(0)
     for _ in range(2):
         agent.run_episode(ag, spec, "train", rng)
@@ -428,11 +429,9 @@ def test_snapshot_round_trip_preserves_behavior():
 
     probe = np.random.default_rng(42)
     for pa, pb in zip(ag.levels + [ag.explore_top], back.levels + [back.explore_top]):
+        assert pa.buffer.widths == pb.buffer.widths
         for _ in range(50):
-            if pa.goal_dim:
-                x = probe.uniform(0, 10, 6)
-            else:
-                x = probe.uniform(0, 10, 4)
+            x = probe.uniform(0, 10, pa.actor.input_dim)
             assert np.array_equal(approx.forward(pa.actor, x),
                                   approx.forward(pb.actor, x))
             xc = probe.uniform(0, 10, pa.critic.layer_sizes[0])
@@ -445,7 +444,7 @@ def test_snapshot_round_trip_preserves_behavior():
     assert all(p.buffer.count == 0 for p in back.levels)
     assert back.explore_top.buffer.count == 0
     assert back.novelty.buffer_count == 0
-    assert back.visits.recorded == 0
+    assert back.visits.counts.sum() == 0
     # canonical form: snapshotting the restored agent reproduces the text
     assert agent.policy_snapshot(back) == snap
 
@@ -514,12 +513,54 @@ def test_snapshot_numbers_parse_bitwise():
     # a policy whose clip bounds are not its actor's output bounds
     ("low = -1.0 -1.0\nhigh = 1.0 1.0", "low = -5.0 -5.0\nhigh = 1.0 1.0", "differs"),
     ("low = -1.0 -1.0\nhigh = 1.0 1.0", "low = -1.0 -1.0\nhigh = 2.0 1.0", "differs"),
+    # no levels, or fewer levels than the snapshot holds (the explore policy
+    # is written as level 1 of 2)
+    ("k = 2", "k = 0", "at least 1 level"),
+    ("k = 2", "k = 1", "level_index 1 differs from 0"),
+    # copies of values the code or another line fixes
+    ("state_dim = 4", "state_dim = 7", "state_dim 7 differs from 4"),
+    ("goal_dim = 2", "goal_dim = 3", "goal_dim 3 differs from 2"),
+    ("level_index = 0", "level_index = 7", "level_index 7 differs from 0"),
+    ("goal_dim = 0", "goal_dim = 2", r"\[policy explore\]: goal_dim 2 differs from 0"),
+    ("q_high = 0.0", "q_high = 5.0", "q_high 5.0 differs from 0.0"),
+    ("code_dim = 4", "code_dim = 3", "code_dim 3 differs from 4"),
 ])
 def test_snapshot_inconsistent_bounds_rejected(old, new, why):
     snap = agent.policy_snapshot(small_agent())
     assert "\n" + old + "\n" in snap
     with pytest.raises(CheckpointError, match=why):
         agent.restore(snap.replace("\n" + old + "\n", "\n" + new + "\n", 1))
+
+
+def _resize(policy, role, sizes):
+    # a fresh network and optimizer, so the snapshot stays well formed
+    rng = np.random.default_rng(1)
+    old = getattr(policy, role)
+    setattr(policy, role, approx.network_init(sizes, rng, old.hidden_activation,
+                                              old.output_activation,
+                                              (old.output_low, old.output_high)))
+    setattr(policy, f"{role}_opt", approx.Optimizer(1e-3))
+
+
+@pytest.mark.parametrize("edit,why", [
+    # a level-0 critic too narrow for its actor's input plus action (8)
+    (lambda ag: _resize(ag.levels[0], "critic", [6, 16, 16, 1]), "critic.*differs"),
+    (lambda ag: _resize(ag.levels[0], "critic", [8, 16, 16, 2]), "critic.*differs"),
+    # a goal-free actor that takes a goal
+    (lambda ag: _resize(ag.explore_top, "actor", [6, 16, 16, 2]), "actor.*input size"),
+    (lambda ag: setattr(ag.novelty, "predictor",
+                        approx.network_init([2, 8, 8, 5], np.random.default_rng(1))),
+     "predictor.*sizes"),
+    (lambda ag: setattr(ag.novelty, "target",
+                        approx.network_init([3, 8, 8, 4], np.random.default_rng(1))),
+     "target.*input size"),
+])
+def test_snapshot_networks_that_do_not_fit_rejected(edit, why):
+    # the networks read back must fit together as the rollout and update use them
+    ag = small_agent()
+    edit(ag)
+    with pytest.raises(CheckpointError, match=why):
+        agent.restore(agent.policy_snapshot(ag))
 
 
 @pytest.mark.parametrize("line,bad", [("hidden = relu", "hidden = sigmoid"),

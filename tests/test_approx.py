@@ -61,17 +61,9 @@ def test_init_rejects_inverted_bounds():
                   output_high=np.array([1.0]))),
 ])
 def test_network_construction_checks_itself(sizes, kw):
-    # the one check network_init, restore and copy_network all go through
+    # the one check network_init and restore both go through
     with pytest.raises(ConfigError):
         approx.Network(sizes, np.zeros(8), **kw)
-
-
-def test_copy_network_rechecks_bounds():
-    net = approx.network_init([3, 2], np.random.default_rng(0),
-                              output_activation="tanh_scaled", output_bounds=(-1.0, 1.0))
-    net.output_high[1] = np.inf
-    with pytest.raises(ConfigError):
-        approx.copy_network(net)
 
 
 def test_parameter_count():
@@ -305,26 +297,6 @@ def test_mismatched_gradient_shapes_rejected():
     approx.optimizer_step(other, np.zeros_like(other.params), opt)
     with pytest.raises(ShapeError):
         approx.optimizer_step(net, np.zeros_like(net.params), opt)
-
-
-def test_copy_network_is_independent():
-    net = approx.network_init([2, 3, 1], np.random.default_rng(6))
-    dup = approx.copy_network(net)
-    dup.weights[0][0, 0] += 1.0
-    assert net.weights[0][0, 0] != dup.weights[0][0, 0]
-    assert parameter_count(dup) == parameter_count(net)
-    # no memory is shared, and the copy's views alias its own vector
-    net = approx.network_init([3, 5, 2], np.random.default_rng(6),
-                              output_activation="tanh_scaled", output_bounds=(-1.0, 2.0))
-    dup = approx.copy_network(net)
-    assert np.array_equal(dup.params, net.params)
-    for a, b in ((dup.params, net.params), (dup.output_low, net.output_low),
-                 (dup.output_high, net.output_high)):
-        assert not np.shares_memory(a, b)
-    for a in dup.weights + dup.biases:
-        assert np.shares_memory(a, dup.params)
-        assert not np.shares_memory(a, net.params)
-    assert dup.layer_sizes == net.layer_sizes and dup.layer_sizes is not net.layer_sizes
 
 
 # bitwise agreement with the allocating reference pass ----------------------

@@ -298,15 +298,17 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
     assert "optimizer kind" in capsys.readouterr().err
     # a bad number or a missing key in a complete snapshot is one too
-    # ... and so is a bad token inside a numeric block, or a goal width the
-    # actor's input cannot hold
+    # ... and so is a bad token inside a numeric block, a goal width the
+    # actor's input cannot hold, no levels, or fewer levels than were written
     a0 = next(ln for ln in good.splitlines() if ln.startswith("A0 = "))
     bad_a0 = "A0 = 0.5x " + a0.split(" ", 3)[3]
     policy = good.index("[policy level0]")
     for bad in (good.replace("k = 2\n", "k = two\n", 1),
                 good.replace("q_low = ", "q_lo = ", 1),
                 good.replace(a0, bad_a0, 1),
-                good[:policy] + good[policy:].replace("goal_dim = 2\n", "goal_dim = 6\n", 1)):
+                good[:policy] + good[policy:].replace("goal_dim = 2\n", "goal_dim = 6\n", 1),
+                good.replace("k = 2\n", "k = 0\n", 1),
+                good.replace("k = 2\n", "k = 1\n", 1)):
         path.write_text(bad)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
         assert "checkpoint error" in capsys.readouterr().err

@@ -12,7 +12,8 @@ def fresh_model(seed=0, **kw):
 
 
 def clone_target_into_predictor(model):
-    model.predictor = approx.copy_network(model.target)
+    t = model.target
+    model.predictor = approx.Network(t.layer_sizes, t.params.copy())
     return model
 
 
@@ -81,7 +82,7 @@ def test_advance_phase_zero_steps_only_bumps_counter():
     model = fresh_model()
     rnd.observe(model, np.array([1.0, 1.0]))
     before = [w.copy() for w in model.predictor.weights]
-    rnd.advance_phase(model, gradient_steps=0, rng=np.random.default_rng(0))
+    rnd.advance_phase(model, 0, 128, np.random.default_rng(0))
     assert model.phase_index == 1
     for a, b in zip(model.predictor.weights, before):
         assert np.array_equal(a, b)
@@ -91,7 +92,7 @@ def test_advance_phase_empty_buffer_is_a_warned_noop(caplog):
     model = fresh_model()
     before = [w.copy() for w in model.predictor.weights]
     with caplog.at_level(logging.WARNING):
-        rnd.advance_phase(model, gradient_steps=10, rng=np.random.default_rng(0))
+        rnd.advance_phase(model, 10, 128, np.random.default_rng(0))
     assert model.phase_index == 0
     for a, b in zip(model.predictor.weights, before):
         assert np.array_equal(a, b)
