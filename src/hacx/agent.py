@@ -3,10 +3,14 @@ primitive level, plus a goal-free exploration policy at the top that is
 rewarded by the novelty model.
 
 Each level is one LevelPolicy record: actor, critic, their optimizers, its
-replay buffer and its control settings, and no copies: its action bounds
+replay buffer and its exploration noise, and no copies: its action bounds
 are its actor's output bounds, its goal width is its buffer's (0 for the
-explore policy). Each episode either pursues the task goal or explores
-(chosen with probability tau). Control descends recursively, and every
+explore policy). The settings every level shares are held once, by the
+agent: the horizon H, the goal threshold epsilon, the subgoal test rate and
+the value floor q_low. Each episode either pursues the task goal or explores
+(chosen with probability tau); an explore episode's top-level steps are
+also relabeled into the goal top level's buffer, so exploring trains the
+goal policy. Control descends recursively, and every
 level runs the same loop: act, let the level below carry the action out (the
 bottom level acts in the environment), store one row. The rollout carries
 the primitive state as one float64 vector (x, y, vx, vy) per environment
@@ -43,8 +47,10 @@ log = logging.getLogger(__name__)
 
 STATE_DIM = 4   # (x, y, vx, vy)
 GOAL_DIM = 2    # (x, y)
+ACTION_DIM = 2  # (ax, ay)
 
 REPLAY_CAPACITY = 1_000_000
+EXPLORE_NOISE_SCALE = 0.2
 Q_HIGH = 0.0    # the top of every level's value range: rewards are never positive
 
 # Quadratic penalty on normalized actor outputs during updates. Without a
@@ -57,18 +63,14 @@ ACTION_PENALTY = 0.05
 @dataclass
 class LevelPolicy:
     """One level's policy. Its actions lie in [actor.output_low,
-    actor.output_high]; horizon, epsilon and subgoal_test_rate govern how it
-    runs, noise_sigma is the per-dimension Gaussian exploration noise."""
+    actor.output_high]; noise_sigma is the per-dimension Gaussian
+    exploration noise."""
 
     actor: Network
     critic: Network
     buffer: ReplayBuffer
     actor_opt: Optimizer
     critic_opt: Optimizer
-    q_low: float
-    horizon: int
-    epsilon: float
-    subgoal_test_rate: float
     noise_sigma: np.ndarray
     # the actor's [s | g] input, refilled by select_action at every step
     actor_in: np.ndarray = field(init=False, repr=False, compare=False)
@@ -88,11 +90,20 @@ class EpisodeRecord:
 
 @dataclass
 class HacxAgent:
+    """The levels, the explore policy and the settings they all share: a
+    level below the top stops after horizon actions or within epsilon of its
+    subgoal, a proposed subgoal is tested with probability
+    subgoal_test_rate, and every critic is clamped to [q_low, Q_HIGH]."""
+
     levels: list
     explore_top: LevelPolicy
     tau: float
     novelty: rnd.NoveltyModel
     visits: VisitGrid
+    horizon: int
+    epsilon: float
+    subgoal_test_rate: float
+    q_low: float
     num_relabels: int = 2
     relabel_enabled: bool = True
     env_name: str = ""
@@ -104,7 +115,8 @@ class HacxAgent:
 
 def _noise_scale(i: int, k: int) -> float:
     """Noise grows with level: 10% of the half-range at the bottom, 20% at
-    the top of a hierarchy, 15% in between."""
+    the top of a hierarchy, 15% in between. The explore policy's is
+    EXPLORE_NOISE_SCALE."""
     if i == 0:
         return 0.1
     return 0.2 if i == k - 1 else 0.15
@@ -114,10 +126,8 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
                horizon: int = 10, epsilon_level: float = 0.5,
                subgoal_test_rate: float = 0.3, tau: float = 0.6,
                hidden=(64, 64), actor_lr: float = 1e-4, critic_lr: float = 1e-3,
-               rnd_code_dim: int = 16, rnd_hidden=(32, 32), rnd_lr: float = 1e-3,
-               rnd_epsilon=None, rnd_capacity: int = rnd.STATE_BUFFER_CAPACITY,
-               num_relabels: int = 2, relabel_enabled: bool = True,
-               replay_capacity: int = REPLAY_CAPACITY) -> HacxAgent:
+               rnd_code_dim: int = 16, rnd_lr: float = 1e-3, rnd_epsilon=None,
+               num_relabels: int = 2, relabel_enabled: bool = True) -> HacxAgent:
     """Build a fresh agent for a task. All parameter draws come from rng in
     a fixed order, so agents are reproducible given the seed."""
     if k < 1:
@@ -140,23 +150,20 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
         # squashed output saturates at the reward-0 end and stops learning)
         critic = approx.network_init([STATE_DIM + goal_dim + act_dim, *hidden, 1], rng)
         return LevelPolicy(actor, critic,
-                           ReplayBuffer(replay_capacity, (STATE_DIM, goal_dim, act_dim)),
-                           Optimizer(actor_lr), Optimizer(critic_lr), q_low,
-                           horizon, epsilon_level, subgoal_test_rate,
-                           noise_scale * (high - low) / 2.0)
+                           ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, goal_dim, act_dim)),
+                           Optimizer(actor_lr), Optimizer(critic_lr), noise_scale * actor.half)
 
     levels = [policy(GOAL_DIM, act if i == 0 else sub, _noise_scale(i, k)) for i in range(k)]
-    explore_top = policy(0, sub if k >= 2 else act, 0.2)
+    explore_top = policy(0, sub if k >= 2 else act, EXPLORE_NOISE_SCALE)
 
-    novelty = rnd.novelty_model_init(rng, code_dim=rnd_code_dim, hidden=rnd_hidden,
-                                     learning_rate=rnd_lr, capacity=rnd_capacity)
+    novelty = rnd.novelty_model_init(rng, code_dim=rnd_code_dim, learning_rate=rnd_lr)
     if rnd_epsilon is None:
         rnd.calibrate_epsilon(novelty, spec.bounds, rng)
     else:
         novelty.epsilon_rnd = float(rnd_epsilon)
 
-    return HacxAgent(levels, explore_top, tau, novelty,
-                     VisitGrid(spec.bounds), num_relabels=num_relabels,
+    return HacxAgent(levels, explore_top, tau, novelty, VisitGrid(spec.bounds), horizon,
+                     epsilon_level, subgoal_test_rate, q_low, num_relabels=num_relabels,
                      relabel_enabled=relabel_enabled, env_name=spec.name)
 
 
@@ -242,7 +249,7 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
     mode = "noisy" if train and not testing else "deterministic"
     explore_here = is_top and ep.top == "explore"
     policy = agent.explore_top if explore_here else agent.levels[i]
-    eps = policy.epsilon
+    eps = agent.epsilon
     name = "explore" if explore_here else f"level{i}"
     if explore_here:
         goal = None
@@ -258,7 +265,7 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
         s_vec = ep.s_vec
         action = select_action(policy, s_vec, goal, mode, ep.rng)
         child_testing = i > 0 and (testing or (train and ep.rng.random()
-                                               < policy.subgoal_test_rate))
+                                               < agent.subgoal_test_rate))
         if i == 0:
             x, y = _env_step(agent, ep, action, train)
         else:
@@ -275,19 +282,17 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
                 row = pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
                                0.0 if reached else DISCOUNT)
             else:
-                row = hindsight_action_transition(s_vec, action, ns_vec, goal, eps)
+                row = hindsight_action_transition(s_vec, ns_vec, goal, eps)
             buffer_push(policy.buffer, row)
             ep.counts[name] += 1
             segment.append((s_vec, act, ns_vec))
             if child_testing:
-                child = agent.levels[i - 1]
-                row = subgoal_test_transition(s_vec, action, ns_vec, child.horizon,
-                                              child.epsilon, goal)
+                row = subgoal_test_transition(s_vec, action, ns_vec, agent.horizon, eps, goal)
                 if row is not None:
                     buffer_push(policy.buffer, row)
                     ep.counts[name] += 1
 
-        if ep.done or (not is_top and (reached or attempts >= policy.horizon)):
+        if ep.done or (not is_top and (reached or attempts >= agent.horizon)):
             return x, y
 
 
@@ -307,7 +312,7 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     if train and agent.relabel_enabled and agent.num_relabels > 0:
         for p, segments in zip(agent.levels, ep.segments):
             for seg in filter(None, segments):
-                rows = hindsight_goal_transitions(seg, agent.num_relabels, p.epsilon, rng)
+                rows = hindsight_goal_transitions(seg, agent.num_relabels, agent.epsilon, rng)
                 buffer_push(p.buffer, rows)
                 ep.counts["relabel"] += len(rows)
 
@@ -322,7 +327,7 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
 
     Critic regresses on r + discount * q(s', g, actor(s', g)) computed from
     the current networks (no target copies), with the target clamped to the
-    level's feasible value range [q_low, Q_HIGH]. The actor ascends the
+    feasible value range [agent.q_low, Q_HIGH]. The actor ascends the
     critic's action gradient. Levels whose buffers hold fewer than batch_size transitions
     are skipped.
     """
@@ -352,8 +357,8 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
                 next_in[:, sd:sg_w] = g
             next_in[:, sg_w:] = approx.forward(p.actor, next_in[:, :sg_w])
             q_next = approx.forward(p.critic, next_in)[:, 0]
-            q_next = np.clip(q_next, p.q_low, Q_HIGH)
-            y = np.clip(rew + disc * q_next, p.q_low, Q_HIGH)
+            q_next = np.clip(q_next, agent.q_low, Q_HIGH)
+            y = np.clip(rew + disc * q_next, agent.q_low, Q_HIGH)
 
             q_pred, trace = approx.forward_trace(p.critic, sga)
             diff = q_pred[:, 0] - y
@@ -416,14 +421,14 @@ def _opt_lines(tag: str, opt: Optimizer, net: Network) -> list:
     return lines
 
 
-def _policy_lines(tag: str, level_index: int, p: LevelPolicy) -> list:
+def _policy_lines(agent: HacxAgent, tag: str, level_index: int, p: LevelPolicy) -> list:
     lines = [f"[policy {tag}]",
              f"level_index = {level_index}",
-             f"horizon = {p.horizon}",
-             f"epsilon = {fmt_float(p.epsilon)}",
-             f"subgoal_test_rate = {fmt_float(p.subgoal_test_rate)}",
+             f"horizon = {agent.horizon}",
+             f"epsilon = {fmt_float(agent.epsilon)}",
+             f"subgoal_test_rate = {fmt_float(agent.subgoal_test_rate)}",
              f"goal_dim = {p.buffer.widths[1]}",
-             f"q_low = {fmt_float(p.q_low)}",
+             f"q_low = {fmt_float(agent.q_low)}",
              f"q_high = {fmt_float(Q_HIGH)}",
              f"capacity = {p.buffer.capacity}",
              "noise_sigma = " + fmt_floats(p.noise_sigma),
@@ -451,8 +456,8 @@ def policy_snapshot(agent: HacxAgent) -> str:
              "visit_bounds = " + fmt_floats(agent.visits.bounds),
              f"visit_resolution = {agent.visits.resolution}"]
     for i, p in enumerate(agent.levels):
-        lines += _policy_lines(f"level{i}", i, p)
-    lines += _policy_lines("explore", agent.k - 1, agent.explore_top)
+        lines += _policy_lines(agent, f"level{i}", i, p)
+    lines += _policy_lines(agent, "explore", agent.k - 1, agent.explore_top)
     lines += ["[rnd]",
               f"code_dim = {agent.novelty.target.output_dim}",
               f"epsilon_rnd = {fmt_float(agent.novelty.epsilon_rnd)}",
@@ -506,6 +511,8 @@ def _parse_layers(sec: dict, wkey: str, bkey: str, sizes) -> np.ndarray:
 def _read_net(r: _SnapshotReader, tag: str) -> Network:
     sec = r.section(f"network {tag}")
     sizes = [int(v) for v in sec["sizes"].split()]
+    if len(sizes) < 2:
+        raise CheckpointError(f"[network {tag}]: sizes {sizes}, need an input and an output size")
     low = high = None
     if sec["output"] == "tanh_scaled":
         low = _parse_array(sec, "out_low", (sizes[-1],))
@@ -532,32 +539,46 @@ def _check_equal(where: str, key: str, got, want, source: str) -> None:
         raise CheckpointError(f"[{where}]: {key} {got} differs from {want}, {source}")
 
 
-def _read_policy(r: _SnapshotReader, tag: str, level_index: int, goal_dim: int) -> LevelPolicy:
+# The settings every level shares, with their parsers: the snapshot writes a
+# copy into each [policy] section, and [policy level0]'s is the one read.
+_SHARED = (("horizon", int), ("epsilon", float), ("subgoal_test_rate", float),
+           ("q_low", float))
+
+
+def _read_policy(r: _SnapshotReader, tag: str, level_index: int, goal_dim: int,
+                 noise_scale: float, shared: dict) -> LevelPolicy:
     """The policy at level_index with a goal_dim-wide goal (0 for the explore
-    policy); its written copies must equal their sources."""
+    policy) and noise_scale; its written copies must equal their sources,
+    its copies of the shared settings the values in shared."""
     where = f"policy {tag}"
     sec = r.section(where)
     actor = _read_net(r, f"{tag}.actor")
+    _check_equal(f"network {tag}.actor", "output size", actor.output_dim,
+                 ACTION_DIM if level_index == 0 else GOAL_DIM,
+                 "ACTION_DIM at level 0, GOAL_DIM above")
     critic = _read_net(r, f"{tag}.critic")
     act_dim = actor.output_dim
     _check_equal(where, "level_index", int(sec["level_index"]), level_index, "its place")
     _check_equal(where, "goal_dim", int(sec["goal_dim"]), goal_dim, "its place")
     _check_equal(where, "q_high", float(sec["q_high"]), Q_HIGH, "Q_HIGH")
+    for key, parse in _SHARED:
+        _check_equal(where, key, parse(sec[key]), shared[key], "[policy level0]")
+    _check_equal(where, "capacity", int(sec["capacity"]), REPLAY_CAPACITY, "REPLAY_CAPACITY")
     for key, bound in (("low", actor.output_low), ("high", actor.output_high)):
         _check_equal(where, key, _parse_array(sec, key, (act_dim,)), bound,
                      "the actor's output bounds")
+    noise_sigma = noise_scale * actor.half
+    _check_equal(where, "noise_sigma", _parse_array(sec, "noise_sigma", (act_dim,)), noise_sigma,
+                 f"{noise_scale} times the actor's half-range")
     _check_equal(f"network {tag}.actor", "input size", actor.input_dim, STATE_DIM + goal_dim,
                  "STATE_DIM + goal_dim")
     _check_equal(f"network {tag}.critic", "input and output sizes",
                  (critic.input_dim, critic.output_dim), (actor.input_dim + act_dim, 1),
                  "the actor's input and output, and one value")
     return LevelPolicy(actor, critic,
-                       ReplayBuffer(int(sec["capacity"]), (STATE_DIM, goal_dim, act_dim)),
-                       _read_opt(r, f"{tag}.actor", actor),
-                       _read_opt(r, f"{tag}.critic", critic),
-                       float(sec["q_low"]), int(sec["horizon"]), float(sec["epsilon"]),
-                       float(sec["subgoal_test_rate"]),
-                       _parse_array(sec, "noise_sigma", (act_dim,)))
+                       ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, goal_dim, act_dim)),
+                       _read_opt(r, f"{tag}.actor", actor), _read_opt(r, f"{tag}.critic", critic),
+                       noise_sigma)
 
 
 def restore(snapshot: str) -> HacxAgent:
@@ -579,20 +600,29 @@ def _restore(snapshot: str) -> HacxAgent:
         raise CheckpointError(f"[agent]: k = {k}, need at least 1 level")
     _check_equal("agent", "state_dim", int(a["state_dim"]), STATE_DIM, "STATE_DIM")
     _check_equal("agent", "goal_dim", int(a["goal_dim"]), GOAL_DIM, "GOAL_DIM")
-    levels = [_read_policy(r, f"level{i}", i, GOAL_DIM) for i in range(k)]
-    explore_top = _read_policy(r, "explore", k - 1, 0)
+    level0 = r.section("policy level0")
+    shared = {key: parse(level0[key]) for key, parse in _SHARED}
+    levels = [_read_policy(r, f"level{i}", i, GOAL_DIM, _noise_scale(i, k), shared)
+              for i in range(k)]
+    explore_top = _read_policy(r, "explore", k - 1, 0, EXPLORE_NOISE_SCALE, shared)
     rs = r.section("rnd")
     target, predictor = _read_net(r, "rnd.target"), _read_net(r, "rnd.predictor")
     _check_equal("rnd", "code_dim", int(rs["code_dim"]), target.output_dim,
                  "the target's output size")
+    _check_equal("rnd", "state_capacity", int(rs["state_capacity"]), rnd.STATE_BUFFER_CAPACITY,
+                 "STATE_BUFFER_CAPACITY")
     _check_equal("network rnd.target", "input size", target.input_dim, 2, "the (x, y) position")
+    _check_equal("network rnd.target", "hidden sizes", target.layer_sizes[1:-1],
+                 rnd.RND_HIDDEN, "RND_HIDDEN")
     _check_equal("network rnd.predictor", "sizes", predictor.layer_sizes, target.layer_sizes,
                  "the target's sizes")
     novelty = rnd.NoveltyModel(
         target, predictor, _read_opt(r, "rnd.predictor", predictor), float(rs["epsilon_rnd"]),
-        np.zeros((int(rs["state_capacity"]), 2), dtype=np.float32), int(rs["phase_index"]))
-    vb = _parse_array(a, "visit_bounds", (4,))
-    visits = VisitGrid(tuple(float(v) for v in vb), int(a["visit_resolution"]))
-    return HacxAgent(levels, explore_top, float(a["tau"]), novelty, visits,
-                     int(a["num_relabels"]), bool(int(a["relabel_enabled"])),
-                     a.get("env_name", ""))
+        np.zeros((rnd.STATE_BUFFER_CAPACITY, 2), dtype=np.float32), int(rs["phase_index"]))
+    visits = VisitGrid(tuple(float(v) for v in _parse_array(a, "visit_bounds", (4,))))
+    _check_equal("agent", "visit_resolution", int(a["visit_resolution"]), visits.resolution,
+                 "the visit grid's resolution")
+    return HacxAgent(levels, explore_top, float(a["tau"]), novelty, visits, **shared,
+                     num_relabels=int(a["num_relabels"]),
+                     relabel_enabled=bool(int(a["relabel_enabled"])),
+                     env_name=a.get("env_name", ""))

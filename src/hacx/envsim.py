@@ -100,6 +100,12 @@ def validate_spec(spec: EnvSpec) -> EnvSpec:
     return spec
 
 
+def position(state) -> np.ndarray:
+    """The (x, y) of a state, or of each row of a batch of states: both the
+    goal space g(s) of the hierarchy and the novelty input h(s)."""
+    return np.asarray(state, dtype=float)[..., :2]
+
+
 def env_reset(spec: EnvSpec, rng: np.random.Generator):
     """Sample (state, task_goal): position uniform in the start region,
     velocity zero, goal uniform in the goal region."""

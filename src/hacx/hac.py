@@ -24,15 +24,10 @@ import math
 import numpy as np
 
 from . import rnd
+from .envsim import position
 from .errors import ShapeError
 
 DISCOUNT = 0.99
-
-
-def project_goal(state) -> np.ndarray:
-    """g(s): goal space is the (x, y) position."""
-    s = np.asarray(state, dtype=float)
-    return s[..., :2]
 
 
 def goal_reward(achieved, goal, epsilon: float):
@@ -54,12 +49,11 @@ def pack_row(state, goal, action, next_state, reward: float,
     return np.concatenate((*parts, (reward, discount)), dtype=float)
 
 
-def hindsight_action_transition(state, proposed_subgoal, achieved_state, goal,
-                                epsilon: float) -> np.ndarray:
-    """Subgoal-level row with the action replaced by what the lower levels
-    actually achieved; the proposed subgoal is discarded."""
+def hindsight_action_transition(state, achieved_state, goal, epsilon: float) -> np.ndarray:
+    """Subgoal-level row whose action is what the lower levels actually
+    achieved, whatever subgoal was proposed."""
     achieved = np.asarray(achieved_state, dtype=float)
-    action = project_goal(achieved)
+    action = position(achieved)
     reward, done = goal_reward(action, goal, epsilon)
     return pack_row(state, goal, action, achieved, reward, 0.0 if done else DISCOUNT)
 
@@ -72,7 +66,7 @@ def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: in
     transition already rewards that)."""
     proposed = np.asarray(proposed_subgoal, dtype=float)
     achieved = np.asarray(achieved_state, dtype=float)
-    if goal_reward(project_goal(achieved), proposed, epsilon)[1]:
+    if goal_reward(position(achieved), proposed, epsilon)[1]:
         return None
     return pack_row(state, goal, proposed, achieved, -float(horizon), 0.0)
 
@@ -91,7 +85,7 @@ def hindsight_goal_transitions(segment, num_relabels: int, epsilon: float,
         raise ValueError("empty segment")
     states, actions, nexts = (np.array(c, dtype=float) for c in zip(*segment))
     n, sd = states.shape
-    achieved = project_goal(nexts)
+    achieved = position(nexts)
     gd, ad = achieved.shape[1], actions.shape[1]
     if num_relabels <= 0:
         return np.empty((0, 2 * sd + gd + ad + 2))

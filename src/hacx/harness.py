@@ -218,7 +218,7 @@ def read_checkpoint(path: str) -> HacxAgent:
 def write_maps(agent: HacxAgent, spec: EnvSpec, out_dir: str) -> None:
     with open(os.path.join(out_dir, "visits.pgm"), "wb") as f:
         f.write(envsim.grid_to_image(agent.visits))
-    flags = rnd.novelty_map(agent.novelty, spec.bounds, 64)
+    flags = rnd.novelty_map(agent.novelty, spec.bounds, agent.visits.resolution)
     with open(os.path.join(out_dir, "novelty.pgm"), "wb") as f:
         f.write(envsim.bool_grid_to_image(flags))
     with open(os.path.join(out_dir, "novelty.txt"), "w") as f:
@@ -246,7 +246,7 @@ def run_trial(cfg: RunConfig, seed: int, out_dir: str) -> list:
         if ep_i % cfg.eval_every == 0 or ep_i == cfg.episodes:
             eval_rng = np.random.default_rng([seed, 9973, ep_i])
             mcd, sr = evaluate(agent, spec, cfg.test_episodes, eval_rng)
-            nf = rnd.new_fraction(agent.novelty, spec.bounds, 64)
+            nf = rnd.new_fraction(agent.novelty, spec.bounds, agent.visits.resolution)
             rows.append({
                 "episode": ep_i,
                 "mean_closest_distance": mcd,

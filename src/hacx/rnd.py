@@ -5,7 +5,10 @@ target's by more than a threshold. The reward is binary: 0 for new states,
 -1 otherwise. The predictor is only trained in one large batch update at
 phase boundaries (advance_phase); between phases the reward is a frozen,
 pure function of the state, which is what makes the shrinking-novelty
-curriculum well defined. The code size is the target network's output size.
+curriculum well defined. Both networks see only the (x, y) position
+(envsim.position). An agent's novelty networks have the hidden sizes
+RND_HIDDEN and its visited-state ring holds STATE_BUFFER_CAPACITY positions;
+the code size is the target network's output size.
 """
 
 from __future__ import annotations
@@ -17,16 +20,12 @@ import numpy as np
 
 from . import approx
 from .approx import Network, Optimizer
+from .envsim import position
 
 log = logging.getLogger(__name__)
 
+RND_HIDDEN = (32, 32)
 STATE_BUFFER_CAPACITY = 200_000
-
-
-def project_novelty(state) -> np.ndarray:
-    """h(s): the novelty networks see only the (x, y) position."""
-    s = np.asarray(state, dtype=float)
-    return s[..., :2]
 
 
 @dataclass
@@ -42,7 +41,7 @@ class NoveltyModel:
 
 
 def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
-                       hidden=(32, 32), epsilon_rnd: float = 0.1,
+                       hidden=RND_HIDDEN, epsilon_rnd: float = 0.1,
                        learning_rate: float = 1e-3,
                        capacity: int = STATE_BUFFER_CAPACITY) -> NoveltyModel:
     sizes = [2, *hidden, code_dim]
@@ -71,7 +70,7 @@ def novelty_errors(model: NoveltyModel, points: np.ndarray) -> np.ndarray:
 
 
 def novelty_error(model: NoveltyModel, state) -> float:
-    return float(novelty_errors(model, project_novelty(state)[None, :])[0])
+    return float(novelty_errors(model, position(state)[None, :])[0])
 
 
 def exploration_reward(model: NoveltyModel, state_next):
@@ -83,7 +82,7 @@ def exploration_reward(model: NoveltyModel, state_next):
 
 def observe(model: NoveltyModel, state) -> NoveltyModel:
     """Record h(s) into the ring buffer of visited states."""
-    model.state_buffer[model.buffer_next] = project_novelty(state)
+    model.state_buffer[model.buffer_next] = position(state)
     cap = model.state_buffer.shape[0]
     model.buffer_next = (model.buffer_next + 1) % cap
     model.buffer_count = min(model.buffer_count + 1, cap)

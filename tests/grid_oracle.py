@@ -50,9 +50,9 @@ def collect_transitions(repeats_per_cell, rng):
             start = (x, y)
             for _ in range(repeats_per_cell):
                 achieved = random_hop(start, rng)
-                proposed = rng.uniform(0, SIZE - 1, 2)  # discarded in hindsight
+                rng.uniform(0, SIZE - 1, 2)  # a proposed subgoal, which hindsight discards
                 t = transition(hac.hindsight_action_transition(
-                    state4(start), proposed, state4(achieved), goal_vec, 0.5))
+                    state4(start), state4(achieved), goal_vec, 0.5))
                 table[(start, achieved)] = t
     return table
 

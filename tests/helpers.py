@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, random network factories, a
-reference forward/backward pass, gradients by name, and a named view of
-packed transition rows with replay-buffer inspection helpers."""
+reference forward/backward pass, gradients by name, a named view of packed
+transition rows with replay-buffer inspection helpers, and a snapshot line
+editor."""
 
 from typing import NamedTuple
 
@@ -185,6 +186,41 @@ def transition(row) -> Transition:
 def transitions(block) -> list:
     """Named views of the rows of a block, in order."""
     return [transition(row) for row in block]
+
+
+# Snapshot editing
+
+def resize_network(policy, role, sizes):
+    """Give policy a fresh role ("actor" or "critic") network of the given
+    sizes, with the old one's activations and bounds on every output, and a
+    fresh optimizer, so that its snapshot stays well formed."""
+    old = getattr(policy, role)
+    bounds = None if old.output_low is None else (old.output_low[0], old.output_high[0])
+    setattr(policy, role, approx.network_init(sizes, np.random.default_rng(1),
+                                              old.hidden_activation, old.output_activation,
+                                              bounds))
+    setattr(policy, f"{role}_opt", approx.Optimizer(1e-3))
+
+
+def edit_line(text, key, value, section=None, was=None):
+    """text (a policy snapshot or any key = value text) with one `key = ...`
+    line set to `key = value`; value None deletes the line, and a callable
+    maps the old value to the new. The line edited is the first with that
+    key, inside [section] if given, and holding the value was if given; an
+    AssertionError says when there is none."""
+    lines = text.split("\n")
+    start = 0 if section is None else lines.index(f"[{section}]") + 1
+    for i in range(start, len(lines)):
+        if section is not None and lines[i].startswith("["):
+            break
+        k, sep, old = lines[i].partition(" = ")
+        if sep and k == key and (was is None or old == was):
+            if value is None:
+                del lines[i]
+            else:
+                lines[i] = f"{key} = {value(old) if callable(value) else value}"
+            return "\n".join(lines)
+    raise AssertionError(f"no {key} = {was or '...'} line in [{section or 'any section'}]")
 
 
 # Replay-buffer inspection

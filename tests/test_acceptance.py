@@ -72,14 +72,14 @@ def test_transition_invariants_hold_in_bulk():
     while total < 100_000 and not violations:
         goal = rng.uniform(-5, 5, 2)
         seg = _synthetic_segment(rng, int(rng.integers(3, 9)))
-        achieved = [hac.project_goal(ns) for (_, _, ns) in seg]
+        achieved = [envsim.position(ns) for (_, _, ns) in seg]
 
         for (s, a, ns) in seg:
-            t = helpers.transition(
-                hac.hindsight_action_transition(s, rng.uniform(-5, 5, 2), ns, goal, eps))
-            check(np.array_equal(t.action, hac.project_goal(ns)),
+            rng.uniform(-5, 5, 2)   # a proposed subgoal, which hindsight discards
+            t = helpers.transition(hac.hindsight_action_transition(s, ns, goal, eps))
+            check(np.array_equal(t.action, envsim.position(ns)),
                   "hindsight action is not the achieved goal projection")
-            r, done = hac.goal_reward(hac.project_goal(ns), goal, eps)
+            r, done = hac.goal_reward(envsim.position(ns), goal, eps)
             check(t.reward == r, "hindsight reward mismatch")
             check(t.discount == (0.0 if done else hac.DISCOUNT),
                   "hindsight discount mismatch")
@@ -103,7 +103,7 @@ def test_transition_invariants_hold_in_bulk():
             total += 1
 
         for t in helpers.transitions(hac.hindsight_goal_transitions(seg, 2, eps, rng)):
-            r, done = hac.goal_reward(hac.project_goal(t.next_state), t.goal, eps)
+            r, done = hac.goal_reward(envsim.position(t.next_state), t.goal, eps)
             check(t.reward == r, "relabeled reward inconsistent with its goal")
             check(t.discount == (0.0 if done else hac.DISCOUNT),
                   "relabeled discount inconsistent with its goal")

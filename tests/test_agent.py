@@ -7,7 +7,7 @@ import pytest
 from hacx import agent, approx, envsim, hac, rnd
 from hacx.errors import CheckpointError
 
-from helpers import stored_columns
+from helpers import edit_line, resize_network, stored_columns
 
 
 def arena(**overrides):
@@ -25,8 +25,7 @@ def arena(**overrides):
 
 def small_agent(spec=None, k=2, seed=0, **kw):
     spec = spec or arena()
-    defaults = dict(horizon=3, hidden=(16, 16), rnd_code_dim=4, rnd_hidden=(8, 8),
-                    rnd_capacity=1000, replay_capacity=10_000)
+    defaults = dict(horizon=3, hidden=(16, 16), rnd_code_dim=4)
     defaults.update(kw)
     return agent.make_agent(spec, k, np.random.default_rng(seed), **defaults)
 
@@ -81,17 +80,15 @@ def test_make_agent_shapes_and_bounds():
     # actor input: state alone for the explore policy, state+goal otherwise
     assert ag.explore_top.actor.layer_sizes[0] == 4
     assert ag.levels[0].actor.layer_sizes[0] == 6
-    # q ranges: (-horizon, Q_HIGH = 0) everywhere in a deep hierarchy
+    # the value range of a deep hierarchy: (-horizon, Q_HIGH = 0)
     assert agent.Q_HIGH == 0.0
-    for lvl in ag.levels:
-        assert lvl.q_low == -3.0
+    assert ag.q_low == -3.0
 
 
 def test_make_agent_flat_value_range():
     spec = arena()
     ag = small_agent(spec, k=1)
-    assert ag.levels[0].q_low == -float(spec.max_primitive_steps)
-    assert ag.explore_top.q_low == -float(spec.max_primitive_steps)
+    assert ag.q_low == -float(spec.max_primitive_steps)
     # flat explore policy emits primitive actions
     assert np.allclose(ag.explore_top.actor.output_high, [1, 1])
 
@@ -283,7 +280,7 @@ def test_top_level_acts_until_the_episode_ends():
     # success: it keeps acting until epsilon_task success or the step limit
     spec = envsim.builtin_spec("open_field_near")
     ag = small_agent(spec, k=2, epsilon_level=3.0)
-    assert ag.levels[-1].epsilon > spec.epsilon_task
+    assert ag.epsilon > spec.epsilon_task
     rng = np.random.default_rng(4)
     for _ in range(10):
         rec = agent.run_episode(ag, spec, "test", rng)
@@ -347,7 +344,7 @@ def test_update_trains_filled_policies():
     # unbounded; targets are clamped, so estimates cannot drift far)
     for name, p in (("level0", ag.levels[0]), ("level1", ag.levels[1])):
         if diag[name]["rounds"]:
-            assert p.q_low - 1.0 <= diag[name]["mean_q"] <= agent.Q_HIGH + 1.0
+            assert ag.q_low - 1.0 <= diag[name]["mean_q"] <= agent.Q_HIGH + 1.0
 
 
 def test_update_regresses_terminal_reward():
@@ -405,7 +402,7 @@ def test_update_clamps_bellman_targets():
     s, g, a, *_ = stored_columns(p.buffer)
     pts = np.column_stack([s, g, a]).astype(float)
     q = approx.forward(p.critic, pts)[:, 0]
-    assert np.all(np.abs(q - p.q_low) < 0.5)  # pinned at the floor, no runaway
+    assert np.all(np.abs(q - ag.q_low) < 0.5)  # pinned at the floor, no runaway
 
 
 # snapshots -----------------------------------------------------------------------
@@ -487,13 +484,10 @@ def test_snapshot_truncation_rejected():
 
 
 def test_snapshot_corrupt_array_rejected():
-    ag = small_agent()
-    lines = agent.policy_snapshot(ag).split("\n")
-    idx = next(i for i, ln in enumerate(lines) if ln.startswith("A0 = "))
-    vals = lines[idx].split(" = ", 1)[1].split(" ")
-    lines[idx] = "A0 = " + " ".join(vals[:-2])  # drop two entries
+    snap = agent.policy_snapshot(small_agent())
+    cut = edit_line(snap, "A0", lambda v: " ".join(v.split(" ")[:-2]))  # drop two entries
     with pytest.raises(CheckpointError):
-        agent.restore("\n".join(lines))
+        agent.restore(cut)
 
 
 def test_snapshot_numbers_parse_bitwise():
@@ -524,30 +518,36 @@ def test_snapshot_numbers_parse_bitwise():
     ("goal_dim = 0", "goal_dim = 2", r"\[policy explore\]: goal_dim 2 differs from 0"),
     ("q_high = 0.0", "q_high = 5.0", "q_high 5.0 differs from 0.0"),
     ("code_dim = 4", "code_dim = 3", "code_dim 3 differs from 4"),
+    # a network with no sizes
+    ("sizes = 6 16 16 2", "sizes = ", "need an input and an output size"),
 ])
 def test_snapshot_inconsistent_bounds_rejected(old, new, why):
     snap = agent.policy_snapshot(small_agent())
     assert "\n" + old + "\n" in snap
     with pytest.raises(CheckpointError, match=why):
-        agent.restore(snap.replace("\n" + old + "\n", "\n" + new + "\n", 1))
+        agent.restore(_edit(snap, old, new))
 
 
-def _resize(policy, role, sizes):
-    # a fresh network and optimizer, so the snapshot stays well formed
-    rng = np.random.default_rng(1)
-    old = getattr(policy, role)
-    setattr(policy, role, approx.network_init(sizes, rng, old.hidden_activation,
-                                              old.output_activation,
-                                              (old.output_low, old.output_high)))
-    setattr(policy, f"{role}_opt", approx.Optimizer(1e-3))
+def _edit(snap, old, new):
+    """snap with its lines old (key = value, one or several) given new's values."""
+    for line, edited in zip(old.split("\n"), new.split("\n")):
+        key, was = line.split(" = ")
+        snap = edit_line(snap, key, edited.split(" = ")[1], was=was)
+    return snap
 
 
 @pytest.mark.parametrize("edit,why", [
     # a level-0 critic too narrow for its actor's input plus action (8)
-    (lambda ag: _resize(ag.levels[0], "critic", [6, 16, 16, 1]), "critic.*differs"),
-    (lambda ag: _resize(ag.levels[0], "critic", [8, 16, 16, 2]), "critic.*differs"),
+    (lambda ag: resize_network(ag.levels[0], "critic", [6, 16, 16, 1]), "critic.*differs"),
+    (lambda ag: resize_network(ag.levels[0], "critic", [8, 16, 16, 2]), "critic.*differs"),
     # a goal-free actor that takes a goal
-    (lambda ag: _resize(ag.explore_top, "actor", [6, 16, 16, 2]), "actor.*input size"),
+    (lambda ag: resize_network(ag.explore_top, "actor", [6, 16, 16, 2]), "actor.*input size"),
+    # a subgoal actor 3 outputs wide, with a critic that fits it
+    (lambda ag: (resize_network(ag.levels[1], "actor", [6, 16, 16, 3]),
+                 resize_network(ag.levels[1], "critic", [9, 16, 16, 1])), "actor.*output size"),
+    # novelty networks whose hidden sizes are not RND_HIDDEN
+    (lambda ag: setattr(ag, "novelty", rnd.novelty_model_init(
+        np.random.default_rng(1), code_dim=4, hidden=(8, 8))), "target.*hidden sizes"),
     (lambda ag: setattr(ag.novelty, "predictor",
                         approx.network_init([2, 8, 8, 5], np.random.default_rng(1))),
      "predictor.*sizes"),
@@ -570,4 +570,4 @@ def test_snapshot_unknown_activation_rejected(line, bad):
     snap = agent.policy_snapshot(small_agent())
     assert line in snap
     with pytest.raises(CheckpointError, match="activation"):
-        agent.restore(snap.replace(line, bad, 1))
+        agent.restore(_edit(snap, line, bad))

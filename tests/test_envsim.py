@@ -119,6 +119,14 @@ def test_step_free_motion_oracle():
     assert np.array_equal(state, before)
 
 
+def test_position_is_the_xy_of_a_state_or_of_each_row():
+    # goal space and the novelty input are both this projection
+    s = np.array([1.5, 2.5, 0.3, -0.7])
+    assert np.array_equal(envsim.position(s), [1.5, 2.5])
+    assert np.array_equal(envsim.position(np.stack([s, -s])), [[1.5, 2.5], [-1.5, -2.5]])
+    assert envsim.position([1, 2, 3, 4]).dtype == np.float64
+
+
 def test_wall_stops_on_face_and_kills_normal_velocity():
     spec = tiny_spec()
     state = np.array([3.0, 5.0, 0.0, 0.0])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hacx import agent as agent_mod
-from hacx import envsim, harness
-from hacx.errors import ConfigError, TrainingError
+from hacx import envsim, harness, kvtext
+from hacx.errors import CheckpointError, ConfigError, TrainingError
+
+from helpers import edit_line, resize_network
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -294,24 +296,76 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     path = tmp_path / "c.txt"
     harness.write_checkpoint(ag, str(path))
     good = path.read_text()
-    path.write_text(good.replace("kind = adam", "kind = sgd"))
+    path.write_text(edit_line(good, "kind", "sgd"))
     assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
     assert "optimizer kind" in capsys.readouterr().err
     # a bad number or a missing key in a complete snapshot is one too
     # ... and so is a bad token inside a numeric block, a goal width the
-    # actor's input cannot hold, no levels, or fewer levels than were written
-    a0 = next(ln for ln in good.splitlines() if ln.startswith("A0 = "))
-    bad_a0 = "A0 = 0.5x " + a0.split(" ", 3)[3]
-    policy = good.index("[policy level0]")
-    for bad in (good.replace("k = 2\n", "k = two\n", 1),
-                good.replace("q_low = ", "q_lo = ", 1),
-                good.replace(a0, bad_a0, 1),
-                good[:policy] + good[policy:].replace("goal_dim = 2\n", "goal_dim = 6\n", 1),
-                good.replace("k = 2\n", "k = 0\n", 1),
-                good.replace("k = 2\n", "k = 1\n", 1)):
+    # actor's input cannot hold, no levels, fewer levels than were written,
+    # a copy of a shared setting or a constant that differs from its source,
+    # a network with no sizes, or a subgoal actor 3 outputs wide
+    wide = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0))
+    resize_network(wide.levels[1], "actor", [6, 12, 12, 3])
+    resize_network(wide.levels[1], "critic", [9, 12, 12, 1])
+    for bad in (edit_line(good, "k", "two"),
+                edit_line(good, "q_low", None),
+                edit_line(good, "A0", lambda v: "0.5x " + v.split(" ", 1)[1]),
+                edit_line(good, "goal_dim", "6", section="policy level0"),
+                edit_line(good, "k", "0"),
+                edit_line(good, "k", "1"),
+                edit_line(good, "horizon", "0", section="policy level1"),
+                edit_line(good, "state_capacity", "0"),
+                edit_line(good, "visit_resolution", "0"),
+                edit_line(good, "sizes", ""),
+                agent_mod.policy_snapshot(wide)):
         path.write_text(bad)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
+    path.write_text(good)
+    assert harness.main(["--quiet", "eval", "--checkpoint", str(path),
+                         "--test-episodes", "1"]) == 0
+
+
+# Every line a snapshot writes as a copy of a value that the code or another
+# line fixes, as (section, key), and the values each is edited to
+COPIED_LINES = ([(f"policy {tag}", key) for tag in ("level0", "level1", "explore")
+                 for key in ("horizon", "epsilon", "subgoal_test_rate", "q_low", "capacity",
+                             "noise_sigma")]
+                + [("rnd", "state_capacity"), ("agent", "visit_resolution")])
+EDITED_VALUES = ("0", "-1", "1", "2", "3", "nan", "inf", "1e9", "x", "")
+
+
+def _same_numbers(a: str, b: str) -> bool:
+    try:
+        return np.array_equal(np.array(a.split(), dtype=float), np.array(b.split(), dtype=float))
+    except ValueError:
+        return False
+
+
+def test_every_copied_snapshot_value_is_checked():
+    # each copy edited to any other value is refused; an edit that leaves the
+    # value as it was restores to the same snapshot
+    spec = envsim.builtin_spec("open_field_near")
+    good = agent_mod.policy_snapshot(
+        harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0)))
+    lines = good.splitlines()
+    written = {(s, k): v for s, k, v in kvtext.read_entries(lines[1:lines.index("END")])}
+    edits = [(written[s, k], v, edit_line(good, k, v, section=s))
+             for s, k in COPIED_LINES for v in EDITED_VALUES]
+    # one hidden size of the RND target
+    sizes = written["network rnd.target", "sizes"].split()
+    edits += [(sizes[1], v, edit_line(good, "sizes", " ".join([sizes[0], v, *sizes[2:]]),
+                                      section="network rnd.target"))
+              for v in EDITED_VALUES]
+    kept = 0
+    for was, value, text in edits:
+        if _same_numbers(value, was):
+            assert agent_mod.policy_snapshot(agent_mod.restore(text)) == good
+            kept += 1
+        else:
+            with pytest.raises(CheckpointError):
+                agent_mod.restore(text)
+    assert kept == 3    # horizon = 3 in each policy
 
 
 def test_cli_eval_with_no_test_episodes_exits_2(tmp_path, capsys):
