@@ -5,9 +5,11 @@ rewarded by the novelty model.
 Each level is one LevelPolicy record: actor, critic, their optimizers, its
 replay buffer and its exploration noise, and no copies: its action bounds
 are its actor's output bounds, its goal width is its buffer's (0 for the
-explore policy). The settings every level shares are held once, by the
-agent: the horizon H, the goal threshold epsilon, the subgoal test rate and
-the value floor q_low. Each episode either pursues the task goal or explores
+explore policy). The agent holds the environment it was built for and, once,
+the settings every level shares: the horizon H, the goal threshold epsilon
+and the subgoal test rate; the value floor q_low follows from H. Every
+record checks itself when it is built, so make_agent and restore share one
+set of checks. Each episode either pursues the task goal or explores
 (chosen with probability tau); an explore episode's top-level steps are
 also relabeled into the goal top level's buffer, so exploring trains the
 goal policy. Control descends recursively, and every
@@ -30,14 +32,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import approx, envsim, hac, rnd
+from . import approx, envsim, rnd
 from .approx import Network, Optimizer
 from .envsim import EnvSpec, VisitGrid
-from .errors import CheckpointError, TrainingError
+from .errors import CheckpointError, ConfigError, TrainingError
 from .hac import (DISCOUNT, ReplayBuffer, buffer_push, exploration_transition,
                   hindsight_action_transition, hindsight_goal_transitions, pack_row,
                   sample_arrays, subgoal_test_transition)
@@ -63,20 +65,38 @@ ACTION_PENALTY = 0.05
 @dataclass
 class LevelPolicy:
     """One level's policy. Its actions lie in [actor.output_low,
-    actor.output_high]; noise_sigma is the per-dimension Gaussian
-    exploration noise."""
+    actor.output_high]; its Gaussian exploration noise is noise_scale times
+    the actor's half-range, and its buffer's widths are the actor's. Raises
+    ConfigError unless the actor takes the state plus 0 or GOAL_DIM goal
+    values and outputs 2 bounded values, and the critic takes the actor's
+    input and output and returns one value."""
 
     actor: Network
     critic: Network
-    buffer: ReplayBuffer
     actor_opt: Optimizer
     critic_opt: Optimizer
-    noise_sigma: np.ndarray
+    noise_scale: InitVar[float]
+    buffer: ReplayBuffer = field(init=False, repr=False, compare=False)
+    noise_sigma: np.ndarray = field(init=False)
     # the actor's [s | g] input, refilled by select_action at every step
     actor_in: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.actor_in = np.empty(self.actor.input_dim)
+    def __post_init__(self, noise_scale: float):
+        actor, critic = self.actor, self.critic
+        goal_dim = actor.input_dim - STATE_DIM
+        if goal_dim not in (0, GOAL_DIM):
+            raise ConfigError(f"actor input size {actor.input_dim} differs from STATE_DIM "
+                              f"plus 0 or {GOAL_DIM} goal values")
+        act_dim = actor.output_dim
+        if act_dim not in (ACTION_DIM, GOAL_DIM) or actor.output_activation != "tanh_scaled":
+            raise ConfigError(f"actor output size {act_dim} differs from 2 bounded values, "
+                              "an action or a subgoal")
+        if (critic.input_dim, critic.output_dim) != (actor.input_dim + act_dim, 1):
+            raise ConfigError(f"critic sizes {critic.layer_sizes}: input and output differs "
+                              "from the actor's input plus output, and one value")
+        self.buffer = ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, goal_dim, act_dim))
+        self.noise_sigma = noise_scale * actor.half
+        self.actor_in = np.empty(actor.input_dim)
 
 
 @dataclass
@@ -90,27 +110,53 @@ class EpisodeRecord:
 
 @dataclass
 class HacxAgent:
-    """The levels, the explore policy and the settings they all share: a
-    level below the top stops after horizon actions or within epsilon of its
-    subgoal, a proposed subgoal is tested with probability
-    subgoal_test_rate, and every critic is clamped to [q_low, Q_HIGH]."""
+    """The levels, the explore policy, the environment they were built for
+    and the settings they all share: a level below the top stops after
+    horizon actions or within epsilon of its subgoal, a proposed subgoal is
+    tested with probability subgoal_test_rate, and every critic is clamped to
+    [q_low, Q_HIGH]. Construction checks every setting's range and that the
+    levels take a goal and the explore policy none, and raises ConfigError."""
 
     levels: list
     explore_top: LevelPolicy
     tau: float
     novelty: rnd.NoveltyModel
-    visits: VisitGrid
+    spec: EnvSpec
     horizon: int
     epsilon: float
     subgoal_test_rate: float
-    q_low: float
     num_relabels: int = 2
     relabel_enabled: bool = True
-    env_name: str = ""
+    visits: VisitGrid = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (self.k >= 1 and 0.0 <= self.tau <= 1.0 and self.horizon >= 1
+                and 0.0 < self.epsilon < math.inf and 0.0 <= self.subgoal_test_rate <= 1.0
+                and self.num_relabels >= 0):
+            raise ConfigError(
+                "an agent needs at least 1 level, tau in [0, 1], horizon >= 1, a finite epsilon "
+                "> 0, subgoal_test_rate in [0, 1] and num_relabels >= 0; got k, tau, horizon, "
+                f"epsilon, subgoal_test_rate, num_relabels = {self.k}, {self.tau}, "
+                f"{self.horizon}, {self.epsilon}, {self.subgoal_test_rate}, {self.num_relabels}")
+        goal_dims = [p.buffer.widths[1] for p in (*self.levels, self.explore_top)]
+        if goal_dims != [GOAL_DIM] * self.k + [0]:
+            raise ConfigError("each level's actor input size must be STATE_DIM + GOAL_DIM, and "
+                              "the explore actor's STATE_DIM: it takes no goal")
+        self.visits = VisitGrid(self.spec.bounds)
 
     @property
     def k(self) -> int:
         return len(self.levels)
+
+    @property
+    def q_low(self) -> float:
+        """The floor of every critic's value range: -H, or the step limit
+        with one level, whose horizon is the whole episode."""
+        return -float(self.horizon if self.k >= 2 else self.spec.max_primitive_steps)
+
+    @property
+    def env_name(self) -> str:
+        return self.spec.name
 
 
 def _noise_scale(i: int, k: int) -> float:
@@ -129,19 +175,15 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
                rnd_code_dim: int = 16, rnd_lr: float = 1e-3, rnd_epsilon=None,
                num_relabels: int = 2, relabel_enabled: bool = True) -> HacxAgent:
     """Build a fresh agent for a task. All parameter draws come from rng in
-    a fixed order, so agents are reproducible given the seed."""
-    if k < 1:
-        raise ValueError(f"need at least 1 level, got {k}")
+    a fixed order, so agents are reproducible given the seed. A setting out
+    of range raises ConfigError."""
     x0, y0, x1, y1 = spec.bounds
     sub = (np.array([x0, y0]), np.array([x1, y1]))
     ab = spec.action_bounds
     act = (np.array([-ab, -ab]), np.array([ab, ab]))
-    # With one level the whole episode is that level's horizon.
-    q_low = -float(horizon if k >= 2 else spec.max_primitive_steps)
 
     def policy(goal_dim, bounds, noise_scale):
-        low, high = bounds
-        act_dim = len(low)
+        act_dim = len(bounds[0])
         actor = approx.network_init([STATE_DIM + goal_dim, *hidden, act_dim], rng,
                                     output_activation="tanh_scaled",
                                     output_bounds=bounds, final_scale=0.1)
@@ -149,22 +191,18 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
         # bootstrapped values and regression targets, not by squashing (a
         # squashed output saturates at the reward-0 end and stops learning)
         critic = approx.network_init([STATE_DIM + goal_dim + act_dim, *hidden, 1], rng)
-        return LevelPolicy(actor, critic,
-                           ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, goal_dim, act_dim)),
-                           Optimizer(actor_lr), Optimizer(critic_lr), noise_scale * actor.half)
+        return LevelPolicy(actor, critic, Optimizer(actor_lr), Optimizer(critic_lr), noise_scale)
 
     levels = [policy(GOAL_DIM, act if i == 0 else sub, _noise_scale(i, k)) for i in range(k)]
     explore_top = policy(0, sub if k >= 2 else act, EXPLORE_NOISE_SCALE)
 
-    novelty = rnd.novelty_model_init(rng, code_dim=rnd_code_dim, learning_rate=rnd_lr)
+    novelty = rnd.novelty_model_init(rng, code_dim=rnd_code_dim, learning_rate=rnd_lr,
+                                     epsilon_rnd=0.0 if rnd_epsilon is None else rnd_epsilon)
     if rnd_epsilon is None:
         rnd.calibrate_epsilon(novelty, spec.bounds, rng)
-    else:
-        novelty.epsilon_rnd = float(rnd_epsilon)
-
-    return HacxAgent(levels, explore_top, tau, novelty, VisitGrid(spec.bounds), horizon,
-                     epsilon_level, subgoal_test_rate, q_low, num_relabels=num_relabels,
-                     relabel_enabled=relabel_enabled, env_name=spec.name)
+    return HacxAgent(levels, explore_top, tau, novelty, spec, horizon, epsilon_level,
+                     subgoal_test_rate, num_relabels=num_relabels,
+                     relabel_enabled=relabel_enabled)
 
 
 def choose_top_policy(tau: float, rng: np.random.Generator) -> str:
@@ -321,6 +359,12 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     return EpisodeRecord(top, ep.primitive_states, closest, ep.success, ep.counts)
 
 
+def _named_policies(agent: HacxAgent) -> list:
+    """(name, policy) of each level, then of the explore policy."""
+    named = [(f"level{i}", p) for i, p in enumerate(agent.levels)]
+    return named + [("explore", agent.explore_top)]
+
+
 def update(agent: HacxAgent, rounds: int, batch_size: int,
            rng: np.random.Generator) -> dict:
     """Interleaved critic and actor steps on every level's own buffer.
@@ -332,9 +376,8 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
     are skipped.
     """
     diag = {}
-    named = [(f"level{i}", p) for i, p in enumerate(agent.levels)]
-    named.append(("explore", agent.explore_top))
-    for name, p in named:
+    q_low = agent.q_low
+    for name, p in _named_policies(agent):
         if rounds < 1 or p.buffer.count < batch_size:
             diag[name] = {"critic_loss": None, "mean_q": None, "rounds": 0}
             continue
@@ -357,8 +400,8 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
                 next_in[:, sd:sg_w] = g
             next_in[:, sg_w:] = approx.forward(p.actor, next_in[:, :sg_w])
             q_next = approx.forward(p.critic, next_in)[:, 0]
-            q_next = np.clip(q_next, agent.q_low, Q_HIGH)
-            y = np.clip(rew + disc * q_next, agent.q_low, Q_HIGH)
+            q_next = np.clip(q_next, q_low, Q_HIGH)
+            y = np.clip(rew + disc * q_next, q_low, Q_HIGH)
 
             q_pred, trace = approx.forward_trace(p.critic, sga)
             diff = q_pred[:, 0] - y
@@ -389,7 +432,7 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
 # ---------------------------------------------------------------------------
 # Snapshot serialization (text; file IO lives in harness)
 
-MAGIC = "HACX1"
+MAGIC = "HACX2"
 
 
 def _net_lines(tag: str, net: Network) -> list:
@@ -421,48 +464,28 @@ def _opt_lines(tag: str, opt: Optimizer, net: Network) -> list:
     return lines
 
 
-def _policy_lines(agent: HacxAgent, tag: str, level_index: int, p: LevelPolicy) -> list:
-    lines = [f"[policy {tag}]",
-             f"level_index = {level_index}",
-             f"horizon = {agent.horizon}",
-             f"epsilon = {fmt_float(agent.epsilon)}",
-             f"subgoal_test_rate = {fmt_float(agent.subgoal_test_rate)}",
-             f"goal_dim = {p.buffer.widths[1]}",
-             f"q_low = {fmt_float(agent.q_low)}",
-             f"q_high = {fmt_float(Q_HIGH)}",
-             f"capacity = {p.buffer.capacity}",
-             "noise_sigma = " + fmt_floats(p.noise_sigma),
-             "low = " + fmt_floats(p.actor.output_low),
-             "high = " + fmt_floats(p.actor.output_high)]
-    lines += _net_lines(f"{tag}.actor", p.actor)
-    lines += _opt_lines(f"{tag}.actor", p.actor_opt, p.actor)
-    lines += _net_lines(f"{tag}.critic", p.critic)
-    lines += _opt_lines(f"{tag}.critic", p.critic_opt, p.critic)
-    return lines
-
-
 def policy_snapshot(agent: HacxAgent) -> str:
-    """Serialize everything needed to act and to keep training, except
-    replay buffers and the novelty model's visited-state buffer (a restored
-    agent starts those empty)."""
+    """Serialize everything needed to act and to keep training, each value
+    once: the settings, the geometry, every network and optimizer. Replay
+    buffers, the novelty state buffer and the visit counts are left out (a
+    restored agent starts those empty), and so is every derived value."""
     lines = [MAGIC, "[agent]",
              f"k = {agent.k}",
              f"tau = {fmt_float(agent.tau)}",
-             f"state_dim = {STATE_DIM}",
-             f"goal_dim = {GOAL_DIM}",
+             f"horizon = {agent.horizon}",
+             f"epsilon = {fmt_float(agent.epsilon)}",
+             f"subgoal_test_rate = {fmt_float(agent.subgoal_test_rate)}",
              f"num_relabels = {agent.num_relabels}",
              f"relabel_enabled = {int(agent.relabel_enabled)}",
-             f"env_name = {agent.env_name}",
-             "visit_bounds = " + fmt_floats(agent.visits.bounds),
-             f"visit_resolution = {agent.visits.resolution}"]
-    for i, p in enumerate(agent.levels):
-        lines += _policy_lines(agent, f"level{i}", i, p)
-    lines += _policy_lines(agent, "explore", agent.k - 1, agent.explore_top)
+             *envsim.spec_to_text(agent.spec).splitlines()]
+    for tag, p in _named_policies(agent):
+        for role in ("actor", "critic"):
+            net = getattr(p, role)
+            lines += _net_lines(f"{tag}.{role}", net)
+            lines += _opt_lines(f"{tag}.{role}", getattr(p, f"{role}_opt"), net)
     lines += ["[rnd]",
-              f"code_dim = {agent.novelty.target.output_dim}",
               f"epsilon_rnd = {fmt_float(agent.novelty.epsilon_rnd)}",
-              f"phase_index = {agent.novelty.phase_index}",
-              f"state_capacity = {agent.novelty.state_buffer.shape[0]}"]
+              f"phase_index = {agent.novelty.phase_index}"]
     lines += _net_lines("rnd.target", agent.novelty.target)
     lines += _net_lines("rnd.predictor", agent.novelty.predictor)
     lines += _opt_lines("rnd.predictor", agent.novelty.predictor_opt, agent.novelty.predictor)
@@ -471,14 +494,19 @@ def policy_snapshot(agent: HacxAgent) -> str:
 
 
 class _SnapshotReader:
+    """The sections of a snapshot, one value per key, and all its entries
+    in order (a geometry repeats its wall key). section() records the
+    sections it hands out."""
+
     def __init__(self, text: str):
         lines = text.splitlines()
         if not lines or lines[0] != MAGIC:
             raise CheckpointError(f"bad magic; expected {MAGIC!r}")
         if "END" not in lines:
             raise CheckpointError("truncated snapshot: no END marker")
-        self.sections = {}
-        for section, key, val in read_entries(lines[1:lines.index("END")]):
+        self.entries = read_entries(lines[1:lines.index("END")])
+        self.sections, self.read = {}, set()
+        for section, key, val in self.entries:
             if not section:
                 raise CheckpointError(f"stray key {key!r} before any section")
             self.sections.setdefault(section, {})[key] = val
@@ -486,6 +514,7 @@ class _SnapshotReader:
     def section(self, name: str) -> dict:
         if name not in self.sections:
             raise CheckpointError(f"missing section [{name}]")
+        self.read.add(name)
         return self.sections[name]
 
 
@@ -525,104 +554,51 @@ def _read_opt(r: _SnapshotReader, tag: str, net: Network) -> Optimizer:
     sec = r.section(f"opt {tag}")
     if sec["kind"] != "adam":
         raise CheckpointError(f"[opt {tag}]: unsupported optimizer kind {sec['kind']!r}")
-    opt = Optimizer(float(sec["lr"]), float(sec["beta1"]), float(sec["beta2"]),
-                    float(sec["eps"]), int(sec["steps"]))
+    m = v = None
     if "MA0" in sec:
-        opt.m = _parse_layers(sec, "MA", "MB", net.layer_sizes)
-        opt.v = _parse_layers(sec, "VA", "VB", net.layer_sizes)
-    return opt
+        m = _parse_layers(sec, "MA", "MB", net.layer_sizes)
+        v = _parse_layers(sec, "VA", "VB", net.layer_sizes)
+    return Optimizer(float(sec["lr"]), float(sec["beta1"]), float(sec["beta2"]),
+                     float(sec["eps"]), int(sec["steps"]), m, v)
 
 
-def _check_equal(where: str, key: str, got, want, source: str) -> None:
-    """Refuse a parsed value that differs from want, the value source fixes."""
-    if not np.array_equal(got, want):
-        raise CheckpointError(f"[{where}]: {key} {got} differs from {want}, {source}")
-
-
-# The settings every level shares, with their parsers: the snapshot writes a
-# copy into each [policy] section, and [policy level0]'s is the one read.
-_SHARED = (("horizon", int), ("epsilon", float), ("subgoal_test_rate", float),
-           ("q_low", float))
-
-
-def _read_policy(r: _SnapshotReader, tag: str, level_index: int, goal_dim: int,
-                 noise_scale: float, shared: dict) -> LevelPolicy:
-    """The policy at level_index with a goal_dim-wide goal (0 for the explore
-    policy) and noise_scale; its written copies must equal their sources,
-    its copies of the shared settings the values in shared."""
-    where = f"policy {tag}"
-    sec = r.section(where)
-    actor = _read_net(r, f"{tag}.actor")
-    _check_equal(f"network {tag}.actor", "output size", actor.output_dim,
-                 ACTION_DIM if level_index == 0 else GOAL_DIM,
-                 "ACTION_DIM at level 0, GOAL_DIM above")
-    critic = _read_net(r, f"{tag}.critic")
-    act_dim = actor.output_dim
-    _check_equal(where, "level_index", int(sec["level_index"]), level_index, "its place")
-    _check_equal(where, "goal_dim", int(sec["goal_dim"]), goal_dim, "its place")
-    _check_equal(where, "q_high", float(sec["q_high"]), Q_HIGH, "Q_HIGH")
-    for key, parse in _SHARED:
-        _check_equal(where, key, parse(sec[key]), shared[key], "[policy level0]")
-    _check_equal(where, "capacity", int(sec["capacity"]), REPLAY_CAPACITY, "REPLAY_CAPACITY")
-    for key, bound in (("low", actor.output_low), ("high", actor.output_high)):
-        _check_equal(where, key, _parse_array(sec, key, (act_dim,)), bound,
-                     "the actor's output bounds")
-    noise_sigma = noise_scale * actor.half
-    _check_equal(where, "noise_sigma", _parse_array(sec, "noise_sigma", (act_dim,)), noise_sigma,
-                 f"{noise_scale} times the actor's half-range")
-    _check_equal(f"network {tag}.actor", "input size", actor.input_dim, STATE_DIM + goal_dim,
-                 "STATE_DIM + goal_dim")
-    _check_equal(f"network {tag}.critic", "input and output sizes",
-                 (critic.input_dim, critic.output_dim), (actor.input_dim + act_dim, 1),
-                 "the actor's input and output, and one value")
-    return LevelPolicy(actor, critic,
-                       ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, goal_dim, act_dim)),
-                       _read_opt(r, f"{tag}.actor", actor), _read_opt(r, f"{tag}.critic", critic),
-                       noise_sigma)
+def _read_policy(r: _SnapshotReader, tag: str, noise_scale: float) -> LevelPolicy:
+    actor, critic = _read_net(r, f"{tag}.actor"), _read_net(r, f"{tag}.critic")
+    return LevelPolicy(actor, critic, _read_opt(r, f"{tag}.actor", actor),
+                       _read_opt(r, f"{tag}.critic", critic), noise_scale)
 
 
 def restore(snapshot: str) -> HacxAgent:
-    """Rebuild an agent from policy_snapshot output. Replay buffers and the
-    novelty state buffer come back empty. Any malformed content raises
-    CheckpointError, and so does a snapshot that contradicts itself: a copy
-    that differs from its source, or networks that do not fit together."""
+    """Rebuild an agent from policy_snapshot output through the records
+    make_agent builds, so with the same checks; buffers and visit counts come
+    back empty. Malformed or out-of-range content raises CheckpointError, and
+    so does a section that no agent of the written k reads."""
     try:
-        return _restore(snapshot)
-    except (KeyError, ValueError) as e:
+        r = _SnapshotReader(snapshot)
+        a = r.section("agent")
+        k = int(a["k"])
+        if a["relabel_enabled"] not in ("0", "1"):
+            raise CheckpointError(f"[agent]: relabel_enabled {a['relabel_enabled']!r}, "
+                                  "need 0 or 1")
+        r.section("env")
+        spec = envsim.spec_from_entries(e for e in r.entries if e[0] == "env")
+        levels = [_read_policy(r, f"level{i}", _noise_scale(i, k)) for i in range(k)]
+        explore_top = _read_policy(r, "explore", EXPLORE_NOISE_SCALE)
+        rs = r.section("rnd")
+        target, predictor = _read_net(r, "rnd.target"), _read_net(r, "rnd.predictor")
+        novelty = rnd.NoveltyModel(
+            target, predictor, _read_opt(r, "rnd.predictor", predictor),
+            float(rs["epsilon_rnd"]), np.zeros((rnd.STATE_BUFFER_CAPACITY, 2), dtype=np.float32),
+            int(rs["phase_index"]))
+        if target.layer_sizes[1:-1] != list(rnd.RND_HIDDEN):
+            raise CheckpointError(f"[network rnd.target]: hidden sizes "
+                                  f"{target.layer_sizes[1:-1]} differ from {rnd.RND_HIDDEN}")
+        agent = HacxAgent(levels, explore_top, float(a["tau"]), novelty, spec, int(a["horizon"]),
+                          float(a["epsilon"]), float(a["subgoal_test_rate"]),
+                          int(a["num_relabels"]), a["relabel_enabled"] == "1")
+    except (KeyError, ValueError) as e:     # ConfigError is a ValueError
         raise CheckpointError(f"malformed snapshot: {e!r}") from e
-
-
-def _restore(snapshot: str) -> HacxAgent:
-    r = _SnapshotReader(snapshot)
-    a = r.section("agent")
-    k = int(a["k"])
-    if k < 1:
-        raise CheckpointError(f"[agent]: k = {k}, need at least 1 level")
-    _check_equal("agent", "state_dim", int(a["state_dim"]), STATE_DIM, "STATE_DIM")
-    _check_equal("agent", "goal_dim", int(a["goal_dim"]), GOAL_DIM, "GOAL_DIM")
-    level0 = r.section("policy level0")
-    shared = {key: parse(level0[key]) for key, parse in _SHARED}
-    levels = [_read_policy(r, f"level{i}", i, GOAL_DIM, _noise_scale(i, k), shared)
-              for i in range(k)]
-    explore_top = _read_policy(r, "explore", k - 1, 0, EXPLORE_NOISE_SCALE, shared)
-    rs = r.section("rnd")
-    target, predictor = _read_net(r, "rnd.target"), _read_net(r, "rnd.predictor")
-    _check_equal("rnd", "code_dim", int(rs["code_dim"]), target.output_dim,
-                 "the target's output size")
-    _check_equal("rnd", "state_capacity", int(rs["state_capacity"]), rnd.STATE_BUFFER_CAPACITY,
-                 "STATE_BUFFER_CAPACITY")
-    _check_equal("network rnd.target", "input size", target.input_dim, 2, "the (x, y) position")
-    _check_equal("network rnd.target", "hidden sizes", target.layer_sizes[1:-1],
-                 rnd.RND_HIDDEN, "RND_HIDDEN")
-    _check_equal("network rnd.predictor", "sizes", predictor.layer_sizes, target.layer_sizes,
-                 "the target's sizes")
-    novelty = rnd.NoveltyModel(
-        target, predictor, _read_opt(r, "rnd.predictor", predictor), float(rs["epsilon_rnd"]),
-        np.zeros((rnd.STATE_BUFFER_CAPACITY, 2), dtype=np.float32), int(rs["phase_index"]))
-    visits = VisitGrid(tuple(float(v) for v in _parse_array(a, "visit_bounds", (4,))))
-    _check_equal("agent", "visit_resolution", int(a["visit_resolution"]), visits.resolution,
-                 "the visit grid's resolution")
-    return HacxAgent(levels, explore_top, float(a["tau"]), novelty, visits, **shared,
-                     num_relabels=int(a["num_relabels"]),
-                     relabel_enabled=bool(int(a["relabel_enabled"])),
-                     env_name=a.get("env_name", ""))
+    unread = set(r.sections) - r.read
+    if unread:
+        raise CheckpointError(f"sections {sorted(unread)} are not read by a {k}-level agent")
+    return agent

@@ -54,7 +54,8 @@ class Network:
 
     ``tanh_scaled`` output maps tanh(z) affinely onto [output_low, output_high]
     per dimension, so outputs can never leave those bounds. Construction
-    checks the sizes, the activations and the bounds, and raises ConfigError.
+    checks the sizes, the activations, the bounds and that every parameter is
+    finite, and raises ConfigError.
     """
 
     layer_sizes: list[int]
@@ -76,6 +77,8 @@ class Network:
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
         self.weights, self.biases = layer_views(sizes, self.params)   # checks the sizes
+        if not np.all(np.isfinite(self.params)):
+            raise ConfigError("network parameters must all be finite")
         self.mid = self.half = None
         if self.output_activation == "tanh_scaled":
             low, high = self.output_low, self.output_high
@@ -98,7 +101,10 @@ class Network:
 
 @dataclass
 class Optimizer:
-    """Adam state; m and v are flat moments, allocated at the first step."""
+    """Adam state; m and v are flat moments, allocated at the first step.
+    Raises ConfigError unless lr is finite and >= 0 (0 freezes the network),
+    the betas in [0, 1), eps finite and > 0, steps >= 0, the moments finite
+    and v >= 0."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -107,6 +113,17 @@ class Optimizer:
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+
+    def __post_init__(self):
+        moments_ok = self.m is None or (np.isfinite(self.m).all() and np.isfinite(self.v).all()
+                                        and (self.v >= 0.0).all())
+        if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.beta1 < 1.0
+                and 0.0 <= self.beta2 < 1.0 and 0.0 < self.eps < np.inf
+                and self.step_count >= 0 and moments_ok):
+            raise ConfigError(
+                f"Adam needs a finite lr >= 0, betas in [0, 1), a finite eps > 0, steps >= 0 "
+                f"and finite moments with v >= 0; got lr={self.learning_rate}, betas="
+                f"({self.beta1}, {self.beta2}), eps={self.eps}, steps={self.step_count}")
 
 
 def network_init(
@@ -123,7 +140,7 @@ def network_init(
     required for tanh_scaled output. ``final_scale`` multiplies the last
     layer's parameters; actors use 0.1 to start near the bounds' midpoint.
     """
-    params = np.empty(_param_count(layer_sizes))
+    params = np.zeros(_param_count(layer_sizes))
     low = high = None
     if output_activation == "tanh_scaled" and output_bounds is not None:
         low, high = (np.broadcast_to(np.asarray(b, dtype=float), (layer_sizes[-1],)).copy()

@@ -412,8 +412,14 @@ def spec_to_text(spec: EnvSpec) -> str:
 
 def spec_from_text(text: str) -> EnvSpec:
     """Read spec_to_text output; omitted keys take EnvSpec's defaults."""
+    return spec_from_entries(read_entries(text))
+
+
+def spec_from_entries(entries) -> EnvSpec:
+    """The geometry of (section, key, value) entries, as read_entries gives
+    them; the section is ignored, and each wall entry adds one wall."""
     kw = {"name": "custom", "walls": []}
-    for _, key, val in read_entries(text):
+    for _, key, val in entries:
         if key not in GEOMETRY_KEYS:
             raise ConfigError(f"unknown geometry key {key!r}")
         field_name, parser, _ = GEOMETRY_KEYS[key]

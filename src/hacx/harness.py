@@ -19,11 +19,10 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import agent as agent_mod
 from . import envsim, kvtext, rnd
 from .agent import HacxAgent, make_agent, policy_snapshot, restore, run_episode, update
 from .envsim import EnvSpec, load_spec
@@ -74,8 +73,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.rounds_per_episode < 0 or self.relabels < 0:
             raise ConfigError("rounds_per_episode and relabels must be >= 0")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"need at least one seed, and none negative; got {self.seeds}")
         return self
 
 
@@ -343,21 +342,6 @@ def _cfg_from_args(args) -> RunConfig:
     return cfg.validate()
 
 
-def _checkpoint_spec(agent: HacxAgent, env: str) -> EnvSpec:
-    """The --env environment, else the one the checkpoint names. A geometry
-    file may reuse a builtin's name (the 5x5 spiral is called spiral_maze),
-    so a named environment with other bounds than the checkpoint's is refused."""
-    if env:
-        return load_spec(env)
-    spec = load_spec(agent.env_name)
-    if tuple(spec.bounds) != tuple(agent.visits.bounds):
-        raise ConfigError(
-            f"the checkpoint was trained on bounds {agent.visits.bounds}, but "
-            f"{agent.env_name!r} has bounds {spec.bounds}; pass --env with the "
-            "geometry it was trained on")
-    return spec
-
-
 BASELINES = {"hac": dict(tau=0.0), "rnd": dict(levels=1), "hacx": {}}
 
 
@@ -379,13 +363,13 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--env", help="override the checkpoint's environment")
+    p_eval.add_argument("--env", help="override the environment the checkpoint holds")
     p_eval.add_argument("--test-episodes", type=int, default=50)
     p_eval.add_argument("--seed", type=int, default=0)
 
     p_map = sub.add_parser("map", help="emit novelty/visitation maps for a checkpoint")
     p_map.add_argument("--checkpoint", required=True)
-    p_map.add_argument("--env", help="override the checkpoint's environment")
+    p_map.add_argument("--env", help="override the environment the checkpoint holds")
     p_map.add_argument("--output-dir", default=".")
 
     args = parser.parse_args(argv)
@@ -398,18 +382,19 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, **BASELINES[args.preset]).validate()
             agg = run_trials(cfg)
             print(f"aggregate written to {agg}")
-        elif args.command == "eval":
+        else:   # eval or map, on the geometry the checkpoint holds unless --env names one
             agent = read_checkpoint(args.checkpoint)
-            spec = _checkpoint_spec(agent, args.env)
-            rng = np.random.default_rng(args.seed)
-            mcd, sr = evaluate(agent, spec, args.test_episodes, rng)
-            print(f"mean_closest_distance={mcd!r} success_rate={sr!r}")
-        elif args.command == "map":
-            agent = read_checkpoint(args.checkpoint)
-            spec = _checkpoint_spec(agent, args.env)
-            os.makedirs(args.output_dir, exist_ok=True)
-            write_maps(agent, spec, args.output_dir)
-            print(f"maps written to {args.output_dir}")
+            spec = load_spec(args.env) if args.env else agent.spec
+            if args.command == "eval":
+                if args.seed < 0:
+                    raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+                rng = np.random.default_rng(args.seed)
+                mcd, sr = evaluate(agent, spec, args.test_episodes, rng)
+                print(f"mean_closest_distance={mcd!r} success_rate={sr!r}")
+            else:
+                os.makedirs(args.output_dir, exist_ok=True)
+                write_maps(agent, spec, args.output_dir)
+                print(f"maps written to {args.output_dir}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

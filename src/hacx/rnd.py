@@ -21,6 +21,7 @@ import numpy as np
 from . import approx
 from .approx import Network, Optimizer
 from .envsim import position
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +31,10 @@ STATE_BUFFER_CAPACITY = 200_000
 
 @dataclass
 class NoveltyModel:
+    """Raises ConfigError unless the target takes the (x, y) position, the
+    predictor has the target's sizes, the threshold is finite and the phase
+    index >= 0."""
+
     target: Network
     predictor: Network
     predictor_opt: Optimizer
@@ -38,6 +43,13 @@ class NoveltyModel:
     phase_index: int = 0
     buffer_count: int = 0
     buffer_next: int = 0
+
+    def __post_init__(self):
+        t, p = self.target.layer_sizes, self.predictor.layer_sizes
+        if not (t[0] == 2 and p == t and np.isfinite(self.epsilon_rnd) and self.phase_index >= 0):
+            raise ConfigError(f"novelty target input size must be 2 and predictor sizes the "
+                              f"target's ({t}, {p}), the threshold finite ({self.epsilon_rnd}) "
+                              f"and the phase index >= 0 ({self.phase_index})")
 
 
 def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hacx import agent, approx, envsim, hac, rnd
-from hacx.errors import CheckpointError
+from hacx.errors import CheckpointError, ConfigError
 
 from helpers import edit_line, resize_network, stored_columns
 
@@ -99,6 +99,19 @@ def test_noise_scale_schedule():
     assert np.allclose(ag.levels[1].noise_sigma, 0.15 * 5.0)
     assert np.allclose(ag.levels[2].noise_sigma, 0.2 * 5.0)
     assert np.allclose(ag.explore_top.noise_sigma, 0.2 * 5.0)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(k=0), dict(tau=1.5), dict(tau=float("nan")), dict(horizon=0),
+    dict(epsilon_level=0.0), dict(epsilon_level=float("inf")), dict(subgoal_test_rate=2.0),
+    dict(subgoal_test_rate=-0.1), dict(num_relabels=-1), dict(actor_lr=-1e-3),
+    dict(critic_lr=float("nan")), dict(rnd_lr=float("inf")), dict(rnd_epsilon=float("nan")),
+])
+def test_make_agent_refuses_settings_out_of_range(kw):
+    # the agent, policy, optimizer and novelty records check themselves when
+    # built, for make_agent and restore alike
+    with pytest.raises(ConfigError):
+        small_agent(**kw)
 
 
 def test_make_agent_seed_reproducible():
@@ -409,7 +422,8 @@ def test_update_clamps_bellman_targets():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_snapshot_round_trip_preserves_behavior(k):
-    spec = arena()
+    # two walls: the geometry travels with the snapshot, one line per wall
+    spec = arena(walls=[(4.0, 0.0, 4.5, 6.0), (6.0, 4.0, 6.5, 10.0)])
     ag = small_agent(spec, k=k, tau=0.37)
     rng = np.random.default_rng(0)
     for _ in range(2):
@@ -422,7 +436,7 @@ def test_snapshot_round_trip_preserves_behavior(k):
     assert back.tau == ag.tau
     assert back.num_relabels == ag.num_relabels
     assert back.novelty.epsilon_rnd == ag.novelty.epsilon_rnd
-    assert back.env_name == ag.env_name
+    assert back.spec == ag.spec
 
     probe = np.random.default_rng(42)
     for pa, pb in zip(ag.levels + [ag.explore_top], back.levels + [back.explore_top]):
@@ -459,20 +473,14 @@ def test_snapshot_restores_adam_state():
     assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
 
 
-def test_snapshot_from_before_tau_per_action_removal_restores():
-    # older snapshots carry a tau_per_action line; it is read and ignored
-    ag = small_agent()
-    snap = agent.policy_snapshot(ag)
-    old = snap.replace("relabel_enabled = 1\n", "relabel_enabled = 1\ntau_per_action = 0\n")
-    assert old != snap
-    assert agent.policy_snapshot(agent.restore(old)) == snap
-
-
 def test_snapshot_bad_magic_rejected():
     ag = small_agent()
     snap = agent.policy_snapshot(ag)
-    with pytest.raises(CheckpointError):
-        agent.restore("NOPE9" + snap[5:])
+    assert snap.startswith("HACX2\n")
+    # HACX1, the format that wrote copies of derived values, is not read
+    for magic in ("NOPE9", "HACX1"):
+        with pytest.raises(CheckpointError, match="bad magic"):
+            agent.restore(magic + snap[5:])
 
 
 def test_snapshot_truncation_rejected():
@@ -504,20 +512,12 @@ def test_snapshot_numbers_parse_bitwise():
     # an actor whose bounds are inverted and not finite
     ("out_low = -1.0 -1.0\nout_high = 1.0 1.0", "out_low = 1.0 1.0\nout_high = -1.0 nan",
      "finite bounds"),
-    # a policy whose clip bounds are not its actor's output bounds
-    ("low = -1.0 -1.0\nhigh = 1.0 1.0", "low = -5.0 -5.0\nhigh = 1.0 1.0", "differs"),
-    ("low = -1.0 -1.0\nhigh = 1.0 1.0", "low = -1.0 -1.0\nhigh = 2.0 1.0", "differs"),
-    # no levels, or fewer levels than the snapshot holds (the explore policy
-    # is written as level 1 of 2)
+    # no levels, fewer levels than the snapshot holds, or more
     ("k = 2", "k = 0", "at least 1 level"),
-    ("k = 2", "k = 1", "level_index 1 differs from 0"),
-    # copies of values the code or another line fixes
-    ("state_dim = 4", "state_dim = 7", "state_dim 7 differs from 4"),
-    ("goal_dim = 2", "goal_dim = 3", "goal_dim 3 differs from 2"),
-    ("level_index = 0", "level_index = 7", "level_index 7 differs from 0"),
-    ("goal_dim = 0", "goal_dim = 2", r"\[policy explore\]: goal_dim 2 differs from 0"),
-    ("q_high = 0.0", "q_high = 5.0", "q_high 5.0 differs from 0.0"),
-    ("code_dim = 4", "code_dim = 3", "code_dim 3 differs from 4"),
+    ("k = 2", "k = 1", "not read by a 1-level"),
+    ("k = 2", "k = 3", r"missing section \[network level2.actor\]"),
+    # a flag that is neither on nor off
+    ("relabel_enabled = 1", "relabel_enabled = 2", "relabel_enabled '2', need 0 or 1"),
     # a network with no sizes
     ("sizes = 6 16 16 2", "sizes = ", "need an input and an output size"),
 ])
@@ -540,8 +540,12 @@ def _edit(snap, old, new):
     # a level-0 critic too narrow for its actor's input plus action (8)
     (lambda ag: resize_network(ag.levels[0], "critic", [6, 16, 16, 1]), "critic.*differs"),
     (lambda ag: resize_network(ag.levels[0], "critic", [8, 16, 16, 2]), "critic.*differs"),
-    # a goal-free actor that takes a goal
-    (lambda ag: resize_network(ag.explore_top, "actor", [6, 16, 16, 2]), "actor.*input size"),
+    # a goal-free actor that takes a goal, with a critic that fits it
+    (lambda ag: (resize_network(ag.explore_top, "actor", [6, 16, 16, 2]),
+                 resize_network(ag.explore_top, "critic", [8, 16, 16, 1])), "actor.*input size"),
+    # an actor that takes 1 goal value
+    (lambda ag: (resize_network(ag.levels[0], "actor", [5, 16, 16, 2]),
+                 resize_network(ag.levels[0], "critic", [7, 16, 16, 1])), "actor input size"),
     # a subgoal actor 3 outputs wide, with a critic that fits it
     (lambda ag: (resize_network(ag.levels[1], "actor", [6, 16, 16, 3]),
                  resize_network(ag.levels[1], "critic", [9, 16, 16, 1])), "actor.*output size"),

@@ -66,6 +66,25 @@ def test_network_construction_checks_itself(sizes, kw):
         approx.Network(sizes, np.zeros(8), **kw)
 
 
+def test_network_refuses_non_finite_parameters():
+    params = np.zeros(8)
+    params[3] = np.inf
+    with pytest.raises(ConfigError, match="finite"):
+        approx.Network([3, 2], params)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(learning_rate=-1e-3), dict(learning_rate=np.inf), dict(learning_rate=np.nan),
+    dict(beta1=1.0), dict(beta2=-0.1), dict(eps=0.0), dict(eps=np.inf), dict(step_count=-1),
+    dict(m=np.array([np.nan, 0.0]), v=np.zeros(2)), dict(m=np.zeros(2), v=np.array([0.0, -1.0])),
+])
+def test_optimizer_construction_checks_itself(kw):
+    # a learning rate of 0 freezes a network and is allowed
+    approx.Optimizer(0.0, m=np.zeros(2), v=np.zeros(2))
+    with pytest.raises(ConfigError):
+        approx.Optimizer(**{"learning_rate": 1e-3, **kw})
+
+
 def test_parameter_count():
     net = approx.network_init([2, 64, 64, 2], np.random.default_rng(3))
     assert parameter_count(net) == 4482

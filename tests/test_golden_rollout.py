@@ -2,12 +2,16 @@
 crit7-shaped four_rooms agent, a crit6-shaped 5x5 spiral agent and a
 crit5-shaped flat (one-level) open-field agent must leave exactly the
 recorded bytes behind: every replay buffer's stored rows, the novelty state
-buffer, the visit counts, the generator state, the snapshot and a
-fixture-style evaluate result.
+buffer, the visit counts, the generator state, the snapshot, the state a
+restored snapshot holds and a fixture-style evaluate result.
 
 The constants were recorded once and must never be edited to make a change
 pass: a rollout or update change that keeps every float keeps these hashes,
 and one that moves any float fails here long before a metrics.csv differs.
+The one exception is a change of the snapshot format, which moves the
+`snapshot` digests alone: the `state` digest reads what restore rebuilds
+from the snapshot (every network, every optimizer, the agent's settings), not
+the text, so it holds across such a change and shows that nothing was lost.
 """
 
 import hashlib
@@ -39,7 +43,8 @@ GOLDEN = {
         "novelty.states": "1543f08333f9dc9bc63e30bb78aeddb1bb7f7aaf12d011a1956aa4904c873b34",
         "visits": "87ed9c1f20d588a44d2a826ad8c805a19ae62fa8acecb6b6db794b65463c0da7",
         "rng": "e430071cd0df749d2f7bc199959a9cabb25b199738220238c4117c443e6aa8ff",
-        "snapshot": "594fd5a1f4977e1f4c1283cb58516856b45a0e3ce3c7b67a1a413b88cabe06f7",
+        "snapshot": "a5de66e687fd68a9367dae211eedb1d8fb45a31ffe147c7576c8d399f6323724",
+        "state": "75518390e75757415ab4818155a8c0bd87acdbd633e3e97d7e36da4d4e59c085",
         "evaluate": "(10.527138215017603, 0.0)",
     },
     "crit6_hacx": {
@@ -55,7 +60,8 @@ GOLDEN = {
         "novelty.states": "d1cd890eaac8430cb709e77288453fa6e1a30f5f3f1967a442f4b922c455056d",
         "visits": "8c762385238b3fa45be495ad00f5f23a8d5b9d090ed8ddd567e7d8235cd990a7",
         "rng": "622b1179d1de5941156d02b5ae921d0aa38cac125d96d882c59cffba9f5a00a8",
-        "snapshot": "3046b8ae2c3793adb7124555dc736dcf45e7a53e1492bd82b71d19ea12c4d6a8",
+        "snapshot": "9d6e7884053f51bc4d705423710b749fc20a3b0192a750055d03b797228dccec",
+        "state": "dc72c131424455443c9498eed34d06e24874891d95910c2dc5fef0ed4f52aede",
         "evaluate": "(2.1810552837535133, 0.0)",
     },
     "crit5": {
@@ -67,7 +73,8 @@ GOLDEN = {
         "novelty.states": "39f8ad35bf7ac1b16f64c0c8f7c76fb215df5e7d15c63dc709810728524eb15d",
         "visits": "0f0c6bed4f7178e063e5f56ba71302e417ef4bd40d7ac4613d66745e969b81e1",
         "rng": "43adfae15cd6c6cbbdb495580ba63b7291d72fc7622adedcfec7be783676062a",
-        "snapshot": "afd1c7eff69d07928f552446bb35535b0e27aa52bc5aaa0a0b4b95af1196a08c",
+        "snapshot": "9d53735a9f73f298b9bdc9ecdfe6f53172d746b3adc205a5cbb4ab65a987927b",
+        "state": "875ef2d0c773676df11eb22902119b44322a33e012249bc01b6229ed395c0ef4",
         "evaluate": "(2.8168149508866067, 0.0)",
     },
 }
@@ -79,6 +86,27 @@ def _sha(data) -> str:
     elif isinstance(data, np.ndarray):
         data = np.ascontiguousarray(data).tobytes()
     return hashlib.sha256(data).hexdigest()
+
+
+def state_digest(ag) -> str:
+    """Digest of what restore(policy_snapshot(ag)) holds: every network's
+    parameters, every optimizer's moments, step count, learning rate, betas
+    and eps, and the agent's settings."""
+    back = agent.restore(agent.policy_snapshot(ag))
+    nov = back.novelty
+    parts = [repr((back.k, back.tau, back.horizon, back.epsilon, back.subgoal_test_rate,
+                   back.q_low, back.num_relabels, back.relabel_enabled, nov.epsilon_rnd,
+                   nov.phase_index, back.env_name, tuple(back.visits.bounds)))]
+    pairs = [(net, opt) for p in [*back.levels, back.explore_top]
+             for net, opt in ((p.actor, p.actor_opt), (p.critic, p.critic_opt))]
+    pairs += [(nov.target, None), (nov.predictor, nov.predictor_opt)]
+    for net, opt in pairs:
+        parts.append(net.params.tobytes().hex())
+        if opt is not None:
+            parts.append(repr((opt.step_count, opt.learning_rate, opt.beta1, opt.beta2,
+                               opt.eps)))
+            parts += ["-" if m is None else m.tobytes().hex() for m in (opt.m, opt.v)]
+    return _sha("\n".join(parts))
 
 
 def rollout_digests(tag: str) -> dict:
@@ -104,6 +132,7 @@ def rollout_digests(tag: str) -> dict:
     out["visits"] = _sha(ag.visits.counts)
     out["rng"] = _sha(repr(rng.bit_generator.state))
     out["snapshot"] = _sha(agent.policy_snapshot(ag))
+    out["state"] = state_digest(ag)
     out["evaluate"] = repr(harness.evaluate(ag, spec, test_episodes,
                                             np.random.default_rng([20261, 1])))
     return out

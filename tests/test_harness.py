@@ -1,10 +1,11 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from hacx import agent as agent_mod
-from hacx import envsim, harness, kvtext
+from hacx import envsim, harness, rnd
 from hacx.errors import CheckpointError, ConfigError, TrainingError
 
 from helpers import edit_line, resize_network
@@ -91,9 +92,15 @@ def test_config_round_trip():
 def test_validate_rejects_bad_settings():
     for kw in (dict(levels=0), dict(tau=1.5), dict(episodes=0),
                dict(seeds=()), dict(relabels=-1), dict(rnd_batch_size=-5),
-               dict(rnd_batch_size=0)):
+               dict(rnd_batch_size=0), dict(seeds=(-1,)), dict(seeds=(0, -3))):
         with pytest.raises(ConfigError):
             smoke_cfg(**kw)
+    # settings only the agent's records check: building the agent refuses them
+    spec = envsim.builtin_spec("open_field_near")
+    for kw in (dict(subgoal_test_rate=2.0), dict(epsilon_level=-1.0),
+               dict(rnd_epsilon=float("nan"))):
+        with pytest.raises(ConfigError):
+            harness.build_agent(smoke_cfg(**kw), spec, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
@@ -284,10 +291,27 @@ def test_cli_exit_codes(tmp_path, capsys):
                          str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
 
+    # a negative seed, and settings out of the agent's ranges
+    train = ["--quiet", "train", "--env", "open_field_near", "--episodes", "1",
+             "--output-dir", str(tmp_path / "y")]
+    cfg = tmp_path / "cfg.txt"
+    for argv, text in ((["--seed", "-1"], ""), ([], "agent.subgoal_test_rate = 2"),
+                       ([], "agent.epsilon = -1"), ([], "rnd.epsilon = nan")):
+        cfg.write_text(text + "\nrun.seeds = 0\n")
+        assert harness.main(train + ["--config", str(cfg)] + argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     corrupt = tmp_path / "corrupt.txt"
-    corrupt.write_text("HACX1\n[agent]\nk = not_a_number\n")
-    assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
-    assert "error" in capsys.readouterr().err
+    for text in ("HACX2\n[agent]\nk = not_a_number\n", "HACX1\n[agent]\nk = 2\nEND\n"):
+        corrupt.write_text(text)
+        assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
+        assert "checkpoint error" in capsys.readouterr().err
+
+    ckpt = tmp_path / "c.txt"
+    harness.write_checkpoint(harness.build_agent(
+        smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)), str(ckpt))
+    assert harness.main(["--quiet", "eval", "--checkpoint", str(ckpt), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
@@ -300,22 +324,21 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
     assert "optimizer kind" in capsys.readouterr().err
     # a bad number or a missing key in a complete snapshot is one too
-    # ... and so is a bad token inside a numeric block, a goal width the
-    # actor's input cannot hold, no levels, fewer levels than were written,
-    # a copy of a shared setting or a constant that differs from its source,
-    # a network with no sizes, or a subgoal actor 3 outputs wide
+    # ... and so is a bad token inside a numeric block, no levels, fewer
+    # levels than were written, a setting out of range, an environment that
+    # is not a valid geometry, a network with no sizes, or a subgoal actor 3
+    # outputs wide
     wide = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0))
     resize_network(wide.levels[1], "actor", [6, 12, 12, 3])
     resize_network(wide.levels[1], "critic", [9, 12, 12, 1])
     for bad in (edit_line(good, "k", "two"),
-                edit_line(good, "q_low", None),
+                edit_line(good, "tau", None),
                 edit_line(good, "A0", lambda v: "0.5x " + v.split(" ", 1)[1]),
-                edit_line(good, "goal_dim", "6", section="policy level0"),
                 edit_line(good, "k", "0"),
                 edit_line(good, "k", "1"),
-                edit_line(good, "horizon", "0", section="policy level1"),
-                edit_line(good, "state_capacity", "0"),
-                edit_line(good, "visit_resolution", "0"),
+                edit_line(good, "horizon", "0"),
+                edit_line(good, "lr", "-1"),
+                edit_line(good, "bounds", "0.0 0.0 1.0 1.0", section="env"),
                 edit_line(good, "sizes", ""),
                 agent_mod.policy_snapshot(wide)):
         path.write_text(bad)
@@ -326,46 +349,53 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
                          "--test-episodes", "1"]) == 0
 
 
-# Every line a snapshot writes as a copy of a value that the code or another
-# line fixes, as (section, key), and the values each is edited to
-COPIED_LINES = ([(f"policy {tag}", key) for tag in ("level0", "level1", "explore")
-                 for key in ("horizon", "epsilon", "subgoal_test_rate", "q_low", "capacity",
-                             "noise_sigma")]
-                + [("rnd", "state_capacity"), ("agent", "visit_resolution")])
+# The values the sweep below sets each non-parameter snapshot line to
 EDITED_VALUES = ("0", "-1", "1", "2", "3", "nan", "inf", "1e9", "x", "")
+PARAMETER_KEY = re.compile(r"[MV]?[AB][0-9]+")
+# the sections of the policies above level 0, which the same code reads as level 0's
+OTHER_POLICY = re.compile(r"\[(network|opt) (level[1-9]|explore)\.")
 
 
-def _same_numbers(a: str, b: str) -> bool:
-    try:
-        return np.array_equal(np.array(a.split(), dtype=float), np.array(b.split(), dtype=float))
-    except ValueError:
-        return False
-
-
-def test_every_copied_snapshot_value_is_checked():
-    # each copy edited to any other value is refused; an edit that leaves the
-    # value as it was restores to the same snapshot
-    spec = envsim.builtin_spec("open_field_near")
-    good = agent_mod.policy_snapshot(
-        harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0)))
-    lines = good.splitlines()
-    written = {(s, k): v for s, k, v in kvtext.read_entries(lines[1:lines.index("END")])}
-    edits = [(written[s, k], v, edit_line(good, k, v, section=s))
-             for s, k in COPIED_LINES for v in EDITED_VALUES]
-    # one hidden size of the RND target
-    sizes = written["network rnd.target", "sizes"].split()
-    edits += [(sizes[1], v, edit_line(good, "sizes", " ".join([sizes[0], v, *sizes[2:]]),
-                                      section="network rnd.target"))
-              for v in EDITED_VALUES]
-    kept = 0
-    for was, value, text in edits:
-        if _same_numbers(value, was):
-            assert agent_mod.policy_snapshot(agent_mod.restore(text)) == good
-            kept += 1
-        else:
-            with pytest.raises(CheckpointError):
-                agent_mod.restore(text)
-    assert kept == 3    # horizon = 3 in each policy
+def test_every_snapshot_edit_is_refused_or_runs():
+    # each non-parameter line of a trained snapshot, set to each value, is
+    # refused as corrupt, or restores an agent that trains, advances its
+    # novelty phase and evaluates without an exception; the other policies'
+    # lines are left out to keep the sweep near 5 s
+    cfg = smoke_cfg()
+    spec = envsim.builtin_spec(cfg.env)
+    rng = np.random.default_rng(0)
+    ag = harness.build_agent(cfg, spec, rng)
+    for _ in range(2):
+        agent_mod.run_episode(ag, spec, "train", rng)
+        agent_mod.update(ag, cfg.rounds_per_episode, cfg.batch_size, rng)
+    rnd.advance_phase(ag.novelty, cfg.rnd_phase_gradient_steps, cfg.rnd_batch_size, rng)
+    lines = agent_mod.policy_snapshot(ag).split("\n")
+    outcomes = {"refused": 0, "ran": 0}
+    section = ""
+    for i, line in enumerate(lines):
+        section = line if line.startswith("[") else section
+        key, sep, _ = line.partition(" = ")
+        if not sep or PARAMETER_KEY.fullmatch(key) or OTHER_POLICY.match(section):
+            continue
+        for value in EDITED_VALUES:
+            text = "\n".join([*lines[:i], f"{key} = {value}", *lines[i + 1:]])
+            try:
+                back = agent_mod.restore(text)
+            except CheckpointError:
+                outcomes["refused"] += 1
+                continue
+            try:
+                run_rng = np.random.default_rng(1)
+                for _ in range(2):
+                    agent_mod.run_episode(back, back.spec, "train", run_rng)
+                agent_mod.update(back, cfg.rounds_per_episode, cfg.batch_size, run_rng)
+                rnd.advance_phase(back.novelty, cfg.rnd_phase_gradient_steps,
+                                  cfg.rnd_batch_size, run_rng)
+                harness.evaluate(back, back.spec, cfg.test_episodes, run_rng)
+            except Exception as e:
+                pytest.fail(f"line {i} {line!r} set to {value!r} restored, then raised {e!r}")
+            outcomes["ran"] += 1
+    assert outcomes["refused"] and outcomes["ran"], outcomes
 
 
 def test_cli_eval_with_no_test_episodes_exits_2(tmp_path, capsys):
@@ -451,21 +481,28 @@ def test_cli_bad_number_in_geometry_file_exits_2(tmp_path, capsys, line, bad):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_eval_and_map_refuse_a_checkpoint_from_other_geometry(tmp_path, capsys):
+def test_cli_eval_and_map_use_the_trained_geometry(tmp_path, capsys):
     # the reduced spiral of the long-horizon comparison shares the builtin
-    # 7x7 maze's name, so the name alone would evaluate on the wrong maze
+    # 7x7 maze's name, and a wall-less arena may be called four_rooms: a
+    # checkpoint holds its geometry, so neither name is looked up
     spiral5 = envsim.spiral_spec(cells=5, max_steps=600)
     assert spiral5.name == "spiral_maze"
-    geometry = tmp_path / "spiral_small.txt"
-    geometry.write_text(envsim.spec_to_text(spiral5))
-    ckpt = str(tmp_path / "c.txt")
-    harness.write_checkpoint(
-        harness.build_agent(smoke_cfg(), spiral5, np.random.default_rng(0)), ckpt)
-    maps = str(tmp_path / "maps")
-    for argv in (["eval", "--checkpoint", ckpt, "--test-episodes", "1"],
-                 ["map", "--checkpoint", ckpt, "--output-dir", maps]):
-        assert harness.main(["--quiet"] + argv) == 2
-        assert "--env" in capsys.readouterr().err
-        assert harness.main(["--quiet"] + argv + ["--env", str(geometry)]) == 0
-        capsys.readouterr()
-    assert os.path.exists(os.path.join(maps, "novelty.pgm"))
+    open_rooms = envsim.EnvSpec("four_rooms", (0.0, 0.0, 10.0, 10.0), [],
+                                (1.0, 1.0, 2.0, 2.0), (1.0, 3.0, 2.0, 4.0))
+    for i, spec in enumerate((spiral5, open_rooms)):
+        geometry = tmp_path / f"g{i}.txt"
+        geometry.write_text(envsim.spec_to_text(spec))
+        ckpt = str(tmp_path / f"c{i}.txt")
+        harness.write_checkpoint(
+            harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0)), ckpt)
+        outputs = []
+        for env in ([], ["--env", str(geometry)], ["--env", spec.name]):
+            maps = str(tmp_path / f"maps{i}{len(outputs)}")
+            assert harness.main(["--quiet", "eval", "--checkpoint", ckpt,
+                                 "--test-episodes", "2"] + env) == 0
+            assert harness.main(["--quiet", "map", "--checkpoint", ckpt,
+                                 "--output-dir", maps] + env) == 0
+            outputs.append((capsys.readouterr().out.splitlines()[0],
+                            open(os.path.join(maps, "novelty.txt")).read()))
+        # as with its geometry file, and unlike with the builtin of its name
+        assert outputs[0] == outputs[1] != outputs[2]

@@ -1,8 +1,11 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from hacx import approx, rnd
+from hacx.errors import ConfigError
 
 BOUNDS = (0.0, 0.0, 10.0, 10.0)
 
@@ -15,6 +18,16 @@ def clone_target_into_predictor(model):
     t = model.target
     model.predictor = approx.Network(t.layer_sizes, t.params.copy())
     return model
+
+
+@pytest.mark.parametrize("kw", [
+    dict(epsilon_rnd=np.nan), dict(epsilon_rnd=np.inf), dict(phase_index=-1),
+    dict(predictor=approx.network_init([2, 8, 4], np.random.default_rng(1))),
+    dict(target=approx.network_init([3, 32, 32, 16], np.random.default_rng(1))),
+])
+def test_novelty_model_construction_checks_itself(kw):
+    with pytest.raises(ConfigError):
+        replace(fresh_model(), **kw)
 
 
 def test_identical_networks_mean_nothing_is_new():
