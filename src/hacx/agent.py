@@ -14,7 +14,11 @@ set of checks. Each episode either pursues the task goal or explores
 also relabeled into the goal top level's buffer, so exploring trains the
 goal policy. Control descends recursively, and every
 level runs the same loop: act, let the level below carry the action out (the
-bottom level acts in the environment), store one row. The rollout carries
+bottom level acts in the environment), store one row. That loop asks
+its caller for each action: run_episode answers with select_action, and
+run_test_episodes runs many test episodes in lockstep and answers each
+policy's waiting episodes with one approx.forward_rows call, whose rows
+have the bits select_action gives them one by one. The rollout carries
 the primitive state as one float64 vector (x, y, vx, vy) per environment
 step, and no vector is written once built. A level below the top stops when
 it comes within epsilon of its subgoal or after H actions; the top level
@@ -242,6 +246,7 @@ class _Episode:
         self.spec = spec
         self.s_vec = s
         self.steps = 0
+        self.task_goal = task_goal
         self.task_xy = task_goal.tolist()
         self.mode = mode
         self.top = top
@@ -280,8 +285,10 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
     """Level i pursues goal (None for the explore policy): act, let the level
     below (or the environment) carry the action out, store one row.
     A level below the top stops on reaching its goal or after H actions; the
-    top level acts until the episode ends. Returns the position reached, as
-    Python floats."""
+    top level acts until the episode ends. A generator: for each action it
+    yields select_action's (policy, state, goal, mode) and is sent the action
+    back, so whoever drives it chooses how actions are computed. Returns the
+    position reached, as Python floats."""
     is_top = i == agent.k - 1
     train = ep.mode == "train"
     mode = "noisy" if train and not testing else "deterministic"
@@ -301,13 +308,13 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
     while True:
         attempts += 1
         s_vec = ep.s_vec
-        action = select_action(policy, s_vec, goal, mode, ep.rng)
+        action = yield policy, s_vec, goal, mode
         child_testing = i > 0 and (testing or (train and ep.rng.random()
                                                < agent.subgoal_test_rate))
         if i == 0:
             x, y = _env_step(agent, ep, action, train)
         else:
-            x, y = _run_level(agent, ep, i - 1, action, child_testing)
+            x, y = yield from _run_level(agent, ep, i - 1, action, child_testing)
         ns_vec = ep.s_vec
         reached = goal is not None and math.hypot(x - gx, y - gy) < eps
 
@@ -334,6 +341,12 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
             return x, y
 
 
+def _record(ep: _Episode) -> EpisodeRecord:
+    positions = np.array(ep.primitive_states)[:, :2]
+    closest = float(np.min(np.linalg.norm(positions - ep.task_goal, axis=1)))
+    return EpisodeRecord(ep.top, ep.primitive_states, closest, ep.success, ep.counts)
+
+
 def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
                 rng: np.random.Generator) -> EpisodeRecord:
     """One episode. Test mode is pure: always the goal policy, deterministic
@@ -345,7 +358,13 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     top = choose_top_policy(agent.tau, rng) if train else "goal"
     ep = _Episode(spec, s, task_goal, mode, top, rng, agent.k)
 
-    _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
+    run = _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
+    try:
+        request = next(run)
+        while True:
+            request = run.send(select_action(*request, rng))
+    except StopIteration:
+        pass
 
     if train and agent.relabel_enabled and agent.num_relabels > 0:
         for p, segments in zip(agent.levels, ep.segments):
@@ -353,10 +372,54 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
                 rows = hindsight_goal_transitions(seg, agent.num_relabels, agent.epsilon, rng)
                 buffer_push(p.buffer, rows)
                 ep.counts["relabel"] += len(rows)
+    return _record(ep)
 
-    positions = np.array(ep.primitive_states)[:, :2]
-    closest = float(np.min(np.linalg.norm(positions - task_goal, axis=1)))
-    return EpisodeRecord(top, ep.primitive_states, closest, ep.success, ep.counts)
+
+# Test episodes run together, at most: this bounds the memory of a long
+# evaluation, and every frozen config's 50 test episodes are one batch.
+LOCKSTEP_EPISODES = 64
+
+
+def run_test_episodes(agent: HacxAgent, spec: EnvSpec, n: int, rng: np.random.Generator):
+    """Yield the records of n test episodes, in order: the records, and the
+    rng state once all are drawn, of n run_episode(agent, spec, "test", rng)
+    calls one after another. Up to LOCKSTEP_EPISODES of them run in
+    lockstep, and a batch's resets are drawn when it starts, which are the
+    only draws a test episode makes."""
+    for first in range(0, n, LOCKSTEP_EPISODES):
+        yield from _run_lockstep(agent, spec, min(LOCKSTEP_EPISODES, n - first), rng)
+
+
+def _run_lockstep(agent: HacxAgent, spec: EnvSpec, n: int,
+                  rng: np.random.Generator) -> list:
+    """n test episodes driven together, one environment step each per tick.
+    A tick answers the waiting episodes level by level from the top, so an
+    episode given a subgoal asks the level below in the same tick. Each
+    level's waiting [state | goal] rows go through one approx.forward_rows
+    call, which gives each row the floats select_action gives it alone
+    (test actions carry no noise)."""
+    eps, runs, requests = [], [], []
+    for _ in range(n):
+        s, task_goal = envsim.env_reset(spec, rng)
+        ep = _Episode(spec, s, task_goal, "test", "goal", rng, agent.k)
+        run = _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
+        eps.append(ep)
+        runs.append(run)
+        requests.append(next(run))
+    live = list(range(n))
+    while live:
+        for policy in reversed(agent.levels):
+            js = [j for j in live if requests[j][0] is policy]
+            if not js:
+                continue
+            xs = np.concatenate([v for j in js for v in requests[j][1:3]]).reshape(len(js), -1)
+            for j, action in zip(js, approx.forward_rows(policy.actor, xs)):
+                try:
+                    requests[j] = runs[j].send(action)
+                except StopIteration:
+                    requests[j] = None
+        live = [j for j in live if requests[j] is not None]
+    return [_record(ep) for ep in eps]
 
 
 def _named_policies(agent: HacxAgent) -> list:

@@ -8,7 +8,10 @@ layout, so an optimizer step is a handful of whole-vector operations.
 
 Inputs may be single vectors of shape (d,) or batches of shape (n, d).
 For batched inputs the parameter gradients are summed over the batch; the
-caller scales the upstream gradient to get means.
+caller scales the upstream gradient to get means. A batch's product
+``x @ w.T`` may differ from the single-vector product in the last bit, so
+``forward_rows`` evaluates a stack of single inputs with one stacked
+matrix-vector product per layer, each row bit-equal to ``forward`` on it.
 """
 
 from __future__ import annotations
@@ -163,16 +166,23 @@ def _checked_input(net: Network, x) -> np.ndarray:
     return x
 
 
-def _layers(net: Network, x: np.ndarray, acts: list | None = None):
+def _layers(net: Network, x: np.ndarray, acts: list | None = None, rows: bool = False):
     """The layer loop on x of shape (d,) or (n, d). Appends each layer's input
     to acts when given. Returns the output and, for tanh_scaled output, the
     output tanh (else None). Activations are applied in place to each fresh
-    product, which computes the same floats as allocating a new array."""
+    product, which computes the same floats as allocating a new array. With
+    rows, each row of a batch goes through the matrix-vector product that a
+    single vector gets."""
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         if acts is not None:
             acts.append(x)
-        z = w.dot(x) if x.ndim == 1 else x @ w.T
+        if x.ndim == 1:
+            z = w.dot(x)
+        elif rows:
+            z = np.matmul(w, x[:, :, None])[:, :, 0]
+        else:
+            z = x @ w.T
         z += b
         if i < last:
             if net.hidden_activation == "relu":
@@ -191,6 +201,17 @@ def _layers(net: Network, x: np.ndarray, acts: list | None = None):
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Evaluate the network; pure function of (net, x)."""
     return _layers(net, _checked_input(net, x))[0]
+
+
+def forward_rows(net: Network, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the network on each row of xs, shape (n, d): row j of the
+    result is bit-equal to forward(net, xs[j]). np.matmul of a layer's
+    weights with the (n, d, 1) stack runs, row by row, the matrix-vector
+    kernel of forward's w.dot(x); the batch product x @ w.T does not."""
+    xs = _checked_input(net, xs)
+    if xs.ndim != 2:
+        raise ShapeError(f"forward_rows needs an (n, {net.input_dim}) stack, got {xs.shape}")
+    return _layers(net, xs, rows=True)[0]
 
 
 def forward_trace(net: Network, x: np.ndarray):

@@ -14,7 +14,9 @@ Rectangles are (x0, y0, x1, y1) tuples throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,21 @@ class EnvSpec:
     action_bounds: float = 1.0
     dt: float = 0.1
     max_speed: float = 1.0
+
+    @cached_property
+    def faces(self) -> tuple:
+        """Per axis, the walls' faces that can stop motion along it:
+        (low faces, their spans, high faces, their spans), each face list
+        sorted, each span the open interval the wall covers on the other
+        axis. Derived at the first step; the walls never change."""
+        out = []
+        for axis in (0, 1):
+            per_side = []
+            for side in (axis, axis + 2):
+                ws = sorted(self.walls, key=lambda w: w[side])
+                per_side += [[w[side] for w in ws], [(w[1 - axis], w[3 - axis]) for w in ws]]
+            out.append(tuple(per_side))
+        return tuple(out)
 
 
 @dataclass
@@ -114,26 +131,35 @@ def env_reset(spec: EnvSpec, rng: np.random.Generator):
     return s, sample_in_rect(spec.task_goal_region, rng)
 
 
-def _slide(p: float, other: float, delta: float, axis: int, walls, bounds):
+def _slide(p: float, other: float, delta: float, axis: int, spec: EnvSpec):
     """Move the axis coordinate p by delta, stopping at the first obstacle
     face crossed; other is the coordinate along the other axis. Returns
-    (new_coordinate, blocked)."""
+    (new_coordinate, blocked). The nearest face crossed is the first one in
+    the sorted face list (spec.faces) whose wall spans other."""
     c = p + delta
     blocked = False
-    b_lo, b_hi = bounds[axis], bounds[axis + 2]
+    b_lo, b_hi = spec.bounds[axis], spec.bounds[axis + 2]
     if c < b_lo:
         c, blocked = b_lo, True
     elif c > b_hi:
         c, blocked = b_hi, True
-    o_lo_i, o_hi_i = 1 - axis, 3 - axis
-    for w in walls:
-        if not (w[o_lo_i] < other < w[o_hi_i]):
-            continue
-        w_lo, w_hi = w[axis], w[axis + 2]
-        if delta > 0 and p <= w_lo < c:
-            c, blocked = w_lo, True
-        elif delta < 0 and c < w_hi <= p:
-            c, blocked = w_hi, True
+    lo_at, lo_spans, hi_at, hi_spans = spec.faces[axis]
+    if delta > 0:
+        # low faces w with p <= w < c, nearest first
+        j = bisect_left(lo_at, p)
+        while j < len(lo_at) and lo_at[j] < c:
+            o_lo, o_hi = lo_spans[j]
+            if o_lo < other < o_hi:
+                return lo_at[j], True
+            j += 1
+    elif delta < 0:
+        # high faces w with c < w <= p, nearest first
+        j = bisect_right(hi_at, p) - 1
+        while j >= 0 and hi_at[j] > c:
+            o_lo, o_hi = hi_spans[j]
+            if o_lo < other < o_hi:
+                return hi_at[j], True
+            j -= 1
     return c, blocked
 
 
@@ -141,10 +167,11 @@ def env_step(spec: EnvSpec, s: np.ndarray, action) -> np.ndarray:
     """Advance one timestep from the state vector s = (x, y, vx, vy); pure
     function of (spec, s, action) that returns a new vector."""
     try:
-        ax, ay = float(action[0]), float(action[1])
-    except (TypeError, IndexError, ValueError):
+        ax, ay = action.tolist() if isinstance(action, np.ndarray) else action
+        ax, ay = float(ax), float(ay)
+    except (TypeError, ValueError):
         raise ValueError(f"action must be a finite 2-vector, got {action!r}")
-    if len(action) != 2 or not (math.isfinite(ax) and math.isfinite(ay)):
+    if not (math.isfinite(ax) and math.isfinite(ay)):
         raise ValueError(f"action must be a finite 2-vector, got {action!r}")
     ab, dt = spec.action_bounds, spec.dt
     ax = -ab if ax < -ab else (ab if ax > ab else ax)
@@ -157,8 +184,8 @@ def env_step(spec: EnvSpec, s: np.ndarray, action) -> np.ndarray:
         scale = spec.max_speed / speed
         vx *= scale
         vy *= scale
-    x, bx = _slide(x, y, vx * dt, 0, spec.walls, spec.bounds)
-    y, by = _slide(y, x, vy * dt, 1, spec.walls, spec.bounds)
+    x, bx = _slide(x, y, vx * dt, 0, spec)
+    y, by = _slide(y, x, vy * dt, 1, spec)
     # a wall or bound face may be an int; the state stays float64
     return np.array((x, y, 0.0 if bx else vx, 0.0 if by else vy), dtype=float)
 

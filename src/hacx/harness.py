@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import envsim, kvtext, rnd
-from .agent import HacxAgent, make_agent, policy_snapshot, restore, run_episode, update
+from .agent import (HacxAgent, make_agent, policy_snapshot, restore, run_episode,
+                    run_test_episodes, update)
 from .envsim import EnvSpec, load_spec
 from .errors import CheckpointError, ConfigError, TrainingError
 
@@ -169,12 +170,12 @@ def build_agent(cfg: RunConfig, spec: EnvSpec, rng: np.random.Generator) -> Hacx
 
 def evaluate(agent: HacxAgent, spec: EnvSpec, n_test: int,
              rng: np.random.Generator):
-    """Mean closest distance and success rate over n_test test episodes."""
+    """Mean closest distance and success rate over n_test test episodes,
+    run in lockstep batches (agent.run_test_episodes)."""
     if n_test < 1:
         raise ConfigError("n_test must be >= 1")
     dists, succ = [], 0
-    for _ in range(n_test):
-        rec = run_episode(agent, spec, "test", rng)
+    for rec in run_test_episodes(agent, spec, n_test, rng):
         dists.append(rec.closest_distance)
         succ += int(rec.success)
     return float(np.mean(dists)), succ / n_test
@@ -273,7 +274,8 @@ def run_trials(cfg: RunConfig, out_root: str = None) -> str:
     raises TrainingError (training diverged) is reported and excluded; any
     other exception propagates. Returns the aggregate file path."""
     out_root = out_root or cfg.output_dir
-    load_spec(cfg.env)  # fail fast on a bad environment before any trial runs
+    # the environment's and the agent's records' checks, before anything is written
+    build_agent(cfg, load_spec(cfg.env), np.random.default_rng(0))
     os.makedirs(out_root, exist_ok=True)
     with open(os.path.join(out_root, "config.txt"), "w") as f:
         f.write(config_to_text(cfg))

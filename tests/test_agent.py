@@ -215,6 +215,31 @@ def test_test_mode_deterministic(monkeypatch):
     assert np.array_equal(np.concatenate((a, b)), np.array(seen))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lockstep_test_episodes_match_one_at_a_time(k):
+    # the goal lies up and to the right of the start, and the level-0 actor
+    # is biased to move that way: most episodes reach the goal, each at its
+    # own step, and the rest run out of steps
+    spec = arena(bounds=(0.0, 0.0, 4.0, 4.0), start_region=(0.5, 0.5, 1.5, 1.5),
+                 task_goal_region=(1.6, 1.6, 2.4, 2.4), max_primitive_steps=40)
+    ag = small_agent(spec, k=k, seed=k)
+    ag.levels[0].actor.weights[-1][:] *= 3.0
+    ag.levels[0].actor.biases[-1][:] = 1.0
+    n = agent.LOCKSTEP_EPISODES + 6
+    rng_one, rng_lock = np.random.default_rng(3), np.random.default_rng(3)
+    one = [agent.run_episode(ag, spec, "test", rng_one) for _ in range(n)]
+    lock = list(agent.run_test_episodes(ag, spec, n, rng_lock))
+    assert rng_lock.bit_generator.state == rng_one.bit_generator.state
+    steps = [len(r.primitive_states) - 1 for r in one]
+    assert max(steps) == spec.max_primitive_steps and len(set(steps)) > 10
+    assert len(lock) == n
+    for a, b in zip(one, lock):
+        assert (b.closest_distance, b.success) == (a.closest_distance, a.success)
+        assert np.array(b.primitive_states).tobytes() == np.array(a.primitive_states).tobytes()
+        assert (b.top_policy_used, b.transitions_emitted) == (a.top_policy_used,
+                                                              a.transitions_emitted)
+
+
 def test_train_episode_deterministic_given_seeds(monkeypatch):
     out, states = [], []
     seen = record_states(monkeypatch)

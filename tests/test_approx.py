@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hacx import approx
+from hacx import agent, approx, envsim
 from hacx.errors import ConfigError, ShapeError, TrainingError
 
 from helpers import (
@@ -131,6 +131,27 @@ def test_forward_single_matches_batch():
                 assert np.array_equal(approx.forward_trace(net, xs)[0], batch)
                 for i in range(5):
                     assert np.allclose(approx.forward(net, xs[i]), batch[i], atol=1e-12)
+
+
+def test_forward_rows_is_row_exact():
+    # each row of a stacked product has the bits forward gives it alone:
+    # every network of a k=3 agent (RND included), and both hidden
+    # activations, for stacks of 1 to 64 rows
+    ag = agent.make_agent(envsim.builtin_spec("four_rooms"), 3, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    nets = [net for p in (*ag.levels, ag.explore_top) for net in (p.actor, p.critic)]
+    nets += [ag.novelty.target, ag.novelty.predictor]
+    nets += [random_small_net(rng, hidden, output) for hidden in approx.HIDDEN_ACTIVATIONS
+             for output in approx.OUTPUT_ACTIVATIONS]
+    for net in nets:
+        for n in range(1, 65):
+            xs = rng.normal(0.0, 3.0, (n, net.input_dim))
+            rows = approx.forward_rows(net, xs)
+            assert rows.shape == (n, net.output_dim)
+            for j in range(n):
+                assert rows[j].tobytes() == approx.forward(net, xs[j]).tobytes()
+    with pytest.raises(ShapeError):
+        approx.forward_rows(nets[0], np.zeros(nets[0].input_dim))
 
 
 def test_forward_trace_agrees_with_forward():

@@ -244,6 +244,16 @@ def test_run_trials_unknown_env_fails_before_writing(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("overrides", [dict(epsilon_level=-1.0), dict(subgoal_test_rate=2.0),
+                                       dict(rnd_epsilon=float("nan"))])
+def test_run_trials_refused_agent_setting_fails_before_writing(tmp_path, overrides):
+    # settings only the agent's records check are refused before any file
+    out = str(tmp_path / "bad")
+    with pytest.raises(ConfigError):
+        harness.run_trials(smoke_cfg(**overrides), out)
+    assert not os.path.exists(out)
+
+
 def test_run_trials_lets_a_code_bug_propagate(tmp_path, monkeypatch):
     # only TrainingError excludes a seed; anything else is a bug, not a result
     def broken(cfg, seed, out_dir):

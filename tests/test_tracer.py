@@ -23,26 +23,35 @@ def load_tracer():
 def test_tracer_covers_a_smoke_run(tmp_path):
     tracer = load_tracer()
     originals = (approx.forward, approx.backward_trace, agent.update, harness.update,
-                 harness.run_episode)
+                 harness.run_episode, harness.run_test_episodes)
     t = tracer.Tracer()
     t.install()  # raises LookupError if a traced function is gone
-    # primitive steps of every episode, as run_episode reports them
+    # primitive steps of every episode, as run_episode (training) and
+    # run_test_episodes (evaluate) report them
     steps = []
     traced_run_episode = harness.run_episode
+    run_test_episodes = harness.run_test_episodes
 
     def counted_run_episode(*args, **kwargs):
         rec = traced_run_episode(*args, **kwargs)
         steps.append(len(rec.primitive_states) - 1)
         return rec
 
+    def counted_run_test_episodes(*args, **kwargs):
+        for rec in run_test_episodes(*args, **kwargs):
+            steps.append(len(rec.primitive_states) - 1)
+            yield rec
+
     harness.run_episode = counted_run_episode
+    harness.run_test_episodes = counted_run_test_episodes
     try:
         harness.run_trial(smoke_cfg(episodes=2), 0, str(tmp_path))
     finally:
         harness.run_episode = traced_run_episode
+        harness.run_test_episodes = run_test_episodes
         t.uninstall()
     assert (approx.forward, approx.backward_trace, agent.update, harness.update,
-            harness.run_episode) == originals
+            harness.run_episode, harness.run_test_episodes) == originals
 
     # raises LookupError unless every approx span resolves to the role of a
     # network the agent owns, and every span to a declared name
