@@ -8,7 +8,8 @@ are its actor's output bounds, its goal width is its buffer's (0 for the
 explore policy). The agent holds the environment it was built for and, once,
 the settings every level shares: the horizon H, the goal threshold epsilon
 and the subgoal test rate; the value floor q_low follows from H. Every
-record checks itself when it is built, so make_agent and restore share one
+record checks its own ranges when it is built, and restore builds through
+make_agent, so training and a restored snapshot share one builder and one
 set of checks. Each episode either pursues the task goal or explores
 (chosen with probability tau); an explore episode's top-level steps are
 also relabeled into the goal top level's buffer, so exploring trains the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +54,6 @@ log = logging.getLogger(__name__)
 
 STATE_DIM = 4   # (x, y, vx, vy)
 GOAL_DIM = 2    # (x, y)
-ACTION_DIM = 2  # (ax, ay)
 
 REPLAY_CAPACITY = 1_000_000
 EXPLORE_NOISE_SCALE = 0.2
@@ -70,10 +70,8 @@ ACTION_PENALTY = 0.05
 class LevelPolicy:
     """One level's policy. Its actions lie in [actor.output_low,
     actor.output_high]; its Gaussian exploration noise is noise_scale times
-    the actor's half-range, and its buffer's widths are the actor's. Raises
-    ConfigError unless the actor takes the state plus 0 or GOAL_DIM goal
-    values and outputs 2 bounded values, and the critic takes the actor's
-    input and output and returns one value."""
+    the actor's half-range, and its buffer's widths are the actor's: the
+    state plus 0 or GOAL_DIM goal values in, 2 values out."""
 
     actor: Network
     critic: Network
@@ -86,19 +84,9 @@ class LevelPolicy:
     actor_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, noise_scale: float):
-        actor, critic = self.actor, self.critic
-        goal_dim = actor.input_dim - STATE_DIM
-        if goal_dim not in (0, GOAL_DIM):
-            raise ConfigError(f"actor input size {actor.input_dim} differs from STATE_DIM "
-                              f"plus 0 or {GOAL_DIM} goal values")
-        act_dim = actor.output_dim
-        if act_dim not in (ACTION_DIM, GOAL_DIM) or actor.output_activation != "tanh_scaled":
-            raise ConfigError(f"actor output size {act_dim} differs from 2 bounded values, "
-                              "an action or a subgoal")
-        if (critic.input_dim, critic.output_dim) != (actor.input_dim + act_dim, 1):
-            raise ConfigError(f"critic sizes {critic.layer_sizes}: input and output differs "
-                              "from the actor's input plus output, and one value")
-        self.buffer = ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, goal_dim, act_dim))
+        actor = self.actor
+        self.buffer = ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, actor.input_dim - STATE_DIM,
+                                                     actor.output_dim))
         self.noise_sigma = noise_scale * actor.half
         self.actor_in = np.empty(actor.input_dim)
 
@@ -118,8 +106,8 @@ class HacxAgent:
     and the settings they all share: a level below the top stops after
     horizon actions or within epsilon of its subgoal, a proposed subgoal is
     tested with probability subgoal_test_rate, and every critic is clamped to
-    [q_low, Q_HIGH]. Construction checks every setting's range and that the
-    levels take a goal and the explore policy none, and raises ConfigError."""
+    [q_low, Q_HIGH]. Construction checks every setting's range, and raises
+    ConfigError."""
 
     levels: list
     explore_top: LevelPolicy
@@ -142,10 +130,6 @@ class HacxAgent:
                 "> 0, subgoal_test_rate in [0, 1] and num_relabels >= 0; got k, tau, horizon, "
                 f"epsilon, subgoal_test_rate, num_relabels = {self.k}, {self.tau}, "
                 f"{self.horizon}, {self.epsilon}, {self.subgoal_test_rate}, {self.num_relabels}")
-        goal_dims = [p.buffer.widths[1] for p in (*self.levels, self.explore_top)]
-        if goal_dims != [GOAL_DIM] * self.k + [0]:
-            raise ConfigError("each level's actor input size must be STATE_DIM + GOAL_DIM, and "
-                              "the explore actor's STATE_DIM: it takes no goal")
         self.visits = VisitGrid(self.spec.bounds)
 
     @property
@@ -495,173 +479,158 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
 # ---------------------------------------------------------------------------
 # Snapshot serialization (text; file IO lives in harness)
 
-MAGIC = "HACX2"
+MAGIC = "HACX3"
 
 
-def _net_lines(tag: str, net: Network) -> list:
-    lines = [f"[network {tag}]",
-             "sizes = " + " ".join(str(s) for s in net.layer_sizes),
-             f"hidden = {net.hidden_activation}",
-             f"output = {net.output_activation}"]
-    if net.output_activation == "tanh_scaled":
-        lines.append("out_low = " + fmt_floats(net.output_low))
-        lines.append("out_high = " + fmt_floats(net.output_high))
-    for j, (w, b) in enumerate(zip(net.weights, net.biases)):
-        lines.append(f"A{j} = " + fmt_floats(w))
-        lines.append(f"B{j} = " + fmt_floats(b))
-    return lines
+def _flag(v: str) -> bool:
+    if v not in ("0", "1"):
+        raise ValueError(f"{v!r}, need 0 or 1")
+    return v == "1"
 
 
-def _opt_lines(tag: str, opt: Optimizer, net: Network) -> list:
-    lines = [f"[opt {tag}]", "kind = adam", f"lr = {fmt_float(opt.learning_rate)}",
-             f"beta1 = {fmt_float(opt.beta1)}", f"beta2 = {fmt_float(opt.beta2)}",
-             f"eps = {fmt_float(opt.eps)}", f"steps = {opt.step_count}"]
-    if opt.m is not None:
-        mw, mb = approx.layer_views(net.layer_sizes, opt.m)
-        vw, vb = approx.layer_views(net.layer_sizes, opt.v)
-        for j in range(len(mw)):
-            lines.append(f"MA{j} = " + fmt_floats(mw[j]))
-            lines.append(f"MB{j} = " + fmt_floats(mb[j]))
-            lines.append(f"VA{j} = " + fmt_floats(vw[j]))
-            lines.append(f"VB{j} = " + fmt_floats(vb[j]))
-    return lines
+def _widths(v: str) -> tuple:
+    return tuple(int(w) for w in v.split())
+
+
+_WRITERS = {int: str, float: fmt_float, _flag: lambda v: str(int(v)),
+            _widths: lambda v: " ".join(map(str, v))}
+
+# (section, key): (make_agent keyword, parser, the agent's value). Every
+# network of a level and of the explore policy has the same hidden widths,
+# every actor (critic) optimizer the same step size.
+_SETTINGS = {
+    ("agent", "k"): ("k", int, lambda a: a.k),
+    ("agent", "tau"): ("tau", float, lambda a: a.tau),
+    ("agent", "horizon"): ("horizon", int, lambda a: a.horizon),
+    ("agent", "epsilon"): ("epsilon_level", float, lambda a: a.epsilon),
+    ("agent", "subgoal_test_rate"): ("subgoal_test_rate", float, lambda a: a.subgoal_test_rate),
+    ("agent", "num_relabels"): ("num_relabels", int, lambda a: a.num_relabels),
+    ("agent", "relabel_enabled"): ("relabel_enabled", _flag, lambda a: a.relabel_enabled),
+    ("agent", "hidden"): ("hidden", _widths, lambda a: a.levels[0].actor.layer_sizes[1:-1]),
+    ("agent", "actor_lr"): ("actor_lr", float, lambda a: a.levels[0].actor_opt.learning_rate),
+    ("agent", "critic_lr"): ("critic_lr", float, lambda a: a.levels[0].critic_opt.learning_rate),
+    ("rnd", "epsilon_rnd"): ("rnd_epsilon", float, lambda a: a.novelty.epsilon_rnd),
+    ("rnd", "code_dim"): ("rnd_code_dim", int, lambda a: a.novelty.target.output_dim),
+    ("rnd", "lr"): ("rnd_lr", float, lambda a: a.novelty.predictor_opt.learning_rate),
+}
+
+
+def _networks(agent: HacxAgent) -> list:
+    """(tag, record, network field, optimizer field or None) of every
+    network, in snapshot order; the novelty target never trains."""
+    nets = [(f"{tag}.{role}", p, role, f"{role}_opt")
+            for tag, p in _named_policies(agent) for role in ("actor", "critic")]
+    return nets + [("rnd.target", agent.novelty, "target", None),
+                   ("rnd.predictor", agent.novelty, "predictor", "predictor_opt")]
 
 
 def policy_snapshot(agent: HacxAgent) -> str:
-    """Serialize everything needed to act and to keep training, each value
-    once: the settings, the geometry, every network and optimizer. Replay
-    buffers, the novelty state buffer and the visit counts are left out (a
-    restored agent starts those empty), and so is every derived value."""
-    lines = [MAGIC, "[agent]",
-             f"k = {agent.k}",
-             f"tau = {fmt_float(agent.tau)}",
-             f"horizon = {agent.horizon}",
-             f"epsilon = {fmt_float(agent.epsilon)}",
-             f"subgoal_test_rate = {fmt_float(agent.subgoal_test_rate)}",
-             f"num_relabels = {agent.num_relabels}",
-             f"relabel_enabled = {int(agent.relabel_enabled)}",
-             *envsim.spec_to_text(agent.spec).splitlines()]
-    for tag, p in _named_policies(agent):
-        for role in ("actor", "critic"):
-            net = getattr(p, role)
-            lines += _net_lines(f"{tag}.{role}", net)
-            lines += _opt_lines(f"{tag}.{role}", getattr(p, f"{role}_opt"), net)
-    lines += ["[rnd]",
-              f"epsilon_rnd = {fmt_float(agent.novelty.epsilon_rnd)}",
-              f"phase_index = {agent.novelty.phase_index}"]
-    lines += _net_lines("rnd.target", agent.novelty.target)
-    lines += _net_lines("rnd.predictor", agent.novelty.predictor)
-    lines += _opt_lines("rnd.predictor", agent.novelty.predictor_opt, agent.novelty.predictor)
+    """Serialize each setting once, the geometry, and what training learned:
+    every network's parameters and, if it trains, its Adam step count and
+    moments. Structure, bounds and the Adam constants are left out, since
+    make_agent builds them from the settings, and so are the replay buffers,
+    the novelty state buffer and the visit counts (a restored agent starts
+    those empty)."""
+    def settings(section):
+        return [f"[{section}]"] + [f"{key} = {_WRITERS[parse](value(agent))}"
+                                   for (sec, key), (_, parse, value) in _SETTINGS.items()
+                                   if sec == section]
+
+    lines = [MAGIC, *settings("agent"), *envsim.spec_to_text(agent.spec).splitlines(),
+             *settings("rnd"), f"phase_index = {agent.novelty.phase_index}"]
+    for tag, record, net_field, opt_field in _networks(agent):
+        lines += [f"[network {tag}]", "params = " + fmt_floats(getattr(record, net_field).params)]
+        if opt_field:
+            opt = getattr(record, opt_field)
+            lines.append(f"steps = {opt.step_count}")
+            if opt.m is not None:
+                lines += ["m = " + fmt_floats(opt.m), "v = " + fmt_floats(opt.v)]
     lines.append("END")
     return "\n".join(lines) + "\n"
 
 
-class _SnapshotReader:
-    """The sections of a snapshot, one value per key, and all its entries
-    in order (a geometry repeats its wall key). section() records the
-    sections it hands out."""
-
-    def __init__(self, text: str):
-        lines = text.splitlines()
-        if not lines or lines[0] != MAGIC:
-            raise CheckpointError(f"bad magic; expected {MAGIC!r}")
-        if "END" not in lines:
-            raise CheckpointError("truncated snapshot: no END marker")
-        self.entries = read_entries(lines[1:lines.index("END")])
-        self.sections, self.read = {}, set()
-        for section, key, val in self.entries:
-            if not section:
-                raise CheckpointError(f"stray key {key!r} before any section")
-            self.sections.setdefault(section, {})[key] = val
-
-    def section(self, name: str) -> dict:
-        if name not in self.sections:
-            raise CheckpointError(f"missing section [{name}]")
-        self.read.add(name)
-        return self.sections[name]
+def _sections(text: str) -> tuple:
+    """(sections, geometry entries) of a snapshot. A section maps each key to
+    its value, and a key may appear once per section, but a geometry's walls."""
+    lines = text.splitlines()
+    if not lines or lines[0] != MAGIC:
+        raise CheckpointError(f"bad magic; expected {MAGIC!r}")
+    if "END" not in lines:
+        raise CheckpointError("truncated snapshot: no END marker")
+    entries = read_entries(lines[1:lines.index("END")])
+    sections = {}
+    for section, key, val in entries:
+        if not section:
+            raise CheckpointError(f"stray key {key!r} before any section")
+        values = sections.setdefault(section, {})
+        if key in values and (section, key) != ("env", "wall"):
+            raise CheckpointError(f"[{section}]: {key} repeated")
+        values[key] = val
+    return sections, [e for e in entries if e[0] == "env"]
 
 
-def _parse_array(sec: dict, key: str, shape) -> np.ndarray:
-    if key not in sec:
-        raise CheckpointError(f"missing parameter block {key!r}")
-    vals = np.array(sec[key].split(), dtype=float)
-    if vals.size != int(np.prod(shape)):
-        raise CheckpointError(f"{key}: expected {int(np.prod(shape))} values, "
-                              f"got {vals.size}")
-    return vals.reshape(shape)
-
-
-def _parse_layers(sec: dict, wkey: str, bkey: str, sizes) -> np.ndarray:
-    """Blocks {wkey}{j} and {bkey}{j}, concatenated in the Network.params layout."""
-    blocks = []
-    for j in range(len(sizes) - 1):
-        blocks.append(_parse_array(sec, f"{wkey}{j}", (sizes[j + 1] * sizes[j],)))
-        blocks.append(_parse_array(sec, f"{bkey}{j}", (sizes[j + 1],)))
-    return np.concatenate(blocks)
-
-
-def _read_net(r: _SnapshotReader, tag: str) -> Network:
-    sec = r.section(f"network {tag}")
-    sizes = [int(v) for v in sec["sizes"].split()]
-    if len(sizes) < 2:
-        raise CheckpointError(f"[network {tag}]: sizes {sizes}, need an input and an output size")
-    low = high = None
-    if sec["output"] == "tanh_scaled":
-        low = _parse_array(sec, "out_low", (sizes[-1],))
-        high = _parse_array(sec, "out_high", (sizes[-1],))
-    return Network(sizes, _parse_layers(sec, "A", "B", sizes), sec["hidden"], sec["output"],
-                   low, high)
-
-
-def _read_opt(r: _SnapshotReader, tag: str, net: Network) -> Optimizer:
-    sec = r.section(f"opt {tag}")
-    if sec["kind"] != "adam":
-        raise CheckpointError(f"[opt {tag}]: unsupported optimizer kind {sec['kind']!r}")
-    m = v = None
-    if "MA0" in sec:
-        m = _parse_layers(sec, "MA", "MB", net.layer_sizes)
-        v = _parse_layers(sec, "VA", "VB", net.layer_sizes)
-    return Optimizer(float(sec["lr"]), float(sec["beta1"]), float(sec["beta2"]),
-                     float(sec["eps"]), int(sec["steps"]), m, v)
-
-
-def _read_policy(r: _SnapshotReader, tag: str, noise_scale: float) -> LevelPolicy:
-    actor, critic = _read_net(r, f"{tag}.actor"), _read_net(r, f"{tag}.critic")
-    return LevelPolicy(actor, critic, _read_opt(r, f"{tag}.actor", actor),
-                       _read_opt(r, f"{tag}.critic", critic), noise_scale)
+def _floats(n: int):
+    """A parser of exactly n space-separated floats."""
+    def parse(v: str) -> np.ndarray:
+        vals = np.array(v.split(), dtype=float)
+        if vals.size != n:
+            raise ValueError(f"holds {vals.size} values, needs {n}")
+        return vals
+    return parse
 
 
 def restore(snapshot: str) -> HacxAgent:
-    """Rebuild an agent from policy_snapshot output through the records
-    make_agent builds, so with the same checks; buffers and visit counts come
-    back empty. Malformed or out-of-range content raises CheckpointError, and
-    so does a section that no agent of the written k reads."""
+    """Rebuild an agent from policy_snapshot output. make_agent builds it
+    from the settings and the geometry, so its structure, bounds and Adam
+    constants are the ones training uses; then every network and optimizer,
+    and the novelty model, is built again around the learned values, with
+    the same checks. Buffers and visit counts come back empty. Malformed or
+    out-of-range content raises CheckpointError, and so does a key that no
+    record of an agent of the written k reads."""
+    def take(section: str, key: str, parse=str):
+        """The parsed value of key, which is then no longer left to read."""
+        if section not in sections:
+            raise CheckpointError(f"missing section [{section}]")
+        if key not in sections[section]:
+            raise CheckpointError(f"[{section}]: missing {key!r}")
+        try:
+            return parse(sections[section].pop(key))
+        except ValueError as e:
+            raise CheckpointError(f"[{section}] {key} {e}") from e
+
     try:
-        r = _SnapshotReader(snapshot)
-        a = r.section("agent")
-        k = int(a["k"])
-        if a["relabel_enabled"] not in ("0", "1"):
-            raise CheckpointError(f"[agent]: relabel_enabled {a['relabel_enabled']!r}, "
-                                  "need 0 or 1")
-        r.section("env")
-        spec = envsim.spec_from_entries(e for e in r.entries if e[0] == "env")
-        levels = [_read_policy(r, f"level{i}", _noise_scale(i, k)) for i in range(k)]
-        explore_top = _read_policy(r, "explore", EXPLORE_NOISE_SCALE)
-        rs = r.section("rnd")
-        target, predictor = _read_net(r, "rnd.target"), _read_net(r, "rnd.predictor")
-        novelty = rnd.NoveltyModel(
-            target, predictor, _read_opt(r, "rnd.predictor", predictor),
-            float(rs["epsilon_rnd"]), np.zeros((rnd.STATE_BUFFER_CAPACITY, 2), dtype=np.float32),
-            int(rs["phase_index"]))
-        if target.layer_sizes[1:-1] != list(rnd.RND_HIDDEN):
-            raise CheckpointError(f"[network rnd.target]: hidden sizes "
-                                  f"{target.layer_sizes[1:-1]} differ from {rnd.RND_HIDDEN}")
-        agent = HacxAgent(levels, explore_top, float(a["tau"]), novelty, spec, int(a["horizon"]),
-                          float(a["epsilon"]), float(a["subgoal_test_rate"]),
-                          int(a["num_relabels"]), a["relabel_enabled"] == "1")
-    except (KeyError, ValueError) as e:     # ConfigError is a ValueError
-        raise CheckpointError(f"malformed snapshot: {e!r}") from e
-    unread = set(r.sections) - r.read
+        sections, geometry = _sections(snapshot)
+        sections.pop("env", None)
+        spec = envsim.spec_from_entries(geometry)
+        kw = {name: take(section, key, parse)
+              for (section, key), (name, parse, _) in _SETTINGS.items()}
+        # make_agent allocates the networks the settings ask for, so settings
+        # whose networks need more values than this text holds (2 characters
+        # a value at least) are refused before it runs: each of the 2k + 2
+        # policy networks holds the values of a 1-in, 1-out one at least
+        widths = [1, *kw["hidden"], 1]
+        least = (2 * kw["k"] + 2) * sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+        if 2 * (least + 2 * kw["rnd_code_dim"]) > len(snapshot):
+            raise CheckpointError("the settings ask for more parameter values than the "
+                                  "snapshot holds")
+        agent = make_agent(spec, rng=np.random.default_rng(0), **kw)
+        for tag, record, net_field, opt_field in _networks(agent):
+            section, net = f"network {tag}", getattr(record, net_field)
+            floats = _floats(net.params.size)
+            try:
+                setattr(record, net_field, replace(net, params=take(section, "params", floats)))
+                if opt_field:
+                    m = v = None
+                    if {"m", "v"} & sections[section].keys():
+                        m, v = take(section, "m", floats), take(section, "v", floats)
+                    setattr(record, opt_field, replace(getattr(record, opt_field), m=m, v=v,
+                                                       step_count=take(section, "steps", int)))
+            except ValueError as e:
+                raise CheckpointError(f"[{section}] {e}") from e
+        agent.novelty = replace(agent.novelty, phase_index=take("rnd", "phase_index", int))
+    except ValueError as e:     # ConfigError is a ValueError
+        raise CheckpointError(f"malformed snapshot: {e}") from e
+    unread = [f"[{section}] {' '.join(values)}" for section, values in sections.items() if values]
     if unread:
-        raise CheckpointError(f"sections {sorted(unread)} are not read by a {k}-level agent")
+        raise CheckpointError(f"not read by a {agent.k}-level agent: {'; '.join(unread)}")
     return agent

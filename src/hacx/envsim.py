@@ -5,8 +5,7 @@ The body is a point under acceleration control: velocity integrates the
 axis-separated sliding (move x, then y; a blocked axis zeroes that velocity
 component). A state is one float64 vector (x, y, vx, vy); env_step never
 writes the vector it is given. Also provides a discretized visitation
-recorder used for maps, and a scripted waypoint controller that proves the
-builtin tasks solvable.
+recorder used for maps.
 
 Rectangles are (x0, y0, x1, y1) tuples throughout.
 """
@@ -316,52 +315,6 @@ def builtin_spec(name: str) -> EnvSpec:
 
 
 BUILTIN_NAMES = ("four_rooms", "open_field", "open_field_near", "spiral_maze")
-
-
-def builtin_waypoints(name: str) -> list:
-    """Hand-placed route for the scripted controller; proves each builtin
-    task solvable and calibrates its path length."""
-    if name == "four_rooms":
-        return [np.array(p) for p in
-                [(2.5, 4.2), (2.5, 5.8), (4.2, 7.5), (5.8, 7.5), (8.75, 8.75)]]
-    if name == "open_field":
-        return [np.array([76.0, 76.0])]
-    if name == "open_field_near":
-        return [np.array([43.0, 40.0])]
-    if name == "spiral_maze":
-        c = 1.25
-        return [np.array([(i + 0.5) * c, (j + 0.5) * c]) for i, j in _spiral_cell_order(7)]
-    raise ConfigError(f"unknown environment {name!r}")
-
-
-def waypoint_action(s: np.ndarray, waypoint, spec: EnvSpec):
-    """Proportional tracking controller: accelerate toward the velocity that
-    closes the gap to the waypoint."""
-    err = waypoint - s[:2]
-    desired = err / max(spec.dt * 10.0, 1e-9)
-    speed = float(np.linalg.norm(desired))
-    if speed > spec.max_speed:
-        desired = desired * (spec.max_speed / speed)
-    return np.clip((desired - s[2:]) / spec.dt,
-                   -spec.action_bounds, spec.action_bounds)
-
-
-def follow_waypoints(spec: EnvSpec, waypoints, start_state: np.ndarray,
-                     reach_radius: float = 0.35, max_steps: int | None = None):
-    """Run the scripted controller through the waypoint list; returns the
-    visited state vectors (including the start)."""
-    state = start_state
-    states = [state]
-    budget = max_steps if max_steps is not None else spec.max_primitive_steps
-    idx = 0
-    for _ in range(budget):
-        if idx >= len(waypoints):
-            break
-        state = env_step(spec, state, waypoint_action(state, waypoints[idx], spec))
-        states.append(state)
-        if np.linalg.norm(state[:2] - waypoints[idx]) < reach_radius:
-            idx += 1
-    return states
 
 
 def record_visit(grid: VisitGrid, x: float, y: float) -> VisitGrid:

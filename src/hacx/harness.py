@@ -203,9 +203,19 @@ def read_metrics(path: str) -> list:
 
 
 def write_checkpoint(agent: HacxAgent, path: str) -> None:
+    """Write the snapshot to a temporary file beside path and move it into
+    place, so that a write that fails or is killed leaves the previous
+    checkpoint, or none, and never a partial one."""
     text = policy_snapshot(agent)
-    with open(path, "w") as f:
-        f.write(text)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path: str) -> HacxAgent:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hacx import agent, approx, envsim, hac, rnd
 from hacx.errors import CheckpointError, ConfigError
+from hacx.kvtext import read_entries
 
 from helpers import edit_line, resize_network, stored_columns
 
@@ -445,18 +447,8 @@ def test_update_clamps_bellman_targets():
 
 # snapshots -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_snapshot_round_trip_preserves_behavior(k):
-    # two walls: the geometry travels with the snapshot, one line per wall
-    spec = arena(walls=[(4.0, 0.0, 4.5, 6.0), (6.0, 4.0, 6.5, 10.0)])
-    ag = small_agent(spec, k=k, tau=0.37)
-    rng = np.random.default_rng(0)
-    for _ in range(2):
-        agent.run_episode(ag, spec, "train", rng)
-    agent.update(ag, rounds=2, batch_size=16, rng=rng)
-    snap = agent.policy_snapshot(ag)
+def _assert_restores_the_same_agent(ag, snap):
     back = agent.restore(snap)
-
     assert back.k == ag.k
     assert back.tau == ag.tau
     assert back.num_relabels == ag.num_relabels
@@ -466,6 +458,7 @@ def test_snapshot_round_trip_preserves_behavior(k):
     probe = np.random.default_rng(42)
     for pa, pb in zip(ag.levels + [ag.explore_top], back.levels + [back.explore_top]):
         assert pa.buffer.widths == pb.buffer.widths
+        assert np.array_equal(pa.noise_sigma, pb.noise_sigma)
         for _ in range(50):
             x = probe.uniform(0, 10, pa.actor.input_dim)
             assert np.array_equal(approx.forward(pa.actor, x),
@@ -485,6 +478,57 @@ def test_snapshot_round_trip_preserves_behavior(k):
     assert agent.policy_snapshot(back) == snap
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_snapshot_round_trip_preserves_behavior(k):
+    # two walls: the geometry travels with the snapshot, one line per wall
+    spec = arena(walls=[(4.0, 0.0, 4.5, 6.0), (6.0, 4.0, 6.5, 10.0)])
+    ag = small_agent(spec, k=k, tau=0.37)
+    # untrained: no optimizer has moments yet, so the snapshot writes none
+    snap = agent.policy_snapshot(ag)
+    assert "\nsteps = 0\n" in snap
+    assert not re.search(r"^[mv] = ", snap, re.M)
+    _assert_restores_the_same_agent(ag, snap)
+
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        agent.run_episode(ag, spec, "train", rng)
+    agent.update(ag, rounds=2, batch_size=16, rng=rng)
+    snap = agent.policy_snapshot(ag)
+    assert re.search(r"^m = ", snap, re.M)
+    _assert_restores_the_same_agent(ag, snap)
+
+
+def test_snapshot_writes_each_setting_once():
+    # every setting once, what training learned once per network, and no
+    # structure: no layer sizes, activations, bounds, optimizer kind or Adam
+    # constants, which make_agent builds from the settings
+    ag = small_agent(k=3)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        agent.run_episode(ag, ag.spec, "train", rng)
+    agent.update(ag, rounds=2, batch_size=16, rng=rng)
+    snap = agent.policy_snapshot(ag)
+    assert snap.startswith(agent.MAGIC + "\n") and snap.endswith("\nEND\n")
+    keys = [(section, key) for section, key, _ in read_entries(snap.splitlines()[1:-1])]
+    settings = [(s, key) for s, key in keys if s in ("agent", "rnd")]
+    assert sorted(settings) == sorted(
+        [("agent", key) for key in ("k", "tau", "horizon", "epsilon", "subgoal_test_rate",
+                                    "num_relabels", "relabel_enabled", "hidden", "actor_lr",
+                                    "critic_lr")]
+        + [("rnd", key) for key in ("epsilon_rnd", "phase_index", "code_dim", "lr")])
+    tags = [f"{name}.{role}" for name in ("level0", "level1", "level2", "explore")
+            for role in ("actor", "critic")] + ["rnd.target", "rnd.predictor"]
+    trained = [f"{name}.{role}" for name, p in agent._named_policies(ag)
+               for role in ("actor", "critic") if getattr(p, f"{role}_opt").m is not None]
+    assert trained      # some moments are written
+    learned = [(s, key) for s, key in keys if s.startswith("network ")]
+    assert sorted(learned) == sorted(
+        [(f"network {tag}", "params") for tag in tags]
+        + [(f"network {tag}", "steps") for tag in tags if tag != "rnd.target"]
+        + [(f"network {tag}", key) for tag in trained for key in "mv"])
+    assert {s for s, _ in keys} == {"agent", "env", "rnd"} | {f"network {tag}" for tag in tags}
+
+
 def test_snapshot_restores_adam_state():
     spec = arena()
     ag = small_agent(spec, k=2)
@@ -501,9 +545,9 @@ def test_snapshot_restores_adam_state():
 def test_snapshot_bad_magic_rejected():
     ag = small_agent()
     snap = agent.policy_snapshot(ag)
-    assert snap.startswith("HACX2\n")
-    # HACX1, the format that wrote copies of derived values, is not read
-    for magic in ("NOPE9", "HACX1"):
+    assert snap.startswith("HACX3\n")
+    # HACX1 and HACX2, the formats that wrote copies and structure, are not read
+    for magic in ("NOPE9", "HACX1", "HACX2"):
         with pytest.raises(CheckpointError, match="bad magic"):
             agent.restore(magic + snap[5:])
 
@@ -518,8 +562,8 @@ def test_snapshot_truncation_rejected():
 
 def test_snapshot_corrupt_array_rejected():
     snap = agent.policy_snapshot(small_agent())
-    cut = edit_line(snap, "A0", lambda v: " ".join(v.split(" ")[:-2]))  # drop two entries
-    with pytest.raises(CheckpointError):
+    cut = edit_line(snap, "params", lambda v: " ".join(v.split(" ")[:-2]))  # drop two entries
+    with pytest.raises(CheckpointError, match=r"\[network level0.actor\] params holds"):
         agent.restore(cut)
 
 
@@ -529,22 +573,19 @@ def test_snapshot_numbers_parse_bitwise():
     vals = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, 500),
                            [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                             0.0, -0.0, 0.1, 1 / 3]])
-    sec = {"v": " ".join(repr(float(v)) for v in vals)}
-    assert agent._parse_array(sec, "v", vals.shape).tobytes() == vals.tobytes()
+    text = " ".join(repr(float(v)) for v in vals)
+    assert agent._floats(vals.size)(text).tobytes() == vals.tobytes()
 
 
 @pytest.mark.parametrize("old,new,why", [
-    # an actor whose bounds are inverted and not finite
-    ("out_low = -1.0 -1.0\nout_high = 1.0 1.0", "out_low = 1.0 1.0\nout_high = -1.0 nan",
-     "finite bounds"),
     # no levels, fewer levels than the snapshot holds, or more
     ("k = 2", "k = 0", "at least 1 level"),
     ("k = 2", "k = 1", "not read by a 1-level"),
     ("k = 2", "k = 3", r"missing section \[network level2.actor\]"),
     # a flag that is neither on nor off
     ("relabel_enabled = 1", "relabel_enabled = 2", "relabel_enabled '2', need 0 or 1"),
-    # a network with no sizes
-    ("sizes = 6 16 16 2", "sizes = ", "need an input and an output size"),
+    # a hidden layer with no units
+    ("hidden = 16 16", "hidden = 0", "layer sizes"),
 ])
 def test_snapshot_inconsistent_bounds_rejected(old, new, why):
     snap = agent.policy_snapshot(small_agent())
@@ -561,42 +602,50 @@ def _edit(snap, old, new):
     return snap
 
 
-@pytest.mark.parametrize("edit,why", [
+@pytest.mark.parametrize("old,new", [("hidden = 16 16", "hidden = 4096 4096"),
+                                     ("k = 2", "k = 100000"),
+                                     ("code_dim = 4", "code_dim = 10000000")])
+def test_snapshot_settings_the_text_cannot_hold_refused_before_building(monkeypatch, old, new):
+    # make_agent allocates the networks the settings ask for, so settings
+    # that need more parameter values than the snapshot holds never reach it
+    snap = agent.policy_snapshot(small_agent())
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("make_agent ran")
+
+    monkeypatch.setattr(agent, "make_agent", unreachable)
+    with pytest.raises(CheckpointError, match="more parameter values than"):
+        agent.restore(_edit(snap, old, new))
+
+
+@pytest.mark.parametrize("edit,tag", [
     # a level-0 critic too narrow for its actor's input plus action (8)
-    (lambda ag: resize_network(ag.levels[0], "critic", [6, 16, 16, 1]), "critic.*differs"),
-    (lambda ag: resize_network(ag.levels[0], "critic", [8, 16, 16, 2]), "critic.*differs"),
+    (lambda ag: resize_network(ag.levels[0], "critic", [6, 16, 16, 1]), "level0.critic"),
+    (lambda ag: resize_network(ag.levels[0], "critic", [8, 16, 16, 2]), "level0.critic"),
     # a goal-free actor that takes a goal, with a critic that fits it
     (lambda ag: (resize_network(ag.explore_top, "actor", [6, 16, 16, 2]),
-                 resize_network(ag.explore_top, "critic", [8, 16, 16, 1])), "actor.*input size"),
+                 resize_network(ag.explore_top, "critic", [8, 16, 16, 1])), "explore.actor"),
     # an actor that takes 1 goal value
     (lambda ag: (resize_network(ag.levels[0], "actor", [5, 16, 16, 2]),
-                 resize_network(ag.levels[0], "critic", [7, 16, 16, 1])), "actor input size"),
+                 resize_network(ag.levels[0], "critic", [7, 16, 16, 1])), "level0.actor"),
     # a subgoal actor 3 outputs wide, with a critic that fits it
     (lambda ag: (resize_network(ag.levels[1], "actor", [6, 16, 16, 3]),
-                 resize_network(ag.levels[1], "critic", [9, 16, 16, 1])), "actor.*output size"),
+                 resize_network(ag.levels[1], "critic", [9, 16, 16, 1])), "level1.actor"),
     # novelty networks whose hidden sizes are not RND_HIDDEN
     (lambda ag: setattr(ag, "novelty", rnd.novelty_model_init(
-        np.random.default_rng(1), code_dim=4, hidden=(8, 8))), "target.*hidden sizes"),
+        np.random.default_rng(1), code_dim=4, hidden=(8, 8))), "rnd.target"),
     (lambda ag: setattr(ag.novelty, "predictor",
                         approx.network_init([2, 8, 8, 5], np.random.default_rng(1))),
-     "predictor.*sizes"),
+     "rnd.predictor"),
     (lambda ag: setattr(ag.novelty, "target",
                         approx.network_init([3, 8, 8, 4], np.random.default_rng(1))),
-     "target.*input size"),
+     "rnd.target"),
 ])
-def test_snapshot_networks_that_do_not_fit_rejected(edit, why):
-    # the networks read back must fit together as the rollout and update use them
+def test_snapshot_networks_that_do_not_fit_rejected(edit, tag):
+    # restore builds the networks make_agent builds from the settings, so a
+    # network of any other shape is refused as a parameter vector that does
+    # not fit, in its own section
     ag = small_agent()
     edit(ag)
-    with pytest.raises(CheckpointError, match=why):
+    with pytest.raises(CheckpointError, match=rf"\[network {re.escape(tag)}\] params holds"):
         agent.restore(agent.policy_snapshot(ag))
-
-
-@pytest.mark.parametrize("line,bad", [("hidden = relu", "hidden = sigmoid"),
-                                      ("output = tanh_scaled", "output = softmax")])
-def test_snapshot_unknown_activation_rejected(line, bad):
-    # an activation the core cannot run must not restore as another one
-    snap = agent.policy_snapshot(small_agent())
-    assert line in snap
-    with pytest.raises(CheckpointError, match="activation"):
-        agent.restore(_edit(snap, line, bad))

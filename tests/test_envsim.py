@@ -205,12 +205,58 @@ def test_containment_fuzz(name):
 
 # builtin tasks are solvable, with a known difficulty ordering -----------------
 
+# A scripted waypoint controller proves each builtin task solvable and
+# calibrates its path length.
+
+def builtin_waypoints(name: str) -> list:
+    """Hand-placed route through a builtin task, for the scripted controller."""
+    if name == "four_rooms":
+        return [np.array(p) for p in
+                [(2.5, 4.2), (2.5, 5.8), (4.2, 7.5), (5.8, 7.5), (8.75, 8.75)]]
+    if name == "open_field":
+        return [np.array([76.0, 76.0])]
+    if name == "open_field_near":
+        return [np.array([43.0, 40.0])]
+    if name == "spiral_maze":
+        c = 1.25
+        return [np.array([(i + 0.5) * c, (j + 0.5) * c]) for i, j in envsim._spiral_cell_order(7)]
+    raise ValueError(f"no route for {name!r}")
+
+
+def waypoint_action(s: np.ndarray, waypoint, spec: envsim.EnvSpec):
+    """Proportional tracking controller: accelerate toward the velocity that
+    closes the gap to the waypoint."""
+    err = waypoint - s[:2]
+    desired = err / max(spec.dt * 10.0, 1e-9)
+    speed = float(np.linalg.norm(desired))
+    if speed > spec.max_speed:
+        desired = desired * (spec.max_speed / speed)
+    return np.clip((desired - s[2:]) / spec.dt, -spec.action_bounds, spec.action_bounds)
+
+
+def follow_waypoints(spec: envsim.EnvSpec, waypoints, start_state: np.ndarray,
+                     reach_radius: float = 0.35):
+    """Run the scripted controller through the waypoint list for at most the
+    step limit; returns the visited state vectors (including the start)."""
+    state = start_state
+    states = [state]
+    idx = 0
+    for _ in range(spec.max_primitive_steps):
+        if idx >= len(waypoints):
+            break
+        state = envsim.env_step(spec, state, waypoint_action(state, waypoints[idx], spec))
+        states.append(state)
+        if np.linalg.norm(state[:2] - waypoints[idx]) < reach_radius:
+            idx += 1
+    return states
+
+
 def _steps_to_goal(name, seed):
     spec = envsim.builtin_spec(name)
     rng = np.random.default_rng(seed)
     state, goal = envsim.env_reset(spec, rng)
-    route = envsim.builtin_waypoints(name) + [goal]
-    states = envsim.follow_waypoints(spec, route, state)
+    route = builtin_waypoints(name) + [goal]
+    states = follow_waypoints(spec, route, state)
     dists = [float(np.linalg.norm(s[:2] - goal)) for s in states]
     best = int(np.argmin(dists))
     if dists[best] >= spec.epsilon_task:
@@ -242,7 +288,7 @@ def test_four_rooms_blocks_straight_line():
     spec = envsim.builtin_spec("four_rooms")
     rng = np.random.default_rng(0)
     state, goal = envsim.env_reset(spec, rng)
-    states = envsim.follow_waypoints(spec, [goal], state)
+    states = follow_waypoints(spec, [goal], state)
     assert min(float(np.linalg.norm(s[:2] - goal)) for s in states) \
         >= spec.epsilon_task
 

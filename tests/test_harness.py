@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 
@@ -152,6 +153,43 @@ def test_checkpoint_write_read_write_byte_identical(tmp_path):
     back = harness.read_checkpoint(p1)
     harness.write_checkpoint(back, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_checkpoint_write_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    # a write that fails after the temporary file is opened (a full disk,
+    # say) leaves the previous checkpoint byte for byte, and no temporary file
+    spec = envsim.builtin_spec("open_field_near")
+    path = tmp_path / "checkpoint.txt"
+    harness.write_checkpoint(harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0)),
+                             str(path))
+    before = path.read_bytes()
+
+    class DiskFull:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(harness, "open", lambda file, mode="r": DiskFull(open(file, mode)),
+                        raising=False)
+    other = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(1))
+    with pytest.raises(OSError, match="No space"):
+        harness.write_checkpoint(other, str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["checkpoint.txt"]
+    # and a write that succeeds replaces it
+    harness.write_checkpoint(other, str(path))
+    assert path.read_text() == agent_mod.policy_snapshot(other)
+    assert os.listdir(tmp_path) == ["checkpoint.txt"]
 
 
 def test_checkpoint_missing_path():
@@ -312,7 +350,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
     corrupt = tmp_path / "corrupt.txt"
-    for text in ("HACX2\n[agent]\nk = not_a_number\n", "HACX1\n[agent]\nk = 2\nEND\n"):
+    # a bad number, and the earlier formats, which are refused by their magic
+    for text in ("HACX3\n[agent]\nk = not_a_number\n", "HACX2\n[agent]\nk = 2\nEND\n",
+                 "HACX1\n[agent]\nk = 2\nEND\n"):
         corrupt.write_text(text)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
@@ -330,26 +370,26 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     path = tmp_path / "c.txt"
     harness.write_checkpoint(ag, str(path))
     good = path.read_text()
-    path.write_text(edit_line(good, "kind", "sgd"))
+    path.write_text(edit_line(good, "params", lambda v: v.rsplit(" ", 1)[0]))
     assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
-    assert "optimizer kind" in capsys.readouterr().err
+    assert "[network level0.actor] params holds" in capsys.readouterr().err
     # a bad number or a missing key in a complete snapshot is one too
-    # ... and so is a bad token inside a numeric block, no levels, fewer
+    # ... and so is a bad token inside a parameter vector, no levels, fewer
     # levels than were written, a setting out of range, an environment that
-    # is not a valid geometry, a network with no sizes, or a subgoal actor 3
-    # outputs wide
+    # is not a valid geometry, hidden widths the parameters do not fit, or a
+    # subgoal actor 3 outputs wide
     wide = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0))
     resize_network(wide.levels[1], "actor", [6, 12, 12, 3])
     resize_network(wide.levels[1], "critic", [9, 12, 12, 1])
     for bad in (edit_line(good, "k", "two"),
                 edit_line(good, "tau", None),
-                edit_line(good, "A0", lambda v: "0.5x " + v.split(" ", 1)[1]),
+                edit_line(good, "params", lambda v: "0.5x " + v.split(" ", 1)[1]),
                 edit_line(good, "k", "0"),
                 edit_line(good, "k", "1"),
                 edit_line(good, "horizon", "0"),
-                edit_line(good, "lr", "-1"),
+                edit_line(good, "actor_lr", "-1"),
                 edit_line(good, "bounds", "0.0 0.0 1.0 1.0", section="env"),
-                edit_line(good, "sizes", ""),
+                edit_line(good, "hidden", ""),
                 agent_mod.policy_snapshot(wide)):
         path.write_text(bad)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
@@ -357,6 +397,26 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     path.write_text(good)
     assert harness.main(["--quiet", "eval", "--checkpoint", str(path),
                          "--test-episodes", "1"]) == 0
+
+
+@pytest.mark.parametrize("section,line", [
+    # keys that no record reads: a new one, and leftovers of the HACX2 format
+    ("agent", "foo = 1"), ("network level0.actor", "beta1 = 0.9"),
+    ("network rnd.target", "sizes = 2 32 32 8"), ("rnd", "code_dim = 8"),
+    # a key repeated in its section, with the same or another value
+    ("agent", "tau = 0.25"), ("agent", "tau = 0.5"), ("env", "max_steps = 40"),
+    ("network level0.critic", "steps = 1"),
+])
+def test_cli_unread_or_repeated_snapshot_key_exits_3(tmp_path, capsys, section, line):
+    ag = harness.build_agent(smoke_cfg(), envsim.builtin_spec("open_field_near"),
+                             np.random.default_rng(0))
+    good = agent_mod.policy_snapshot(ag)
+    path = tmp_path / "c.txt"
+    path.write_text(good.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert re.search(rf"\[{re.escape(section)}\]:? ({key} repeated|{key}$)", err, re.M), err
 
 
 # The values the sweep below sets each non-parameter snapshot line to
