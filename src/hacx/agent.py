@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import InitVar, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .errors import CheckpointError, ConfigError, TrainingError
 from .hac import (DISCOUNT, ReplayBuffer, buffer_push, exploration_transition,
                   hindsight_action_transition, hindsight_goal_transitions, pack_row,
                   sample_arrays, subgoal_test_transition)
-from .kvtext import fmt_float, fmt_floats, read_entries
+from .kvtext import fmt_float, fmt_vector, read_entries, read_vector
 
 log = logging.getLogger(__name__)
 
@@ -479,7 +480,7 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
 # ---------------------------------------------------------------------------
 # Snapshot serialization (text; file IO lives in harness)
 
-MAGIC = "HACX3"
+MAGIC = "HACX4"
 
 
 def _flag(v: str) -> bool:
@@ -527,10 +528,23 @@ def _networks(agent: HacxAgent) -> list:
 def policy_snapshot(agent: HacxAgent) -> str:
     """Serialize each setting once, the geometry, and what training learned:
     every network's parameters and, if it trains, its Adam step count and
-    moments. Structure, bounds and the Adam constants are left out, since
-    make_agent builds them from the settings, and so are the replay buffers,
-    the novelty state buffer and the visit counts (a restored agent starts
-    those empty)."""
+    moments, each vector as kvtext.fmt_vector's base64 float64. Structure,
+    bounds and the Adam constants are left out, since make_agent builds them
+    from the settings, and so are the replay buffers, the novelty state
+    buffer and the visit counts (a restored agent starts those empty).
+    [agent] writes level 0's hidden widths and learning rates for every
+    policy, so a policy network whose own differ raises ValueError: its
+    snapshot would restore with level 0's."""
+    hidden = list(_SETTINGS[("agent", "hidden")][2](agent))
+    for name, p in _named_policies(agent):
+        for role in ("actor", "critic"):
+            lr = _SETTINGS[("agent", f"{role}_lr")][2](agent)
+            widths = list(getattr(p, role).layer_sizes[1:-1])
+            own_lr = getattr(p, f"{role}_opt").learning_rate
+            if widths != hidden or own_lr != lr:
+                raise ValueError(f"{name}.{role} has hidden widths {widths} and lr {own_lr}, "
+                                 f"but the snapshot writes level 0's, {hidden} and {lr}")
+
     def settings(section):
         return [f"[{section}]"] + [f"{key} = {_WRITERS[parse](value(agent))}"
                                    for (sec, key), (_, parse, value) in _SETTINGS.items()
@@ -539,12 +553,12 @@ def policy_snapshot(agent: HacxAgent) -> str:
     lines = [MAGIC, *settings("agent"), *envsim.spec_to_text(agent.spec).splitlines(),
              *settings("rnd"), f"phase_index = {agent.novelty.phase_index}"]
     for tag, record, net_field, opt_field in _networks(agent):
-        lines += [f"[network {tag}]", "params = " + fmt_floats(getattr(record, net_field).params)]
+        lines += [f"[network {tag}]", "params = " + fmt_vector(getattr(record, net_field).params)]
         if opt_field:
             opt = getattr(record, opt_field)
             lines.append(f"steps = {opt.step_count}")
             if opt.m is not None:
-                lines += ["m = " + fmt_floats(opt.m), "v = " + fmt_floats(opt.v)]
+                lines += ["m = " + fmt_vector(opt.m), "v = " + fmt_vector(opt.v)]
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -569,24 +583,15 @@ def _sections(text: str) -> tuple:
     return sections, [e for e in entries if e[0] == "env"]
 
 
-def _floats(n: int):
-    """A parser of exactly n space-separated floats."""
-    def parse(v: str) -> np.ndarray:
-        vals = np.array(v.split(), dtype=float)
-        if vals.size != n:
-            raise ValueError(f"holds {vals.size} values, needs {n}")
-        return vals
-    return parse
-
-
 def restore(snapshot: str) -> HacxAgent:
     """Rebuild an agent from policy_snapshot output. make_agent builds it
     from the settings and the geometry, so its structure, bounds and Adam
     constants are the ones training uses; then every network and optimizer,
-    and the novelty model, is built again around the learned values, with
-    the same checks. Buffers and visit counts come back empty. Malformed or
-    out-of-range content raises CheckpointError, and so does a key that no
-    record of an agent of the written k reads."""
+    and the novelty model, is built again around the learned vectors, which
+    kvtext.read_vector decodes, with the same checks. Buffers and visit
+    counts come back empty. Malformed or out-of-range content raises
+    CheckpointError, and so does a key that no record of an agent of the
+    written k reads."""
     def take(section: str, key: str, parse=str):
         """The parsed value of key, which is then no longer left to read."""
         if section not in sections:
@@ -606,8 +611,9 @@ def restore(snapshot: str) -> HacxAgent:
               for (section, key), (name, parse, _) in _SETTINGS.items()}
         # make_agent allocates the networks the settings ask for, so settings
         # whose networks need more values than this text holds (2 characters
-        # a value at least) are refused before it runs: each of the 2k + 2
-        # policy networks holds the values of a 1-in, 1-out one at least
+        # a value at least; base64 float64 takes 10 2/3) are refused before
+        # it runs: each of the 2k + 2 policy networks holds the values of a
+        # 1-in, 1-out one at least
         widths = [1, *kw["hidden"], 1]
         least = (2 * kw["k"] + 2) * sum((a + 1) * b for a, b in zip(widths, widths[1:]))
         if 2 * (least + 2 * kw["rnd_code_dim"]) > len(snapshot):
@@ -616,7 +622,7 @@ def restore(snapshot: str) -> HacxAgent:
         agent = make_agent(spec, rng=np.random.default_rng(0), **kw)
         for tag, record, net_field, opt_field in _networks(agent):
             section, net = f"network {tag}", getattr(record, net_field)
-            floats = _floats(net.params.size)
+            floats = partial(read_vector, n=net.params.size)
             try:
                 setattr(record, net_field, replace(net, params=take(section, "params", floats)))
                 if opt_field:

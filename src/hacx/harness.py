@@ -209,7 +209,7 @@ def write_checkpoint(agent: HacxAgent, path: str) -> None:
     text = policy_snapshot(agent)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -219,10 +219,17 @@ def write_checkpoint(agent: HacxAgent, path: str) -> None:
 
 
 def read_checkpoint(path: str) -> HacxAgent:
-    if not os.path.exists(path):
-        raise ConfigError(f"checkpoint not found: {path}")
-    with open(path) as f:
-        return restore(f.read())
+    """The agent the snapshot at path holds. A path that is not a file is an
+    input error (ConfigError); a file that is not UTF-8 text is a corrupt
+    checkpoint (CheckpointError), as is any content restore refuses."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"checkpoint not found or not a file: {path}")
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"not UTF-8 text: {e}") from e
+    return restore(text)
 
 
 def write_maps(agent: HacxAgent, spec: EnvSpec, out_dir: str) -> None:

@@ -3,6 +3,7 @@ reference forward/backward pass, gradients by name, a named view of packed
 transition rows with replay-buffer inspection helpers, and a snapshot line
 editor."""
 
+import base64
 from typing import NamedTuple
 
 import numpy as np
@@ -193,13 +194,19 @@ def transitions(block) -> list:
 def resize_network(policy, role, sizes):
     """Give policy a fresh role ("actor" or "critic") network of the given
     sizes, with the old one's activations and bounds on every output, and a
-    fresh optimizer, so that its snapshot stays well formed."""
+    fresh optimizer with the old one's learning rate, so that its snapshot
+    stays well formed."""
     old = getattr(policy, role)
     bounds = None if old.output_low is None else (old.output_low[0], old.output_high[0])
     setattr(policy, role, approx.network_init(sizes, np.random.default_rng(1),
                                               old.hidden_activation, old.output_activation,
                                               bounds))
-    setattr(policy, f"{role}_opt", approx.Optimizer(1e-3))
+    setattr(policy, f"{role}_opt", approx.Optimizer(getattr(policy, f"{role}_opt").learning_rate))
+
+
+def drop_values(vector, n):
+    """A snapshot vector (base64 of float64 bytes) without its last n values."""
+    return base64.b64encode(base64.b64decode(vector)[:-8 * n]).decode()
 
 
 def edit_line(text, key, value, section=None, was=None):

@@ -9,7 +9,7 @@ from hacx import agent, approx, envsim, hac, rnd
 from hacx.errors import CheckpointError, ConfigError
 from hacx.kvtext import read_entries
 
-from helpers import edit_line, resize_network, stored_columns
+from helpers import drop_values, edit_line, resize_network, stored_columns
 
 
 def arena(**overrides):
@@ -545,9 +545,10 @@ def test_snapshot_restores_adam_state():
 def test_snapshot_bad_magic_rejected():
     ag = small_agent()
     snap = agent.policy_snapshot(ag)
-    assert snap.startswith("HACX3\n")
-    # HACX1 and HACX2, the formats that wrote copies and structure, are not read
-    for magic in ("NOPE9", "HACX1", "HACX2"):
+    assert snap.startswith("HACX4\n")
+    # HACX1 and HACX2, the formats that wrote copies and structure, and HACX3,
+    # which wrote learned vectors as decimal text, are not read
+    for magic in ("NOPE9", "HACX1", "HACX2", "HACX3"):
         with pytest.raises(CheckpointError, match="bad magic"):
             agent.restore(magic + snap[5:])
 
@@ -562,19 +563,39 @@ def test_snapshot_truncation_rejected():
 
 def test_snapshot_corrupt_array_rejected():
     snap = agent.policy_snapshot(small_agent())
-    cut = edit_line(snap, "params", lambda v: " ".join(v.split(" ")[:-2]))  # drop two entries
+    cut = edit_line(snap, "params", lambda v: drop_values(v, 2))
     with pytest.raises(CheckpointError, match=r"\[network level0.actor\] params holds"):
         agent.restore(cut)
 
 
 def test_snapshot_numbers_parse_bitwise():
-    # every float written by repr reads back to the same bits
+    # every learned float a snapshot writes reads back to the same bits
     rng = np.random.default_rng(0)
-    vals = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, 500),
+    vals = np.concatenate([rng.normal(size=400) * 10.0 ** rng.integers(-300, 300, 400),
                            [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                             0.0, -0.0, 0.1, 1 / 3]])
-    text = " ".join(repr(float(v)) for v in vals)
-    assert agent._floats(vals.size)(text).tobytes() == vals.tobytes()
+    ag = small_agent()
+    params = ag.levels[0].actor.params
+    params[:vals.size] = vals
+    back = agent.restore(agent.policy_snapshot(ag))
+    assert back.levels[0].actor.params.tobytes() == params.tobytes()
+
+
+@pytest.mark.parametrize("edit,name", [
+    # a critic whose hidden widths are not level 0's actor's, which [agent] writes
+    (lambda ag: resize_network(ag.levels[0], "critic", [8, 32, 32, 1]), "level0.critic"),
+    (lambda ag: resize_network(ag.levels[1], "actor", [6, 16, 2]), "level1.actor"),
+    # an optimizer whose learning rate is not level 0's
+    (lambda ag: setattr(ag.explore_top, "actor_opt", approx.Optimizer(0.5)), "explore.actor"),
+    (lambda ag: setattr(ag.levels[1], "critic_opt", approx.Optimizer(1e-4)), "level1.critic"),
+])
+def test_snapshot_of_a_policy_unlike_level0_refused(edit, name):
+    # the snapshot writes level 0's hidden widths and learning rates once,
+    # so a policy with others would restore silently with level 0's
+    ag = small_agent()
+    edit(ag)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} has hidden widths"):
+        agent.policy_snapshot(ag)
 
 
 @pytest.mark.parametrize("old,new,why", [

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hacx import agent as agent_mod
-from hacx import envsim, harness, rnd
+from hacx import envsim, harness, kvtext, rnd
 from hacx.errors import CheckpointError, ConfigError, TrainingError
 
-from helpers import edit_line, resize_network
+from helpers import drop_values, edit_line
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -178,7 +178,8 @@ def test_checkpoint_write_failure_keeps_the_previous_file(tmp_path, monkeypatch)
             self.f.write(text[:len(text) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(harness, "open", lambda file, mode="r": DiskFull(open(file, mode)),
+    monkeypatch.setattr(harness, "open",
+                        lambda file, mode="r", **kw: DiskFull(open(file, mode, **kw)),
                         raising=False)
     other = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(1))
     with pytest.raises(OSError, match="No space"):
@@ -335,9 +336,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                          "--output-dir", str(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
 
-    assert harness.main(["--quiet", "eval", "--checkpoint",
-                         str(tmp_path / "missing.txt")]) == 2
-    capsys.readouterr()
+    # a missing path, and a directory, for eval and map
+    for command in ("eval", "map"):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            assert harness.main(["--quiet", command, "--checkpoint", str(path)]) == 2
+            assert "config error" in capsys.readouterr().err
 
     # a negative seed, and settings out of the agent's ranges
     train = ["--quiet", "train", "--env", "open_field_near", "--episodes", "1",
@@ -351,11 +354,16 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     corrupt = tmp_path / "corrupt.txt"
     # a bad number, and the earlier formats, which are refused by their magic
-    for text in ("HACX3\n[agent]\nk = not_a_number\n", "HACX2\n[agent]\nk = 2\nEND\n",
-                 "HACX1\n[agent]\nk = 2\nEND\n"):
+    for text in ("HACX4\n[agent]\nk = not_a_number\n", "HACX3\n[agent]\nk = 2\nEND\n",
+                 "HACX2\n[agent]\nk = 2\nEND\n", "HACX1\n[agent]\nk = 2\nEND\n"):
         corrupt.write_text(text)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
+    # a file that is not UTF-8 text, for eval and map
+    corrupt.write_bytes(b"HACX4\n[agent]\nk = \xff\xfe\n")
+    for command in ("eval", "map"):
+        assert harness.main(["--quiet", command, "--checkpoint", str(corrupt)]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
 
     ckpt = tmp_path / "c.txt"
     harness.write_checkpoint(harness.build_agent(
@@ -370,27 +378,25 @@ def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     path = tmp_path / "c.txt"
     harness.write_checkpoint(ag, str(path))
     good = path.read_text()
-    path.write_text(edit_line(good, "params", lambda v: v.rsplit(" ", 1)[0]))
+    path.write_text(edit_line(good, "params", lambda v: drop_values(v, 1)))
     assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
     assert "[network level0.actor] params holds" in capsys.readouterr().err
     # a bad number or a missing key in a complete snapshot is one too
-    # ... and so is a bad token inside a parameter vector, no levels, fewer
-    # levels than were written, a setting out of range, an environment that
-    # is not a valid geometry, hidden widths the parameters do not fit, or a
-    # subgoal actor 3 outputs wide
-    wide = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0))
-    resize_network(wide.levels[1], "actor", [6, 12, 12, 3])
-    resize_network(wide.levels[1], "critic", [9, 12, 12, 1])
+    # ... and so is a character outside the base64 alphabet inside a
+    # parameter vector, no levels, fewer levels than were written, a setting
+    # out of range, an environment that is not a valid geometry, or hidden
+    # widths the parameters do not fit
+    assert "\nhidden = 12 12\n" in good
     for bad in (edit_line(good, "k", "two"),
                 edit_line(good, "tau", None),
-                edit_line(good, "params", lambda v: "0.5x " + v.split(" ", 1)[1]),
+                edit_line(good, "params", lambda v: "!" + v[1:]),
                 edit_line(good, "k", "0"),
                 edit_line(good, "k", "1"),
                 edit_line(good, "horizon", "0"),
                 edit_line(good, "actor_lr", "-1"),
                 edit_line(good, "bounds", "0.0 0.0 1.0 1.0", section="env"),
                 edit_line(good, "hidden", ""),
-                agent_mod.policy_snapshot(wide)):
+                edit_line(good, "hidden", "12 13")):
         path.write_text(bad)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(path)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
@@ -419,15 +425,16 @@ def test_cli_unread_or_repeated_snapshot_key_exits_3(tmp_path, capsys, section, 
     assert re.search(rf"\[{re.escape(section)}\]:? ({key} repeated|{key}$)", err, re.M), err
 
 
-# The values the sweep below sets each non-parameter snapshot line to
-EDITED_VALUES = ("0", "-1", "1", "2", "3", "nan", "inf", "1e9", "x", "")
-PARAMETER_KEY = re.compile(r"[MV]?[AB][0-9]+")
+# The values the sweep below sets each snapshot line to; the last is a
+# well-formed vector of the wrong length
+EDITED_VALUES = ("0", "-1", "1", "2", "3", "nan", "inf", "1e9", "x", "",
+                 kvtext.fmt_vector([0.5, -0.0]))
 # the sections of the policies above level 0, which the same code reads as level 0's
-OTHER_POLICY = re.compile(r"\[(network|opt) (level[1-9]|explore)\.")
+OTHER_POLICY = re.compile(r"\[network (level[1-9]|explore)\.")
 
 
 def test_every_snapshot_edit_is_refused_or_runs():
-    # each non-parameter line of a trained snapshot, set to each value, is
+    # each line of a trained snapshot, set to each value, is
     # refused as corrupt, or restores an agent that trains, advances its
     # novelty phase and evaluates without an exception; the other policies'
     # lines are left out to keep the sweep near 5 s
@@ -445,7 +452,7 @@ def test_every_snapshot_edit_is_refused_or_runs():
     for i, line in enumerate(lines):
         section = line if line.startswith("[") else section
         key, sep, _ = line.partition(" = ")
-        if not sep or PARAMETER_KEY.fullmatch(key) or OTHER_POLICY.match(section):
+        if not sep or OTHER_POLICY.match(section):
             continue
         for value in EDITED_VALUES:
             text = "\n".join([*lines[:i], f"{key} = {value}", *lines[i + 1:]])
