@@ -174,11 +174,10 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
     def policy(goal_dim, bounds, noise_scale):
         act_dim = len(bounds[0])
         actor = approx.network_init([STATE_DIM + goal_dim, *hidden, act_dim], rng,
-                                    output_activation="tanh_scaled",
                                     output_bounds=bounds, final_scale=0.1)
-        # identity output: the feasible value range is enforced by clamping the
-        # bootstrapped values and regression targets, not by squashing (a
-        # squashed output saturates at the reward-0 end and stops learning)
+        # no bounds, so a linear output: the feasible value range is enforced by
+        # clamping bootstrapped values and regression targets, not by squashing
+        # (a squashed output saturates at the reward-0 end and stops learning)
         critic = approx.network_init([STATE_DIM + goal_dim + act_dim, *hidden, 1], rng)
         return LevelPolicy(actor, critic, Optimizer(actor_lr), Optimizer(critic_lr), noise_scale)
 

@@ -1,17 +1,23 @@
 """Dense feedforward function approximation with hand-written reverse-mode
-gradients and an Adam optimizer.
+gradients and an Adam optimizer, in the DDPG form (arXiv:1509.02971).
+
+Every hidden layer is ReLU. A network given output bounds squashes its
+output with tanh into them, per dimension; one without bounds has a linear
+output. Adam runs with the published constants ADAM_BETA1, ADAM_BETA2 and
+ADAM_EPS (arXiv:1412.6980).
 
 Each network keeps all of its parameters in one contiguous vector
 ``params``; ``weights[i]`` and ``biases[i]`` are views into it, laid out
 A0, B0, A1, B1, ... Gradients and Adam moments are flat vectors of the same
 layout, so an optimizer step is a handful of whole-vector operations.
 
-Inputs may be single vectors of shape (d,) or batches of shape (n, d).
-For batched inputs the parameter gradients are summed over the batch; the
-caller scales the upstream gradient to get means. A batch's product
-``x @ w.T`` may differ from the single-vector product in the last bit, so
-``forward_rows`` evaluates a stack of single inputs with one stacked
-matrix-vector product per layer, each row bit-equal to ``forward`` on it.
+``forward`` takes a single vector of shape (d,) or a batch of shape (n, d);
+``forward_trace`` and the gradients take batches only, and the parameter
+gradients are summed over the batch (the caller scales the upstream
+gradient to get means). A batch's product ``x @ w.T`` may differ from the
+single-vector product in the last bit, so ``forward_rows`` evaluates a stack
+of single inputs with one stacked matrix-vector product per layer, each row
+bit-equal to ``forward`` on it.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, TrainingError
 
-HIDDEN_ACTIVATIONS = ("relu", "tanh")
-OUTPUT_ACTIVATIONS = ("identity", "tanh_scaled")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _param_count(sizes) -> int:
@@ -53,45 +60,42 @@ def layer_views(sizes, flat: np.ndarray):
 
 @dataclass
 class Network:
-    """A stack of affine layers whose parameters live in one vector.
+    """A stack of affine layers whose parameters live in one vector, with
+    ReLU between them.
 
-    ``tanh_scaled`` output maps tanh(z) affinely onto [output_low, output_high]
-    per dimension, so outputs can never leave those bounds. Construction
-    checks the sizes, the activations, the bounds and that every parameter is
-    finite, and raises ConfigError.
+    A network with bounds maps tanh(z) affinely onto [output_low,
+    output_high] per dimension, so its outputs can never leave them.
+    Construction checks the sizes, that the bounds are both absent or both
+    finite with low < high and one pair per output, and that every
+    parameter is finite, and raises ConfigError.
     """
 
     layer_sizes: list[int]
     params: np.ndarray
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
     output_low: np.ndarray | None = None
     output_high: np.ndarray | None = None
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
-    # tanh_scaled output is mid + half * tanh(z)
+    # a bounded output is mid + half * tanh(z); both are None without bounds
     mid: np.ndarray | None = field(init=False, repr=False, compare=False)
     half: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ConfigError(f"unknown output activation {self.output_activation!r}")
         self.weights, self.biases = layer_views(sizes, self.params)   # checks the sizes
         if not np.all(np.isfinite(self.params)):
             raise ConfigError("network parameters must all be finite")
         self.mid = self.half = None
-        if self.output_activation == "tanh_scaled":
-            low, high = self.output_low, self.output_high
-            if not (np.shape(low) == np.shape(high) == (sizes[-1],)
-                    and np.all(np.isfinite(low)) and np.all(np.isfinite(high))
-                    and np.all(low < high)):
-                raise ConfigError(f"tanh_scaled output needs finite bounds low < high, one "
-                                  f"pair per output; got low={low} high={high}")
-            self.mid = 0.5 * (self.output_high + self.output_low)
-            self.half = 0.5 * (self.output_high - self.output_low)
+        low, high = self.output_low, self.output_high
+        if low is None and high is None:
+            return
+        if not (np.shape(low) == np.shape(high) == (sizes[-1],)
+                and np.all(np.isfinite(low)) and np.all(np.isfinite(high))
+                and np.all(low < high)):
+            raise ConfigError(f"a bounded output needs both bounds, finite with low < high "
+                              f"and one pair per output; got low={low} high={high}")
+        self.mid = 0.5 * (high + low)
+        self.half = 0.5 * (high - low)
 
     @property
     def input_dim(self) -> int:
@@ -106,13 +110,9 @@ class Network:
 class Optimizer:
     """Adam state; m and v are flat moments, allocated at the first step.
     Raises ConfigError unless lr is finite and >= 0 (0 freezes the network),
-    the betas in [0, 1), eps finite and > 0, steps >= 0, the moments finite
-    and v >= 0."""
+    steps >= 0, the moments finite and v >= 0."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -120,35 +120,31 @@ class Optimizer:
     def __post_init__(self):
         moments_ok = self.m is None or (np.isfinite(self.m).all() and np.isfinite(self.v).all()
                                         and (self.v >= 0.0).all())
-        if not (0.0 <= self.learning_rate < np.inf and 0.0 <= self.beta1 < 1.0
-                and 0.0 <= self.beta2 < 1.0 and 0.0 < self.eps < np.inf
-                and self.step_count >= 0 and moments_ok):
+        if not (0.0 <= self.learning_rate < np.inf and self.step_count >= 0 and moments_ok):
             raise ConfigError(
-                f"Adam needs a finite lr >= 0, betas in [0, 1), a finite eps > 0, steps >= 0 "
-                f"and finite moments with v >= 0; got lr={self.learning_rate}, betas="
-                f"({self.beta1}, {self.beta2}), eps={self.eps}, steps={self.step_count}")
+                f"Adam needs a finite lr >= 0, steps >= 0 and finite moments with v >= 0; "
+                f"got lr={self.learning_rate}, steps={self.step_count}")
 
 
 def network_init(
     layer_sizes: list[int],
     rng: np.random.Generator,
-    hidden_activation: str = "relu",
-    output_activation: str = "identity",
     output_bounds: tuple | None = None,
     final_scale: float = 1.0,
 ) -> Network:
     """Create a network with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) parameters.
 
-    ``output_bounds`` is a (low, high) pair (scalars or per-dimension arrays),
-    required for tanh_scaled output. ``final_scale`` multiplies the last
-    layer's parameters; actors use 0.1 to start near the bounds' midpoint.
+    ``output_bounds`` is a (low, high) pair (scalars or per-dimension arrays)
+    that the output is squashed into; without it the output is linear.
+    ``final_scale`` multiplies the last layer's parameters; actors use 0.1 to
+    start near the bounds' midpoint.
     """
     params = np.zeros(_param_count(layer_sizes))
     low = high = None
-    if output_activation == "tanh_scaled" and output_bounds is not None:
+    if output_bounds is not None:
         low, high = (np.broadcast_to(np.asarray(b, dtype=float), (layer_sizes[-1],)).copy()
                      for b in output_bounds)
-    net = Network(list(layer_sizes), params, hidden_activation, output_activation, low, high)
+    net = Network(list(layer_sizes), params, low, high)
     for w, b in zip(net.weights, net.biases):
         limit = 1.0 / np.sqrt(w.shape[1])
         w[:] = rng.uniform(-limit, limit, size=w.shape)
@@ -159,16 +155,18 @@ def network_init(
     return net
 
 
-def _checked_input(net: Network, x) -> np.ndarray:
+def _checked_input(net: Network, x, batch: bool = False) -> np.ndarray:
+    """x as floats: an (n, d) batch or, unless batch, a (d,) vector."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
-        raise ShapeError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
+    if x.ndim not in ((2,) if batch else (1, 2)) or x.shape[-1] != net.input_dim:
+        raise ShapeError(f"input shape {x.shape} is not an (n, {net.input_dim}) batch"
+                         + ("" if batch else f" or a ({net.input_dim},) vector"))
     return x
 
 
 def _layers(net: Network, x: np.ndarray, acts: list | None = None, rows: bool = False):
     """The layer loop on x of shape (d,) or (n, d). Appends each layer's input
-    to acts when given. Returns the output and, for tanh_scaled output, the
+    to acts when given. Returns the output and, for a bounded output, the
     output tanh (else None). Activations are applied in place to each fresh
     product, which computes the same floats as allocating a new array. With
     rows, each row of a batch goes through the matrix-vector product that a
@@ -185,12 +183,9 @@ def _layers(net: Network, x: np.ndarray, acts: list | None = None, rows: bool = 
             z = x @ w.T
         z += b
         if i < last:
-            if net.hidden_activation == "relu":
-                np.maximum(z, 0.0, out=z)
-            else:
-                np.tanh(z, out=z)
+            np.maximum(z, 0.0, out=z)
             x = z
-    if net.output_activation == "identity":
+    if net.half is None:
         return z, None
     t = np.tanh(z, out=z)
     out = net.half * t
@@ -208,22 +203,16 @@ def forward_rows(net: Network, xs: np.ndarray) -> np.ndarray:
     result is bit-equal to forward(net, xs[j]). np.matmul of a layer's
     weights with the (n, d, 1) stack runs, row by row, the matrix-vector
     kernel of forward's w.dot(x); the batch product x @ w.T does not."""
-    xs = _checked_input(net, xs)
-    if xs.ndim != 2:
-        raise ShapeError(f"forward_rows needs an (n, {net.input_dim}) stack, got {xs.shape}")
-    return _layers(net, xs, rows=True)[0]
+    return _layers(net, _checked_input(net, xs, batch=True), rows=True)[0]
 
 
 def forward_trace(net: Network, x: np.ndarray):
-    """Forward pass that keeps intermediate values for backward_trace.
-
-    Returns (output, trace). Input may be (d,) or (n, d); output matches.
-    """
-    x = _checked_input(net, x)
-    single = x.ndim == 1
+    """Forward pass over a batch x of shape (n, d) that keeps the
+    intermediate values backward_trace and input_gradient need. Returns
+    (output, trace); a single vector raises ShapeError."""
     acts = []
-    out, t = _layers(net, x[None, :] if single else x, acts)
-    return (out[0] if single else out), (single, acts, t)
+    out, t = _layers(net, _checked_input(net, x, batch=True), acts)
+    return out, (acts, t)
 
 
 def _propagate(net: Network, trace, upstream, grad: np.ndarray | None):
@@ -232,19 +221,17 @@ def _propagate(net: Network, trace, upstream, grad: np.ndarray | None):
     (Network.params layout) and the pass stops at the first layer; otherwise
     the gradient with respect to the input is returned. Neither upstream nor
     the trace is ever written."""
-    single, acts, t = trace
-    upstream = np.asarray(upstream, dtype=float)
-    delta = upstream[None, :] if single else upstream
+    acts, t = trace
+    delta = np.asarray(upstream, dtype=float)
     if delta.ndim != 2 or delta.shape[1] != net.output_dim or delta.shape[0] != len(acts[0]):
         raise ShapeError(
-            f"upstream shape {upstream.shape} incompatible with output dim {net.output_dim}")
+            f"upstream shape {delta.shape} incompatible with output dim {net.output_dim}")
     if t is not None:
         delta = delta * net.half
         delta *= 1.0 - t * t
 
     if grad is not None:
         gw, gb = layer_views(net.layer_sizes, grad)
-    relu = net.hidden_activation == "relu"
     for i in range(len(net.weights) - 1, -1, -1):
         if grad is not None:
             np.matmul(delta.T, acts[i], out=gw[i])
@@ -255,12 +242,8 @@ def _propagate(net: Network, trace, upstream, grad: np.ndarray | None):
         # a 1-wide delta times a row is an outer product; a K=1 gemm costs more
         delta = np.multiply(delta, w) if delta.shape[1] == 1 else delta @ w
         if i > 0:
-            a = acts[i]
-            if relu:
-                delta *= a > 0.0
-            else:
-                delta *= 1.0 - a * a
-    return delta[0] if single else delta
+            delta *= acts[i] > 0.0
+    return delta
 
 
 def backward_trace(net: Network, trace, upstream: np.ndarray) -> np.ndarray:
@@ -296,11 +279,11 @@ def optimizer_step(net: Network, g: np.ndarray, opt: Optimizer) -> Network:
         opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
 
     opt.step_count += 1
-    b1c = 1.0 - opt.beta1 ** opt.step_count
-    b2c = 1.0 - opt.beta2 ** opt.step_count
-    opt.m *= opt.beta1
-    opt.m += (1.0 - opt.beta1) * g
-    opt.v *= opt.beta2
-    opt.v += (1.0 - opt.beta2) * (g * g)
-    net.params -= opt.learning_rate * (opt.m / b1c) / (np.sqrt(opt.v / b2c) + opt.eps)
+    b1c = 1.0 - ADAM_BETA1 ** opt.step_count
+    b2c = 1.0 - ADAM_BETA2 ** opt.step_count
+    opt.m *= ADAM_BETA1
+    opt.m += (1.0 - ADAM_BETA1) * g
+    opt.v *= ADAM_BETA2
+    opt.v += (1.0 - ADAM_BETA2) * (g * g)
+    net.params -= opt.learning_rate * (opt.m / b1c) / (np.sqrt(opt.v / b2c) + ADAM_EPS)
     return net

@@ -64,18 +64,17 @@ class RunConfig:
     record_wall_time: bool = False
 
     def validate(self) -> "RunConfig":
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
-        for name in ("horizon", "episodes", "batch_size", "test_episodes",
-                     "eval_every", "rnd_phase_episodes", "rnd_code_dim", "rnd_batch_size"):
+        """Check the run's own settings; the agent's records check the agent's."""
+        for name in ("episodes", "batch_size", "test_episodes", "eval_every",
+                     "rnd_phase_episodes", "rnd_batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.rounds_per_episode < 0 or self.relabels < 0:
-            raise ConfigError("rounds_per_episode and relabels must be >= 0")
+        if self.rounds_per_episode < 0 or self.rnd_phase_gradient_steps < 0:
+            raise ConfigError("rounds_per_episode and rnd_phase_gradient_steps must be >= 0")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"need at least one seed, and none negative; got {self.seeds}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         return self
 
 
@@ -411,6 +410,8 @@ def main(argv=None) -> int:
                 mcd, sr = evaluate(agent, spec, args.test_episodes, rng)
                 print(f"mean_closest_distance={mcd!r} success_rate={sr!r}")
             else:
+                if not args.output_dir:
+                    raise ConfigError("--output-dir must not be empty")
                 os.makedirs(args.output_dir, exist_ok=True)
                 write_maps(agent, spec, args.output_dir)
                 print(f"maps written to {args.output_dir}")

@@ -27,13 +27,14 @@ log = logging.getLogger(__name__)
 
 RND_HIDDEN = (32, 32)
 STATE_BUFFER_CAPACITY = 200_000
+CALIBRATION_STATES = 1000
+CALIBRATION_PERCENTILE = 5.0
 
 
 @dataclass
 class NoveltyModel:
-    """Raises ConfigError unless the target takes the (x, y) position, the
-    predictor has the target's sizes, the threshold is finite and the phase
-    index >= 0."""
+    """Raises ConfigError unless the threshold is finite and the phase index
+    >= 0."""
 
     target: Network
     predictor: Network
@@ -45,32 +46,30 @@ class NoveltyModel:
     buffer_next: int = 0
 
     def __post_init__(self):
-        t, p = self.target.layer_sizes, self.predictor.layer_sizes
-        if not (t[0] == 2 and p == t and np.isfinite(self.epsilon_rnd) and self.phase_index >= 0):
-            raise ConfigError(f"novelty target input size must be 2 and predictor sizes the "
-                              f"target's ({t}, {p}), the threshold finite ({self.epsilon_rnd}) "
+        if not (np.isfinite(self.epsilon_rnd) and self.phase_index >= 0):
+            raise ConfigError(f"the novelty threshold must be finite ({self.epsilon_rnd}) "
                               f"and the phase index >= 0 ({self.phase_index})")
 
 
 def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
-                       hidden=RND_HIDDEN, epsilon_rnd: float = 0.1,
-                       learning_rate: float = 1e-3,
+                       epsilon_rnd: float = 0.1, learning_rate: float = 1e-3,
                        capacity: int = STATE_BUFFER_CAPACITY) -> NoveltyModel:
-    sizes = [2, *hidden, code_dim]
+    sizes = [2, *RND_HIDDEN, code_dim]
     target = approx.network_init(sizes, rng)
     predictor = approx.network_init(sizes, rng)
     return NoveltyModel(target, predictor, Optimizer(learning_rate), epsilon_rnd,
                         np.zeros((capacity, 2), dtype=np.float32))
 
 
-def calibrate_epsilon(model: NoveltyModel, bounds, rng: np.random.Generator,
-                      n_states: int = 1000, percentile: float = 5.0) -> float:
-    """Set the novelty threshold to a low percentile of the error over
-    uniform random states, so that initially (nearly) everything is new."""
+def calibrate_epsilon(model: NoveltyModel, bounds, rng: np.random.Generator) -> float:
+    """Set the novelty threshold to the CALIBRATION_PERCENTILE-th percentile
+    of the error over CALIBRATION_STATES uniform random states, so that
+    initially (nearly) everything is new."""
     x0, y0, x1, y1 = bounds
-    pts = np.column_stack([rng.uniform(x0, x1, n_states), rng.uniform(y0, y1, n_states)])
+    n = CALIBRATION_STATES
+    pts = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
     errs = novelty_errors(model, pts)
-    model.epsilon_rnd = float(np.percentile(errs, percentile))
+    model.epsilon_rnd = float(np.percentile(errs, CALIBRATION_PERCENTILE))
     return model.epsilon_rnd
 
 

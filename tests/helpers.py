@@ -61,7 +61,8 @@ class Gradients(NamedTuple):
 
 def backward(net, x, upstream) -> Gradients:
     """Exact reverse-mode gradients of sum(forward(net, x) * upstream) with
-    respect to every parameter and to the input, from one forward trace."""
+    respect to every parameter and to the input, from one forward trace of
+    the (n, d) batch x."""
     _, trace = approx.forward_trace(net, x)
     return Gradients(approx.backward_trace(net, trace, upstream),
                      approx.input_gradient(net, trace, upstream))
@@ -77,30 +78,28 @@ def rel_close(a, b, tol=1e-4, floor=1e-3):
     return np.all(np.abs(a - b) <= tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), floor))
 
 
-def random_small_net(rng, hidden_activation=None, output_activation=None):
-    """A net with at most 3 weight layers and widths at most 8."""
+def random_small_net(rng, bounded=None):
+    """A net with at most 3 weight layers and widths at most 8, whose output
+    is squashed into random bounds when bounded (a coin flip when None)."""
     depth = int(rng.integers(1, 4))
     sizes = [int(rng.integers(1, 9)) for _ in range(depth + 1)]
-    hact = hidden_activation or ("relu" if rng.random() < 0.5 else "tanh")
-    oact = output_activation or ("identity" if rng.random() < 0.5 else "tanh_scaled")
+    if bounded is None:
+        bounded = rng.random() < 0.5
     bounds = None
-    if oact == "tanh_scaled":
+    if bounded:
         low = rng.uniform(-3, 0, sizes[-1])
         bounds = (low, low + rng.uniform(0.5, 4, sizes[-1]))
-    return approx.network_init(sizes, rng, hidden_activation=hact,
-                               output_activation=oact, output_bounds=bounds)
+    return approx.network_init(sizes, rng, output_bounds=bounds)
 
 
 def input_off_relu_kinks(net, rng, margin=1e-3, tries=50):
-    """An input whose hidden pre-activations stay away from relu kinks, so
-    finite differences are trustworthy."""
+    """A one-row batch whose hidden pre-activations stay away from relu
+    kinks, so finite differences are trustworthy."""
     for _ in range(tries):
-        x = rng.uniform(-1.5, 1.5, net.layer_sizes[0])
-        if net.hidden_activation != "relu":
-            return x
+        x = rng.uniform(-1.5, 1.5, (1, net.layer_sizes[0]))
         a, hidden_pre = x, []
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            hidden_pre.append(w @ a + b)
+            hidden_pre.append(a @ w.T + b)
             a = np.maximum(hidden_pre[-1], 0.0)
         if all(np.min(np.abs(z)) > margin for z in hidden_pre):
             return x
@@ -118,8 +117,8 @@ def ref_layers(net, x, acts=None):
             acts.append(x)
         z = (w.dot(x) if x.ndim == 1 else x @ w.T) + b
         if i < last:
-            x = np.maximum(z, 0.0) if net.hidden_activation == "relu" else np.tanh(z)
-    if net.output_activation == "identity":
+            x = np.maximum(z, 0.0)
+    if net.output_low is None:
         return z, None
     t = np.tanh(z)
     mid = 0.5 * (net.output_high + net.output_low)
@@ -132,18 +131,15 @@ def ref_forward(net, x):
 
 
 def ref_forward_trace(net, x):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     acts = []
-    out, t = ref_layers(net, x[None, :] if single else x, acts)
-    return (out[0] if single else out), (single, acts, t)
+    out, t = ref_layers(net, np.asarray(x, dtype=float), acts)
+    return out, (acts, t)
 
 
 def ref_backward_trace(net, trace, upstream):
     """(parameter gradient in the Network.params layout, input gradient)."""
-    single, acts, t = trace
-    upstream = np.asarray(upstream, dtype=float)
-    delta = upstream[None, :] if single else upstream
+    acts, t = trace
+    delta = np.asarray(upstream, dtype=float)
     if t is not None:
         delta = delta * (0.5 * (net.output_high - net.output_low)) * (1.0 - t * t)
     gw, gb = [], []
@@ -152,10 +148,9 @@ def ref_backward_trace(net, trace, upstream):
         gb.insert(0, delta.sum(axis=0))
         delta = delta @ net.weights[i]
         if i > 0:
-            a = acts[i]
-            delta = delta * ((a > 0.0) if net.hidden_activation == "relu" else (1.0 - a * a))
+            delta = delta * (acts[i] > 0.0)
     grad = np.concatenate([part for w, b in zip(gw, gb) for part in (w.ravel(), b)])
-    return grad, (delta[0] if single else delta)
+    return grad, delta
 
 
 # Packed transition rows by name
@@ -193,14 +188,12 @@ def transitions(block) -> list:
 
 def resize_network(policy, role, sizes):
     """Give policy a fresh role ("actor" or "critic") network of the given
-    sizes, with the old one's activations and bounds on every output, and a
-    fresh optimizer with the old one's learning rate, so that its snapshot
-    stays well formed."""
+    sizes, with the old one's bounds (if any) on every output, and a fresh
+    optimizer with the old one's learning rate, so that its snapshot stays
+    well formed."""
     old = getattr(policy, role)
     bounds = None if old.output_low is None else (old.output_low[0], old.output_high[0])
-    setattr(policy, role, approx.network_init(sizes, np.random.default_rng(1),
-                                              old.hidden_activation, old.output_activation,
-                                              bounds))
+    setattr(policy, role, approx.network_init(sizes, np.random.default_rng(1), bounds))
     setattr(policy, f"{role}_opt", approx.Optimizer(getattr(policy, f"{role}_opt").learning_rate))
 
 

@@ -28,7 +28,7 @@ def test_gradient_checks_match_finite_differences():
     for _ in range(100):
         net = helpers.random_small_net(rng)
         x = helpers.input_off_relu_kinks(net, rng)
-        upstream = rng.normal(size=net.layer_sizes[-1])
+        upstream = rng.normal(size=(1, net.layer_sizes[-1]))
         got = helpers.backward(net, x, upstream)
         want_params = helpers.fd_param_gradients(net, x, upstream)
         want_x = helpers.fd_input_gradient(net, x, upstream)
@@ -58,8 +58,8 @@ def _synthetic_segment(rng, length):
 
 def test_transition_invariants_hold_in_bulk():
     rng = np.random.default_rng(77)
-    model = rnd.novelty_model_init(rng, code_dim=4, hidden=(8, 8), capacity=64)
-    rnd.calibrate_epsilon(model, (-5.0, -5.0, 5.0, 5.0), rng, n_states=200)
+    model = rnd.novelty_model_init(rng, code_dim=4, capacity=64)
+    rnd.calibrate_epsilon(model, (-5.0, -5.0, 5.0, 5.0), rng)
     eps = 0.5
     horizon = 10
     total = 0

@@ -653,8 +653,9 @@ def test_snapshot_settings_the_text_cannot_hold_refused_before_building(monkeypa
     (lambda ag: (resize_network(ag.levels[1], "actor", [6, 16, 16, 3]),
                  resize_network(ag.levels[1], "critic", [9, 16, 16, 1])), "level1.actor"),
     # novelty networks whose hidden sizes are not RND_HIDDEN
-    (lambda ag: setattr(ag, "novelty", rnd.novelty_model_init(
-        np.random.default_rng(1), code_dim=4, hidden=(8, 8))), "rnd.target"),
+    (lambda ag: setattr(ag, "novelty", replace(ag.novelty, **{
+        role: approx.network_init([2, 8, 8, 4], np.random.default_rng(1))
+        for role in ("target", "predictor")})), "rnd.target"),
     (lambda ag: setattr(ag.novelty, "predictor",
                         approx.network_init([2, 8, 8, 5], np.random.default_rng(1))),
      "rnd.predictor"),

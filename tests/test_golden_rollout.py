@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import acceptance_util as au
-from hacx import agent, harness
+from hacx import agent, approx, harness
 
 # tag: (frozen config, training episodes, evaluate test episodes)
 CASES = {
@@ -103,8 +103,8 @@ def state_digest(ag) -> str:
     for net, opt in pairs:
         parts.append(net.params.tobytes().hex())
         if opt is not None:
-            parts.append(repr((opt.step_count, opt.learning_rate, opt.beta1, opt.beta2,
-                               opt.eps)))
+            parts.append(repr((opt.step_count, opt.learning_rate, approx.ADAM_BETA1,
+                               approx.ADAM_BETA2, approx.ADAM_EPS)))
             parts += ["-" if m is None else m.tobytes().hex() for m in (opt.m, opt.v)]
     return _sha("\n".join(parts))
 

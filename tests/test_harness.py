@@ -91,14 +91,15 @@ def test_config_round_trip():
 
 
 def test_validate_rejects_bad_settings():
-    for kw in (dict(levels=0), dict(tau=1.5), dict(episodes=0),
-               dict(seeds=()), dict(relabels=-1), dict(rnd_batch_size=-5),
-               dict(rnd_batch_size=0), dict(seeds=(-1,)), dict(seeds=(0, -3))):
+    for kw in (dict(episodes=0), dict(seeds=()), dict(rnd_batch_size=-5),
+               dict(rnd_batch_size=0), dict(seeds=(-1,)), dict(seeds=(0, -3)),
+               dict(rnd_phase_gradient_steps=-5), dict(output_dir="")):
         with pytest.raises(ConfigError):
             smoke_cfg(**kw)
     # settings only the agent's records check: building the agent refuses them
     spec = envsim.builtin_spec("open_field_near")
-    for kw in (dict(subgoal_test_rate=2.0), dict(epsilon_level=-1.0),
+    for kw in (dict(levels=0), dict(tau=1.5), dict(horizon=0), dict(relabels=-1),
+               dict(rnd_code_dim=0), dict(subgoal_test_rate=2.0), dict(epsilon_level=-1.0),
                dict(rnd_epsilon=float("nan"))):
         with pytest.raises(ConfigError):
             harness.build_agent(smoke_cfg(**kw), spec, np.random.default_rng(0))
@@ -342,15 +343,18 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert harness.main(["--quiet", command, "--checkpoint", str(path)]) == 2
             assert "config error" in capsys.readouterr().err
 
-    # a negative seed, and settings out of the agent's ranges
+    # a negative seed, and settings out of the agent's ranges, which the
+    # agent's records refuse before anything is written
     train = ["--quiet", "train", "--env", "open_field_near", "--episodes", "1",
              "--output-dir", str(tmp_path / "y")]
     cfg = tmp_path / "cfg.txt"
-    for argv, text in ((["--seed", "-1"], ""), ([], "agent.subgoal_test_rate = 2"),
-                       ([], "agent.epsilon = -1"), ([], "rnd.epsilon = nan")):
+    for argv, text in ((["--seed", "-1"], ""), (["--levels", "0"], ""),
+                       ([], "agent.subgoal_test_rate = 2"), ([], "agent.epsilon = -1"),
+                       ([], "rnd.epsilon = nan")):
         cfg.write_text(text + "\nrun.seeds = 0\n")
         assert harness.main(train + ["--config", str(cfg)] + argv) == 2
         assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
     corrupt = tmp_path / "corrupt.txt"
     # a bad number, and the earlier formats, which are refused by their magic
@@ -370,6 +374,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)), str(ckpt))
     assert harness.main(["--quiet", "eval", "--checkpoint", str(ckpt), "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_empty_output_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    train = ["--quiet", "train", "--env", "open_field_near", "--episodes", "1", "--seed", "0"]
+    assert harness.main(train + ["--output-dir", ""]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("run.output_dir =\n")
+    assert harness.main(train + ["--config", str(cfg)]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    ckpt = tmp_path / "c.txt"
+    harness.write_checkpoint(harness.build_agent(
+        smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)), str(ckpt))
+    assert harness.main(["--quiet", "map", "--checkpoint", str(ckpt), "--output-dir", ""]) == 2
+    assert "--output-dir" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c.txt", "cfg.txt"]
 
 
 def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
