@@ -118,8 +118,7 @@ class HacxAgent:
     horizon: int
     epsilon: float
     subgoal_test_rate: float
-    num_relabels: int = 2
-    relabel_enabled: bool = True
+    num_relabels: int
     visits: VisitGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,15 +156,14 @@ def _noise_scale(i: int, k: int) -> float:
     return 0.2 if i == k - 1 else 0.15
 
 
-def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
-               horizon: int = 10, epsilon_level: float = 0.5,
-               subgoal_test_rate: float = 0.3, tau: float = 0.6,
-               hidden=(64, 64), actor_lr: float = 1e-4, critic_lr: float = 1e-3,
-               rnd_code_dim: int = 16, rnd_lr: float = 1e-3, rnd_epsilon=None,
-               num_relabels: int = 2, relabel_enabled: bool = True) -> HacxAgent:
-    """Build a fresh agent for a task. All parameter draws come from rng in
-    a fixed order, so agents are reproducible given the seed. A setting out
-    of range raises ConfigError."""
+def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator, *, horizon: int,
+               epsilon_level: float, subgoal_test_rate: float, tau: float, hidden,
+               actor_lr: float, critic_lr: float, rnd_code_dim: int, rnd_lr: float,
+               rnd_epsilon, num_relabels: int) -> HacxAgent:
+    """Build a fresh agent for a task (harness.RunConfig holds the defaults).
+    All parameter draws come from rng in a fixed order, so agents are
+    reproducible given the seed. rnd_epsilon None calibrates the novelty
+    threshold. A setting out of range raises ConfigError."""
     x0, y0, x1, y1 = spec.bounds
     sub = (np.array([x0, y0]), np.array([x1, y1]))
     ab = spec.action_bounds
@@ -189,8 +187,7 @@ def make_agent(spec: EnvSpec, k: int, rng: np.random.Generator,
     if rnd_epsilon is None:
         rnd.calibrate_epsilon(novelty, spec.bounds, rng)
     return HacxAgent(levels, explore_top, tau, novelty, spec, horizon, epsilon_level,
-                     subgoal_test_rate, num_relabels=num_relabels,
-                     relabel_enabled=relabel_enabled)
+                     subgoal_test_rate, num_relabels)
 
 
 def choose_top_policy(tau: float, rng: np.random.Generator) -> str:
@@ -350,7 +347,7 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     except StopIteration:
         pass
 
-    if train and agent.relabel_enabled and agent.num_relabels > 0:
+    if train and agent.num_relabels > 0:
         for p, segments in zip(agent.levels, ep.segments):
             for seg in filter(None, segments):
                 rows = hindsight_goal_transitions(seg, agent.num_relabels, agent.epsilon, rng)
@@ -479,21 +476,14 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
 # ---------------------------------------------------------------------------
 # Snapshot serialization (text; file IO lives in harness)
 
-MAGIC = "HACX4"
-
-
-def _flag(v: str) -> bool:
-    if v not in ("0", "1"):
-        raise ValueError(f"{v!r}, need 0 or 1")
-    return v == "1"
+MAGIC = "HACX5"
 
 
 def _widths(v: str) -> tuple:
     return tuple(int(w) for w in v.split())
 
 
-_WRITERS = {int: str, float: fmt_float, _flag: lambda v: str(int(v)),
-            _widths: lambda v: " ".join(map(str, v))}
+_WRITERS = {int: str, float: fmt_float, _widths: lambda v: " ".join(map(str, v))}
 
 # (section, key): (make_agent keyword, parser, the agent's value). Every
 # network of a level and of the explore policy has the same hidden widths,
@@ -505,7 +495,6 @@ _SETTINGS = {
     ("agent", "epsilon"): ("epsilon_level", float, lambda a: a.epsilon),
     ("agent", "subgoal_test_rate"): ("subgoal_test_rate", float, lambda a: a.subgoal_test_rate),
     ("agent", "num_relabels"): ("num_relabels", int, lambda a: a.num_relabels),
-    ("agent", "relabel_enabled"): ("relabel_enabled", _flag, lambda a: a.relabel_enabled),
     ("agent", "hidden"): ("hidden", _widths, lambda a: a.levels[0].actor.layer_sizes[1:-1]),
     ("agent", "actor_lr"): ("actor_lr", float, lambda a: a.levels[0].actor_opt.learning_rate),
     ("agent", "critic_lr"): ("critic_lr", float, lambda a: a.levels[0].critic_opt.learning_rate),

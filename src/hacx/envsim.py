@@ -13,16 +13,21 @@ Rectangles are (x0, y0, x1, y1) tuples throughout.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .kvtext import fmt_float, fmt_floats, parse_value, read_entries
+from .kvtext import fmt_float, fmt_floats, parse_value, read_entries, read_file
 
 Rect = tuple[float, float, float, float]
+
+MAP_RESOLUTION = 64     # cells per side of the visit grid and of the novelty map
+WALL_THICKNESS = 0.25   # of the builtin geometries' walls
+SPIRAL_CELL = 1.25      # side of one spiral maze cell
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,14 @@ class EnvSpec:
 
 @dataclass
 class VisitGrid:
-    """Counts of recorded states on a resolution x resolution grid over
-    bounds; counts[ix, iy] with ix along x and iy along y."""
+    """Counts of recorded states on a MAP_RESOLUTION x MAP_RESOLUTION grid
+    over bounds; counts[ix, iy] with ix along x and iy along y."""
 
     bounds: Rect
-    resolution: int = 64
-    counts: np.ndarray = None
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros((self.resolution, self.resolution), dtype=np.int64)
+        self.counts = np.zeros((MAP_RESOLUTION, MAP_RESOLUTION), dtype=np.int64)
 
 
 def rect_valid(r: Rect) -> bool:
@@ -189,10 +192,10 @@ def env_step(spec: EnvSpec, s: np.ndarray, action) -> np.ndarray:
     return np.array((x, y, 0.0 if bx else vx, 0.0 if by else vy), dtype=float)
 
 
-def _cross_walls(thickness=0.25):
+def _cross_walls():
     """Four-rooms interior: a cross of walls with 3 doorways (the passage
     between the right two rooms stays closed)."""
-    t = thickness / 2.0
+    t = WALL_THICKNESS / 2.0
     return [
         (5 - t, 0.0, 5 + t, 2.0),    # vertical, below the lower doorway
         (5 - t, 3.0, 5 + t, 7.0),    # vertical, between the two doorways
@@ -221,19 +224,17 @@ def _spiral_cell_order(n: int):
     return order
 
 
-def spiral_spec(cells: int = 7, cell_size: float = 1.25, wall_thickness: float = 0.25,
-                max_steps: int = 1000, epsilon: float = 0.5,
-                name: str = "spiral_maze") -> EnvSpec:
-    """Single-corridor spiral maze built on a cells x cells grid.
+def spiral_spec(cells: int = 7, max_steps: int = 1000) -> EnvSpec:
+    """Single-corridor spiral maze on a cells x cells grid of SPIRAL_CELL cells.
 
     The corridor visits every grid cell once in spiral order; walls separate
     any adjacent cells that are not consecutive on the path. Start is the
     innermost cell, goal the outermost end of the corridor. Shortest path
-    length is about (cells^2 - 1) * cell_size world units.
+    length is about (cells^2 - 1) * SPIRAL_CELL world units.
     """
     if cells < 2:
         raise ConfigError(f"spiral needs at least 2 cells per side, got {cells}")
-    n, c, t = cells, cell_size, wall_thickness
+    n, c, t = cells, SPIRAL_CELL, WALL_THICKNESS
     side = n * c
     order = _spiral_cell_order(n)
     pathset = set(zip(order, order[1:]))
@@ -260,12 +261,11 @@ def spiral_spec(cells: int = 7, cell_size: float = 1.25, wall_thickness: float =
     gx, gy = cell_center(order[-1])
     r = 0.3
     return validate_spec(EnvSpec(
-        name=name,
+        name="spiral_maze",
         bounds=(0.0, 0.0, side, side),
         walls=walls,
         start_region=(sx - r, sy - r, sx + r, sy + r),
         task_goal_region=(gx - r, gy - r, gx + r, gy + r),
-        epsilon_task=epsilon,
         max_primitive_steps=max_steps,
     ))
 
@@ -322,35 +322,34 @@ def record_visit(grid: VisitGrid, x: float, y: float) -> VisitGrid:
     x0, y0, x1, y1 = grid.bounds
     if not (x0 <= x <= x1 and y0 <= y <= y1):
         raise ValueError(f"position ({x}, {y}) outside bounds {grid.bounds}; physics bug?")
-    res = grid.resolution
+    res = MAP_RESOLUTION
     ix = min(int((x - x0) / (x1 - x0) * res), res - 1)
     iy = min(int((y - y0) / (y1 - y0) * res), res - 1)
     grid.counts[ix, iy] += 1
     return grid
 
 
-def grid_to_image(grid: VisitGrid) -> bytes:
-    """Render counts as a binary portable graymap (P5), log-scaled to 0..255.
+def _p5(px: np.ndarray) -> bytes:
+    """A uint8 [ix, iy] grid as a binary portable graymap (P5), whose rows
+    run top to bottom, i.e. decreasing y."""
+    img = px.T[::-1, :]
+    return f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii") + img.tobytes()
 
-    Image rows run top to bottom, i.e. decreasing y.
-    """
+
+def grid_to_image(grid: VisitGrid) -> bytes:
+    """Render counts as a P5 graymap, log-scaled to 0..255."""
     c = grid.counts
     mx = c.max()
     if mx > 0:
         px = np.rint(np.log1p(c) / np.log1p(mx) * 255.0).astype(np.uint8)
     else:
         px = np.zeros_like(c, dtype=np.uint8)
-    img = px.T[::-1, :]
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return _p5(px)
 
 
 def bool_grid_to_image(flags: np.ndarray) -> bytes:
     """Render a boolean [ix, iy] grid as a P5 graymap (true = 255)."""
-    px = np.where(flags, 255, 0).astype(np.uint8)
-    img = px.T[::-1, :]
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return _p5(np.where(flags, 255, 0).astype(np.uint8))
 
 
 def bool_grid_to_text(flags: np.ndarray) -> str:
@@ -415,11 +414,10 @@ def spec_from_entries(entries) -> EnvSpec:
 
 
 def load_spec(name_or_path: str) -> EnvSpec:
-    """Builtin name, or a path to a geometry text file."""
+    """Builtin name, or a path to a geometry text file; a path that is not a
+    file, or a file that is not UTF-8 text, raises ConfigError."""
     if name_or_path in BUILTIN_NAMES:
         return builtin_spec(name_or_path)
-    import os
-    if os.path.exists(name_or_path):
-        with open(name_or_path) as f:
-            return spec_from_text(f.read())
-    raise ConfigError(f"unknown environment {name_or_path!r} (not a builtin, not a file)")
+    if not os.path.exists(name_or_path):
+        raise ConfigError(f"unknown environment {name_or_path!r} (not a builtin, not a file)")
+    return spec_from_text(read_file(name_or_path, "geometry file"))

@@ -69,10 +69,12 @@ class RunConfig:
                      "rnd_phase_episodes", "rnd_batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.rounds_per_episode < 0 or self.rnd_phase_gradient_steps < 0:
-            raise ConfigError("rounds_per_episode and rnd_phase_gradient_steps must be >= 0")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError(f"need at least one seed, and none negative; got {self.seeds}")
+        # relabels is checked here: with relabel_enabled off the agent never sees it
+        if min(self.rounds_per_episode, self.rnd_phase_gradient_steps, self.relabels) < 0:
+            raise ConfigError("rounds_per_episode, rnd_phase_gradient_steps and relabels "
+                              "must be >= 0")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"need one or more distinct seeds, none negative; got {self.seeds}")
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
         return self
@@ -123,8 +125,8 @@ KEYMAP = {
 }
 
 
-def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     for section, key, val in kvtext.read_entries(text):
         full = f"{section}.{key}" if section else key
         if full not in KEYMAP:
@@ -134,11 +136,10 @@ def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
     return cfg
 
 
-def load_config(path: str, base: RunConfig = None) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as f:
-        return parse_config_text(f.read(), base)
+def load_config(path: str) -> RunConfig:
+    """The config file at path; a path that is not a file, or a file that is
+    not UTF-8 text, raises ConfigError."""
+    return parse_config_text(kvtext.read_file(path, "config file"))
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -164,7 +165,7 @@ def build_agent(cfg: RunConfig, spec: EnvSpec, rng: np.random.Generator) -> Hacx
         actor_lr=cfg.actor_lr, critic_lr=cfg.critic_lr, rnd_code_dim=cfg.rnd_code_dim,
         rnd_lr=cfg.rnd_lr,
         rnd_epsilon=None if cfg.rnd_epsilon == 0.0 else cfg.rnd_epsilon,
-        num_relabels=cfg.relabels, relabel_enabled=cfg.relabel_enabled)
+        num_relabels=cfg.relabels if cfg.relabel_enabled else 0)
 
 
 def evaluate(agent: HacxAgent, spec: EnvSpec, n_test: int,
@@ -234,7 +235,7 @@ def read_checkpoint(path: str) -> HacxAgent:
 def write_maps(agent: HacxAgent, spec: EnvSpec, out_dir: str) -> None:
     with open(os.path.join(out_dir, "visits.pgm"), "wb") as f:
         f.write(envsim.grid_to_image(agent.visits))
-    flags = rnd.novelty_map(agent.novelty, spec.bounds, agent.visits.resolution)
+    flags = rnd.novelty_map(agent.novelty, spec.bounds)
     with open(os.path.join(out_dir, "novelty.pgm"), "wb") as f:
         f.write(envsim.bool_grid_to_image(flags))
     with open(os.path.join(out_dir, "novelty.txt"), "w") as f:
@@ -262,7 +263,7 @@ def run_trial(cfg: RunConfig, seed: int, out_dir: str) -> list:
         if ep_i % cfg.eval_every == 0 or ep_i == cfg.episodes:
             eval_rng = np.random.default_rng([seed, 9973, ep_i])
             mcd, sr = evaluate(agent, spec, cfg.test_episodes, eval_rng)
-            nf = rnd.new_fraction(agent.novelty, spec.bounds, agent.visits.resolution)
+            nf = rnd.new_fraction(agent.novelty, spec.bounds)
             rows.append({
                 "episode": ep_i,
                 "mean_closest_distance": mcd,
@@ -338,9 +339,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cfg_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
+    cfg = load_config(args.config) if args.config else RunConfig()
     for flag, fname in (("env", "env"), ("levels", "levels"),
                         ("episodes", "episodes"), ("tau", "tau"),
                         ("rounds", "rounds_per_episode"),

@@ -11,6 +11,7 @@ string of its little-endian float64 bytes, which reads back to the same bits,
 """
 
 import base64
+import os
 
 import numpy as np
 
@@ -33,6 +34,18 @@ def read_entries(text) -> list:
             raise ConfigError(f"expected 'key = value', got {raw!r}")
         entries.append((section, key.strip(), value.strip()))
     return entries
+
+
+def read_file(path: str, what: str) -> str:
+    """The text of the UTF-8 file at path. A path that is not a file, or a
+    file that is not UTF-8 text, raises ConfigError naming what it is."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found or not a file: {path}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {e}") from e
 
 
 def parse_value(key: str, parser, value: str):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import approx
 from .approx import Network, Optimizer
-from .envsim import position
+from .envsim import MAP_RESOLUTION, position
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -51,14 +51,13 @@ class NoveltyModel:
                               f"and the phase index >= 0 ({self.phase_index})")
 
 
-def novelty_model_init(rng: np.random.Generator, code_dim: int = 16,
-                       epsilon_rnd: float = 0.1, learning_rate: float = 1e-3,
-                       capacity: int = STATE_BUFFER_CAPACITY) -> NoveltyModel:
+def novelty_model_init(rng: np.random.Generator, *, code_dim: int, epsilon_rnd: float,
+                       learning_rate: float) -> NoveltyModel:
     sizes = [2, *RND_HIDDEN, code_dim]
     target = approx.network_init(sizes, rng)
     predictor = approx.network_init(sizes, rng)
     return NoveltyModel(target, predictor, Optimizer(learning_rate), epsilon_rnd,
-                        np.zeros((capacity, 2), dtype=np.float32))
+                        np.zeros((STATE_BUFFER_CAPACITY, 2), dtype=np.float32))
 
 
 def calibrate_epsilon(model: NoveltyModel, bounds, rng: np.random.Generator) -> float:
@@ -124,16 +123,17 @@ def advance_phase(model: NoveltyModel, gradient_steps: int, batch_size: int,
     return model
 
 
-def novelty_map(model: NoveltyModel, bounds, resolution: int = 64) -> np.ndarray:
-    """Boolean [ix, iy] grid of the new-flag at each cell center."""
+def novelty_map(model: NoveltyModel, bounds) -> np.ndarray:
+    """Boolean [ix, iy] grid of the new-flag at each cell center, with
+    MAP_RESOLUTION cells per side, as the visit grid has."""
     x0, y0, x1, y1 = bounds
-    cx = x0 + (np.arange(resolution) + 0.5) / resolution * (x1 - x0)
-    cy = y0 + (np.arange(resolution) + 0.5) / resolution * (y1 - y0)
+    cx = x0 + (np.arange(MAP_RESOLUTION) + 0.5) / MAP_RESOLUTION * (x1 - x0)
+    cy = y0 + (np.arange(MAP_RESOLUTION) + 0.5) / MAP_RESOLUTION * (y1 - y0)
     gx, gy = np.meshgrid(cx, cy, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     errs = novelty_errors(model, pts)
-    return (errs > model.epsilon_rnd).reshape(resolution, resolution)
+    return (errs > model.epsilon_rnd).reshape(MAP_RESOLUTION, MAP_RESOLUTION)
 
 
-def new_fraction(model: NoveltyModel, bounds, resolution: int = 64) -> float:
-    return float(novelty_map(model, bounds, resolution).mean())
+def new_fraction(model: NoveltyModel, bounds) -> float:
+    return float(novelty_map(model, bounds).mean())

@@ -58,7 +58,7 @@ def _synthetic_segment(rng, length):
 
 def test_transition_invariants_hold_in_bulk():
     rng = np.random.default_rng(77)
-    model = rnd.novelty_model_init(rng, code_dim=4, capacity=64)
+    model = rnd.novelty_model_init(rng, code_dim=4, epsilon_rnd=0.1, learning_rate=1e-3)
     rnd.calibrate_epsilon(model, (-5.0, -5.0, 5.0, 5.0), rng)
     eps = 0.5
     horizon = 10
@@ -147,7 +147,8 @@ def test_novelty_curriculum_is_monotone_under_random_walk():
     t0 = time.perf_counter()
     spec = envsim.builtin_spec("spiral_maze")
     rng = np.random.default_rng(4)
-    model = rnd.novelty_model_init(np.random.default_rng(40))
+    model = rnd.novelty_model_init(np.random.default_rng(40), code_dim=16, epsilon_rnd=0.1,
+                                   learning_rate=1e-3)
     rnd.calibrate_epsilon(model, spec.bounds, np.random.default_rng(41))
 
     fractions = [rnd.new_fraction(model, spec.bounds)]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hacx import agent, approx, envsim, hac, rnd
+from hacx import agent, approx, envsim, hac, harness, rnd
 from hacx.errors import CheckpointError, ConfigError
 from hacx.kvtext import read_entries
 
@@ -26,10 +26,10 @@ def arena(**overrides):
 
 
 def small_agent(spec=None, k=2, seed=0, **kw):
-    spec = spec or arena()
-    defaults = dict(horizon=3, hidden=(16, 16), rnd_code_dim=4)
-    defaults.update(kw)
-    return agent.make_agent(spec, k, np.random.default_rng(seed), **defaults)
+    """The agent of a RunConfig with k levels, horizon 3, 16-16 hidden layers
+    and 4-value novelty codes, and the RunConfig fields kw names."""
+    cfg = replace(harness.RunConfig(levels=k, horizon=3, hidden=(16, 16), rnd_code_dim=4), **kw)
+    return harness.build_agent(cfg, spec or arena(), np.random.default_rng(seed))
 
 
 def zero_actor(policy):
@@ -104,9 +104,9 @@ def test_noise_scale_schedule():
 
 
 @pytest.mark.parametrize("kw", [
-    dict(k=0), dict(tau=1.5), dict(tau=float("nan")), dict(horizon=0),
+    dict(levels=0), dict(tau=1.5), dict(tau=float("nan")), dict(horizon=0),
     dict(epsilon_level=0.0), dict(epsilon_level=float("inf")), dict(subgoal_test_rate=2.0),
-    dict(subgoal_test_rate=-0.1), dict(num_relabels=-1), dict(actor_lr=-1e-3),
+    dict(subgoal_test_rate=-0.1), dict(relabels=-1), dict(actor_lr=-1e-3),
     dict(critic_lr=float("nan")), dict(rnd_lr=float("inf")), dict(rnd_epsilon=float("nan")),
 ])
 def test_make_agent_refuses_settings_out_of_range(kw):
@@ -329,7 +329,7 @@ def test_top_level_acts_until_the_episode_ends():
 
 def test_flat_explore_episode_emission_profile():
     spec = arena()
-    ag = small_agent(spec, k=1, tau=1.0, num_relabels=2)
+    ag = small_agent(spec, k=1, tau=1.0, relabels=2)
     rec = agent.run_episode(ag, spec, "train", np.random.default_rng(2))
     steps = len(rec.primitive_states) - 1
     assert rec.top_policy_used == "explore"
@@ -513,8 +513,7 @@ def test_snapshot_writes_each_setting_once():
     settings = [(s, key) for s, key in keys if s in ("agent", "rnd")]
     assert sorted(settings) == sorted(
         [("agent", key) for key in ("k", "tau", "horizon", "epsilon", "subgoal_test_rate",
-                                    "num_relabels", "relabel_enabled", "hidden", "actor_lr",
-                                    "critic_lr")]
+                                    "num_relabels", "hidden", "actor_lr", "critic_lr")]
         + [("rnd", key) for key in ("epsilon_rnd", "phase_index", "code_dim", "lr")])
     tags = [f"{name}.{role}" for name in ("level0", "level1", "level2", "explore")
             for role in ("actor", "critic")] + ["rnd.target", "rnd.predictor"]
@@ -545,10 +544,11 @@ def test_snapshot_restores_adam_state():
 def test_snapshot_bad_magic_rejected():
     ag = small_agent()
     snap = agent.policy_snapshot(ag)
-    assert snap.startswith("HACX4\n")
-    # HACX1 and HACX2, the formats that wrote copies and structure, and HACX3,
-    # which wrote learned vectors as decimal text, are not read
-    for magic in ("NOPE9", "HACX1", "HACX2", "HACX3"):
+    assert snap.startswith("HACX5\n")
+    # HACX1 and HACX2, the formats that wrote copies and structure, HACX3,
+    # which wrote learned vectors as decimal text, and HACX4, which wrote a
+    # relabel_enabled flag beside num_relabels, are not read
+    for magic in ("NOPE9", "HACX1", "HACX2", "HACX3", "HACX4"):
         with pytest.raises(CheckpointError, match="bad magic"):
             agent.restore(magic + snap[5:])
 
@@ -603,8 +603,8 @@ def test_snapshot_of_a_policy_unlike_level0_refused(edit, name):
     ("k = 2", "k = 0", "at least 1 level"),
     ("k = 2", "k = 1", "not read by a 1-level"),
     ("k = 2", "k = 3", r"missing section \[network level2.actor\]"),
-    # a flag that is neither on nor off
-    ("relabel_enabled = 1", "relabel_enabled = 2", "relabel_enabled '2', need 0 or 1"),
+    # a negative number of relabels
+    ("num_relabels = 2", "num_relabels = -1", "num_relabels >= 0"),
     # a hidden layer with no units
     ("hidden = 16 16", "hidden = 0", "layer sizes"),
 ])

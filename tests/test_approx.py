@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hacx import agent, approx, envsim
+from hacx import approx, envsim, harness
 from hacx.errors import ConfigError, ShapeError, TrainingError
 
 from helpers import (
@@ -125,7 +125,8 @@ def test_forward_rows_is_row_exact():
     # each row of a stacked product has the bits forward gives it alone:
     # every network of a k=3 agent (RND included), and small nets with and
     # without bounds, for stacks of 1 to 64 rows
-    ag = agent.make_agent(envsim.builtin_spec("four_rooms"), 3, np.random.default_rng(0))
+    ag = harness.build_agent(harness.RunConfig(), envsim.builtin_spec("four_rooms"),
+                             np.random.default_rng(0))
     rng = np.random.default_rng(1)
     nets = [net for p in (*ag.levels, ag.explore_top) for net in (p.actor, p.critic)]
     nets += [ag.novelty.target, ag.novelty.predictor]

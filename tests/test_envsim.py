@@ -296,29 +296,30 @@ def test_four_rooms_blocks_straight_line():
 # visit grids and images ------------------------------------------------------
 
 def test_record_visit_counts_and_bounds():
-    grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0), resolution=4)
-    envsim.record_visit(grid, 1.0, 1.0)
-    envsim.record_visit(grid, 1.2, 1.2)
+    # 64 cells per side over 10 units: a cell is 0.15625 wide
+    grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0))
+    envsim.record_visit(grid, 0.1, 0.1)
+    envsim.record_visit(grid, 0.15, 0.15)
     envsim.record_visit(grid, 10.0, 10.0)  # edge clamps into last cell
     assert grid.counts[0, 0] == 2
-    assert grid.counts[3, 3] == 1
+    assert grid.counts[63, 63] == 1
     assert grid.counts.sum() == 3
     with pytest.raises(ValueError):
         envsim.record_visit(grid, 10.5, 1.0)
 
 
 def test_grid_to_image_format_and_orientation():
-    grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0), resolution=4)
+    grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0))
     envsim.record_visit(grid, 9.9, 9.9)  # top-right corner
     img = envsim.grid_to_image(grid)
-    assert img.startswith(b"P5\n4 4\n255\n")
-    pixels = np.frombuffer(img[len(b"P5\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4)
-    assert pixels[0, 3] == 255  # first row is the highest y band
+    assert img.startswith(b"P5\n64 64\n255\n")
+    pixels = np.frombuffer(img[len(b"P5\n64 64\n255\n"):], dtype=np.uint8).reshape(64, 64)
+    assert pixels[0, 63] == 255  # first row is the highest y band
     assert pixels.sum() == 255
 
 
 def test_grid_to_image_empty_is_black():
-    grid = envsim.VisitGrid((0.0, 0.0, 1.0, 1.0), resolution=8)
+    grid = envsim.VisitGrid((0.0, 0.0, 1.0, 1.0))
     img = envsim.grid_to_image(grid)
     body = img.split(b"\n", 3)[3]
     assert set(body) == {0}
@@ -378,7 +379,5 @@ def test_spec_names_the_text_formats_cannot_carry_are_rejected(name):
     # spec_to_text and policy_snapshot write the name on one line, where a
     # `#` starts a comment, a line break ends the entry and the value's ends
     # are stripped
-    with pytest.raises(ConfigError, match="name"):
-        envsim.spiral_spec(cells=3, name=name)
     with pytest.raises(ConfigError, match="name"):
         tiny_spec(name=name)

@@ -43,7 +43,7 @@ GOLDEN = {
         "novelty.states": "1543f08333f9dc9bc63e30bb78aeddb1bb7f7aaf12d011a1956aa4904c873b34",
         "visits": "87ed9c1f20d588a44d2a826ad8c805a19ae62fa8acecb6b6db794b65463c0da7",
         "rng": "e430071cd0df749d2f7bc199959a9cabb25b199738220238c4117c443e6aa8ff",
-        "snapshot": "1399916d9a294c8d93b7190c9a61879f909ddb2b3945db55a89586d6ba6d9302",
+        "snapshot": "d4167a2314e2a1161bd08870eddc3eb2b3057f681484904ca60af91591c386d0",
         "state": "75518390e75757415ab4818155a8c0bd87acdbd633e3e97d7e36da4d4e59c085",
         "evaluate": "(10.527138215017603, 0.0)",
     },
@@ -60,7 +60,7 @@ GOLDEN = {
         "novelty.states": "d1cd890eaac8430cb709e77288453fa6e1a30f5f3f1967a442f4b922c455056d",
         "visits": "8c762385238b3fa45be495ad00f5f23a8d5b9d090ed8ddd567e7d8235cd990a7",
         "rng": "622b1179d1de5941156d02b5ae921d0aa38cac125d96d882c59cffba9f5a00a8",
-        "snapshot": "91df510aa11b8b1e31d184d879742299355fb73aece55a120a11b571e8d7e3fb",
+        "snapshot": "0405032f737d3399f5ba4d30aeff0907301175d8d00f5be28f1946517f8bfef9",
         "state": "dc72c131424455443c9498eed34d06e24874891d95910c2dc5fef0ed4f52aede",
         "evaluate": "(2.1810552837535133, 0.0)",
     },
@@ -73,7 +73,7 @@ GOLDEN = {
         "novelty.states": "39f8ad35bf7ac1b16f64c0c8f7c76fb215df5e7d15c63dc709810728524eb15d",
         "visits": "0f0c6bed4f7178e063e5f56ba71302e417ef4bd40d7ac4613d66745e969b81e1",
         "rng": "43adfae15cd6c6cbbdb495580ba63b7291d72fc7622adedcfec7be783676062a",
-        "snapshot": "997a4329fe6291f103246c24f188af5c1453678d597f56b1e7b7e50056eb063a",
+        "snapshot": "a011e2074fa95a94d8d97858f70150a9680598b6e36925145472eaa7fe86b23e",
         "state": "875ef2d0c773676df11eb22902119b44322a33e012249bc01b6229ed395c0ef4",
         "evaluate": "(2.8168149508866067, 0.0)",
     },
@@ -95,7 +95,7 @@ def state_digest(ag) -> str:
     back = agent.restore(agent.policy_snapshot(ag))
     nov = back.novelty
     parts = [repr((back.k, back.tau, back.horizon, back.epsilon, back.subgoal_test_rate,
-                   back.q_low, back.num_relabels, back.relabel_enabled, nov.epsilon_rnd,
+                   back.q_low, back.num_relabels, back.num_relabels > 0, nov.epsilon_rnd,
                    nov.phase_index, back.env_name, tuple(back.visits.bounds)))]
     pairs = [(net, opt) for p in [*back.levels, back.explore_top]
              for net, opt in ((p.actor, p.actor_opt), (p.critic, p.critic_opt))]

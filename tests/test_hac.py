@@ -202,7 +202,8 @@ def test_relabel_block_matches_row_by_row_reference(length, relabels):
 # exploration transitions ---------------------------------------------------------
 
 def test_exploration_transition_coupling():
-    model = rnd.novelty_model_init(np.random.default_rng(0))
+    model = rnd.novelty_model_init(np.random.default_rng(0), code_dim=16, epsilon_rnd=0.1,
+                                   learning_rate=1e-3)
     s, a, ns = vec(0, 0, 0, 0), vec(1, 1), vec(1, 1, 0, 0)
 
     model.epsilon_rnd = -1.0  # everything is new

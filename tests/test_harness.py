@@ -91,15 +91,17 @@ def test_config_round_trip():
 
 
 def test_validate_rejects_bad_settings():
+    # relabels too when relabel_enabled is off, and the agent never sees it
     for kw in (dict(episodes=0), dict(seeds=()), dict(rnd_batch_size=-5),
                dict(rnd_batch_size=0), dict(seeds=(-1,)), dict(seeds=(0, -3)),
-               dict(rnd_phase_gradient_steps=-5), dict(output_dir="")):
+               dict(seeds=(0, 0)), dict(seeds=(2, 1, 2)), dict(rnd_phase_gradient_steps=-5),
+               dict(output_dir=""), dict(relabels=-1), dict(relabels=-1, relabel_enabled=False)):
         with pytest.raises(ConfigError):
             smoke_cfg(**kw)
     # settings only the agent's records check: building the agent refuses them
     spec = envsim.builtin_spec("open_field_near")
-    for kw in (dict(levels=0), dict(tau=1.5), dict(horizon=0), dict(relabels=-1),
-               dict(rnd_code_dim=0), dict(subgoal_test_rate=2.0), dict(epsilon_level=-1.0),
+    for kw in (dict(levels=0), dict(tau=1.5), dict(horizon=0), dict(rnd_code_dim=0),
+               dict(subgoal_test_rate=2.0), dict(epsilon_level=-1.0),
                dict(rnd_epsilon=float("nan"))):
         with pytest.raises(ConfigError):
             harness.build_agent(smoke_cfg(**kw), spec, np.random.default_rng(0))
@@ -233,6 +235,20 @@ def test_run_trial_outputs(tmp_path):
     assert set(text) <= {"0", "1", "\n"}
 
 
+def test_relabel_switch_off_runs_as_zero_relabels(tmp_path):
+    # the agent has one relabel setting: a run with relabel_enabled = 0 is
+    # the run with relabels = 0, and its checkpoint stores num_relabels = 0
+    outs = []
+    for tag, kw in (("off", dict(relabel_enabled=False)), ("zero", dict(relabels=0))):
+        out = str(tmp_path / tag)
+        harness.run_trial(smoke_cfg(**kw), 0, out)
+        outs.append(out)
+    for name in ("metrics.csv", "checkpoint.txt", "visits.pgm", "novelty.pgm", "novelty.txt"):
+        a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert a == b, name
+    assert "\nnum_relabels = 0\n" in open(os.path.join(outs[0], "checkpoint.txt")).read()
+
+
 def test_run_trial_reproducible(tmp_path):
     outs = []
     for tag in ("a", "b"):
@@ -348,23 +364,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     train = ["--quiet", "train", "--env", "open_field_near", "--episodes", "1",
              "--output-dir", str(tmp_path / "y")]
     cfg = tmp_path / "cfg.txt"
+    # ... and repeated seeds, from a flag or the config file
     for argv, text in ((["--seed", "-1"], ""), (["--levels", "0"], ""),
                        ([], "agent.subgoal_test_rate = 2"), ([], "agent.epsilon = -1"),
-                       ([], "rnd.epsilon = nan")):
-        cfg.write_text(text + "\nrun.seeds = 0\n")
+                       ([], "rnd.epsilon = nan"), (["--seeds", "0,0"], ""),
+                       ([], "run.seeds = 0 0")):
+        cfg.write_text("run.seeds = 0\n" + text + "\n")
         assert harness.main(train + ["--config", str(cfg)] + argv) == 2
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
 
     corrupt = tmp_path / "corrupt.txt"
     # a bad number, and the earlier formats, which are refused by their magic
-    for text in ("HACX4\n[agent]\nk = not_a_number\n", "HACX3\n[agent]\nk = 2\nEND\n",
-                 "HACX2\n[agent]\nk = 2\nEND\n", "HACX1\n[agent]\nk = 2\nEND\n"):
+    for text in ("HACX5\n[agent]\nk = not_a_number\n", "HACX4\n[agent]\nk = 2\nEND\n",
+                 "HACX3\n[agent]\nk = 2\nEND\n", "HACX2\n[agent]\nk = 2\nEND\n",
+                 "HACX1\n[agent]\nk = 2\nEND\n"):
         corrupt.write_text(text)
         assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
     # a file that is not UTF-8 text, for eval and map
-    corrupt.write_bytes(b"HACX4\n[agent]\nk = \xff\xfe\n")
+    corrupt.write_bytes(b"HACX5\n[agent]\nk = \xff\xfe\n")
     for command in ("eval", "map"):
         assert harness.main(["--quiet", command, "--checkpoint", str(corrupt)]) == 3
         assert "not UTF-8" in capsys.readouterr().err
@@ -374,6 +393,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)), str(ckpt))
     assert harness.main(["--quiet", "eval", "--checkpoint", str(ckpt), "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_bad_input_paths_exit_2_and_write_nothing(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8 text, as the geometry or the
+    # config file
+    not_utf8 = tmp_path / "bytes.txt"
+    not_utf8.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    train = ["--quiet", "train", "--episodes", "1", "--seed", "0", "--output-dir", str(out)]
+    for flag in ("--env", "--config"):
+        for path, why in ((tmp_path, "not a file"), (not_utf8, "not UTF-8")):
+            assert harness.main(train + [flag, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and why in err, err
+    assert not out.exists()
 
 
 def test_cli_empty_output_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):

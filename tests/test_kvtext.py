@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hacx import agent, envsim, kvtext
+from hacx import agent, envsim, harness, kvtext
 from hacx.errors import CheckpointError, ConfigError
 
 from helpers import edit_line
@@ -106,8 +106,8 @@ def test_vector_reader_refuses_what_the_writer_never_writes(text, why):
 
 
 def test_restore_refuses_a_nan_in_a_right_length_vector():
-    ag = agent.make_agent(envsim.builtin_spec("open_field_near"), 1, np.random.default_rng(0),
-                          hidden=(4,), rnd_code_dim=2)
+    ag = harness.build_agent(harness.RunConfig(levels=1, hidden=(4,), rnd_code_dim=2),
+                             envsim.builtin_spec("open_field_near"), np.random.default_rng(0))
     snap = agent.policy_snapshot(ag)
     params = ag.levels[0].actor.params.copy()
     params[3] = np.nan

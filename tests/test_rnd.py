@@ -10,9 +10,9 @@ from hacx.errors import ConfigError
 BOUNDS = (0.0, 0.0, 10.0, 10.0)
 
 
-def fresh_model(seed=0, **kw):
-    return rnd.novelty_model_init(np.random.default_rng(seed), **kw)
-
+def fresh_model(seed=0):
+    return rnd.novelty_model_init(np.random.default_rng(seed), code_dim=16, epsilon_rnd=0.1,
+                                  learning_rate=1e-3)
 
 def clone_target_into_predictor(model):
     t = model.target
@@ -34,8 +34,8 @@ def test_identical_networks_mean_nothing_is_new():
     assert np.allclose(rnd.novelty_errors(model, pts), 0.0)
     reward, new = rnd.exploration_reward(model, np.array([3.0, 4.0, 0.0, 0.0]))
     assert reward == -1.0 and new is False
-    assert not rnd.novelty_map(model, BOUNDS, resolution=16).any()
-    assert rnd.new_fraction(model, BOUNDS, resolution=16) == 0.0
+    assert not rnd.novelty_map(model, BOUNDS).any()
+    assert rnd.new_fraction(model, BOUNDS) == 0.0
 
 
 def test_fresh_model_sees_everything_as_new():
@@ -70,7 +70,8 @@ def test_calibration_is_the_stated_percentile():
 
 
 def test_observe_stores_positions_in_ring_order():
-    model = fresh_model(capacity=3)
+    # a ring of 3 positions; an agent's holds rnd.STATE_BUFFER_CAPACITY
+    model = replace(fresh_model(), state_buffer=np.zeros((3, 2), dtype=np.float32))
     states = [np.array([float(i), float(-i), 99.0, 99.0]) for i in range(5)]
     for s in states:
         rnd.observe(model, s)
@@ -83,7 +84,7 @@ def test_observe_stores_positions_in_ring_order():
 
 
 def test_observe_projects_to_position():
-    model = fresh_model(capacity=8)
+    model = fresh_model()
     rnd.observe(model, np.array([1.5, 2.5, 0.3, -0.7]))
     assert np.allclose(model.state_buffer[0], [1.5, 2.5])
 
@@ -144,12 +145,12 @@ def test_rewards_are_stationary_within_a_phase():
     rnd.calibrate_epsilon(model, BOUNDS, np.random.default_rng(3))
     probe = np.random.default_rng(6).uniform(0, 10, (64, 2))
     before = rnd.novelty_errors(model, probe).copy()
-    map_before = rnd.novelty_map(model, BOUNDS, resolution=16).copy()
+    map_before = rnd.novelty_map(model, BOUNDS).copy()
     for p in probe:
         rnd.observe(model, p)
         rnd.exploration_reward(model, p)
     assert np.array_equal(rnd.novelty_errors(model, probe), before)
-    assert np.array_equal(rnd.novelty_map(model, BOUNDS, resolution=16), map_before)
+    assert np.array_equal(rnd.novelty_map(model, BOUNDS), map_before)
 
 
 def test_target_network_never_trains():
@@ -181,12 +182,12 @@ def test_training_is_spatially_selective():
     assert err_left < err_right
     # with the threshold between the two means, the map splits along x
     model.epsilon_rnd = 0.5 * (err_left + err_right)
-    flags = rnd.novelty_map(model, BOUNDS, resolution=32)
-    assert flags[:16, :].mean() < 0.5 < flags[16:, :].mean()
+    flags = rnd.novelty_map(model, BOUNDS)
+    assert flags[:32, :].mean() < 0.5 < flags[32:, :].mean()
 
 
 def test_novelty_map_shape_and_indexing():
     model = fresh_model(seed=1)
-    flags = rnd.novelty_map(model, (0.0, 0.0, 4.0, 2.0), resolution=8)
-    assert flags.shape == (8, 8)
+    flags = rnd.novelty_map(model, (0.0, 0.0, 4.0, 2.0))
+    assert flags.shape == (64, 64)
     assert flags.dtype == bool
