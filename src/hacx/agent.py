@@ -3,33 +3,33 @@ primitive level, plus a goal-free exploration policy at the top that is
 rewarded by the novelty model.
 
 Each level is one LevelPolicy record: actor, critic, their optimizers, its
-replay buffer and its exploration noise, and no copies: its action bounds
-are its actor's output bounds, its goal width is its buffer's (0 for the
-explore policy). The agent holds the environment it was built for and, once,
-the settings every level shares: the horizon H, the goal threshold epsilon
-and the subgoal test rate; the value floor q_low follows from H. Every
-record checks its own ranges when it is built, and restore builds through
-make_agent, so training and a restored snapshot share one builder and one
-set of checks. Each episode either pursues the task goal or explores
-(chosen with probability tau); an explore episode's top-level steps are
-also relabeled into the goal top level's buffer, so exploring trains the
-goal policy. Control descends recursively, and every
-level runs the same loop: act, let the level below carry the action out (the
-bottom level acts in the environment), store one row. That loop asks
-its caller for each action: run_episode answers with select_action, and
-run_test_episodes runs many test episodes in lockstep and answers each
-policy's waiting episodes with one approx.forward_rows call, whose rows
-have the bits select_action gives them one by one. The rollout carries
-the primitive state as one float64 vector (x, y, vx, vy) per environment
-step, and no vector is written once built. A level below the top stops when
-it comes within epsilon of its subgoal or after H actions; the top level
-acts until the episode ends, at task success or the step limit. An episode
-is a success when any of its states, the start included, passes the same
-task-success test that ends a goal episode. What a level stores is
+replay buffer (a ring of packed rows, see hac.columns) and its exploration
+noise, and no copies: its action bounds are its actor's output bounds, its
+rows' goal width is its actor's (0 for the explore policy). The agent holds
+the environment it was built for and, once, the settings every level shares:
+the horizon H, the goal threshold epsilon and the subgoal test rate; the
+value floor q_low follows from H. Every record checks its own ranges when it
+is built, and restore builds through make_agent, so training and a restored
+snapshot share one builder and one set of checks. Each episode either
+pursues the task goal or explores (chosen with probability tau). Control
+descends recursively, and every level runs the same loop: act, let the level
+below carry the action out (the bottom level acts in the environment), store
+one row. That loop asks its caller for each action: run_episode answers with
+select_action, and run_test_episodes runs many test episodes in lockstep and
+answers each policy's waiting episodes with one approx.forward_rows call,
+whose rows have the bits select_action gives them one by one. The rollout
+carries the primitive state as one float64 vector (x, y, vx, vy) per
+environment step, and no vector is written once built. A level below the top
+stops when it comes within epsilon of its subgoal or after H actions; the
+top level acts until the episode ends, at task success or the step limit. An
+episode is a success when any of its states, the start included, passes the
+same task-success test that ends a goal episode. What a level stores is
 hindsight: above the bottom level its action component is the state the
-subtree actually reached. Proposed subgoals are occasionally tested
-(noise-free descent) and penalized when missed. Training is
-deterministic-policy-gradient style on each level's own buffer, with no
+subtree actually reached, and its step rows, kept in segments, are relabeled
+when the episode ends (an explore episode's top segment into the goal top
+level's buffer, so exploring trains the goal policy). Proposed subgoals are
+occasionally tested (noise-free descent) and penalized when missed. Training
+is deterministic-policy-gradient style on each level's own buffer, with no
 target networks; critics are bounded to the feasible sparse-reward range.
 """
 
@@ -46,15 +46,12 @@ from . import approx, envsim, rnd
 from .approx import Network, Optimizer
 from .envsim import EnvSpec, VisitGrid
 from .errors import CheckpointError, ConfigError, TrainingError
-from .hac import (DISCOUNT, ReplayBuffer, buffer_push, exploration_transition,
-                  hindsight_action_transition, hindsight_goal_transitions, pack_row,
-                  sample_arrays, subgoal_test_transition)
+from .hac import (DISCOUNT, GOAL_DIM, STATE_DIM, ReplayBuffer, buffer_push, columns,
+                  exploration_transition, hindsight_action_transition,
+                  hindsight_goal_transitions, pack_row, sample_arrays, subgoal_test_transition)
 from .kvtext import fmt_float, fmt_vector, read_entries, read_vector
 
 log = logging.getLogger(__name__)
-
-STATE_DIM = 4   # (x, y, vx, vy)
-GOAL_DIM = 2    # (x, y)
 
 REPLAY_CAPACITY = 1_000_000
 EXPLORE_NOISE_SCALE = 0.2
@@ -71,8 +68,8 @@ ACTION_PENALTY = 0.05
 class LevelPolicy:
     """One level's policy. Its actions lie in [actor.output_low,
     actor.output_high]; its Gaussian exploration noise is noise_scale times
-    the actor's half-range, and its buffer's widths are the actor's: the
-    state plus 0 or GOAL_DIM goal values in, 2 values out."""
+    the actor's half-range, and its buffer's rows are its critic's input plus
+    s', r and d: the state plus 0 or GOAL_DIM goal values in, 2 values out."""
 
     actor: Network
     critic: Network
@@ -86,8 +83,7 @@ class LevelPolicy:
 
     def __post_init__(self, noise_scale: float):
         actor = self.actor
-        self.buffer = ReplayBuffer(REPLAY_CAPACITY, (STATE_DIM, actor.input_dim - STATE_DIM,
-                                                     actor.output_dim))
+        self.buffer = ReplayBuffer(REPLAY_CAPACITY, self.critic.input_dim + STATE_DIM + 2)
         self.noise_sigma = noise_scale * actor.half
         self.actor_in = np.empty(actor.input_dim)
 
@@ -219,9 +215,9 @@ class _Episode:
     """Mutable state threaded through the level recursion. s_vec is the
     current primitive state as one float64 (x, y, vx, vy) vector, built once
     per environment step and never written afterwards; primitive_states
-    holds every one of them, the start included. segments[i] holds the
-    level's hindsight segments: one per call at level 0, one per episode
-    above."""
+    holds every one of them, the start included. segments[i] holds level
+    i's segments, lists of the step rows it stored: one per call at level 0,
+    one per episode above."""
 
     def __init__(self, spec, s, task_goal, mode, top, rng, k):
         self.spec = spec
@@ -300,10 +296,10 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
         reached = goal is not None and math.hypot(x - gx, y - gy) < eps
 
         if train:
-            # above level 0 the stored action is the state the subtree reached
-            act = action if i == 0 else ns_vec[:2]
             if explore_here:
-                row = exploration_transition(s_vec, act, ns_vec, agent.novelty)
+                # above level 0 the stored action is the state the subtree reached
+                _, new = rnd.exploration_reward(agent.novelty, ns_vec)
+                row = exploration_transition(s_vec, action if i == 0 else ns_vec[:2], ns_vec, new)
             elif i == 0:
                 row = pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
                                0.0 if reached else DISCOUNT)
@@ -311,7 +307,7 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
                 row = hindsight_action_transition(s_vec, ns_vec, goal, eps)
             buffer_push(policy.buffer, row)
             ep.counts[name] += 1
-            segment.append((s_vec, act, ns_vec))
+            segment.append(row)
             if child_testing:
                 row = subgoal_test_transition(s_vec, action, ns_vec, agent.horizon, eps, goal)
                 if row is not None:
@@ -350,7 +346,8 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     if train and agent.num_relabels > 0:
         for p, segments in zip(agent.levels, ep.segments):
             for seg in filter(None, segments):
-                rows = hindsight_goal_transitions(seg, agent.num_relabels, agent.epsilon, rng)
+                rows = hindsight_goal_transitions(np.array(seg), agent.num_relabels,
+                                                  agent.epsilon, rng)
                 buffer_push(p.buffer, rows)
                 ep.counts["relabel"] += len(rows)
     return _record(ep)
@@ -428,8 +425,7 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
         # Sampled rows are state | goal | action | next_state | reward |
         # discount, so the critic input [s, g, a] and the actor input [s, g]
         # are leading column slices of the sample.
-        sd, gd, ad = p.buffer.widths
-        sg_w, sga_w = sd + gd, sd + gd + ad
+        sg_w, sga_w = p.actor.input_dim, p.critic.input_dim
         next_in = np.empty((batch_size, sga_w))     # [ns, g, actor(ns, g)]
         mid, half = p.actor.mid, p.actor.half
         pen_scale = half * half * batch_size
@@ -437,11 +433,11 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
         losses, qmeans = [], []
         for _ in range(rounds):
             rows = sample_arrays(p.buffer, batch_size, rng)
-            _, g, _, ns, rew, disc = p.buffer.columns(rows)
+            _, g, _, ns, rew, disc = columns(rows)
             sga, sg = rows[:, :sga_w], rows[:, :sg_w]
-            next_in[:, :sd] = ns
+            next_in[:, :STATE_DIM] = ns
             if g is not None:
-                next_in[:, sd:sg_w] = g
+                next_in[:, STATE_DIM:sg_w] = g
             next_in[:, sg_w:] = approx.forward(p.actor, next_in[:, :sg_w])
             q_next = approx.forward(p.critic, next_in)[:, 0]
             q_next = np.clip(q_next, q_low, Q_HIGH)

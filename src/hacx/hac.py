@@ -1,13 +1,13 @@
 """Transition calculus for hierarchical goal-conditioned learning.
 
 Everything a level stores is built here, as packed float64 rows
-state | goal | action | next_state | reward | discount (see pack_row): sparse
-goal rewards with termination-on-success, hindsight action transitions (the
-action component is the state actually reached, projected to goal space),
-hindsight goal relabeling (one block of rows per segment), subgoal-test
-penalties, and exploration transitions rewarded by the novelty model, which
-carry no goal columns. The per-level ring replay buffer stores such rows as
-float32, one row or one block per write.
+state | goal | action | next_state | reward | discount (pack_row; columns
+reads them, and a row's width tells its goal width): sparse goal rewards
+with termination-on-success, hindsight action transitions (the action is
+the state reached, in goal space), hindsight goal relabeling (one block per
+segment of step rows), subgoal-test penalties, and exploration rows, which
+have no goal columns. ReplayBuffer, a float32 ring of rows of one width,
+holds each level's rows and the novelty model's visited positions.
 
 Rewards are 0 or -1 (or -H for a failed subgoal test); the stored discount
 is 0.99 except on terminal transitions, where it is exactly 0. Goal rewards
@@ -23,11 +23,23 @@ import math
 
 import numpy as np
 
-from . import rnd
 from .envsim import position
 from .errors import ShapeError
 
 DISCOUNT = 0.99
+STATE_DIM = 4   # (x, y, vx, vy)
+GOAL_DIM = 2    # (x, y)
+ACTION_DIM = 2  # every actor's output: a velocity command or a subgoal (x, y)
+
+
+def columns(rows: np.ndarray):
+    """(state, goal_or_None, action, next_state, reward, discount): views into
+    one packed row, or into every row of a stack of them. The goal width is
+    what the row width leaves, 0 for an exploration row."""
+    ns = rows.shape[-1] - STATE_DIM - 2
+    a = ns - ACTION_DIM
+    return (rows[..., :STATE_DIM], rows[..., STATE_DIM:a] if a > STATE_DIM else None,
+            rows[..., a:ns], rows[..., ns:-2], rows[..., -2], rows[..., -1])
 
 
 def goal_reward(achieved, goal, epsilon: float):
@@ -52,10 +64,9 @@ def pack_row(state, goal, action, next_state, reward: float,
 def hindsight_action_transition(state, achieved_state, goal, epsilon: float) -> np.ndarray:
     """Subgoal-level row whose action is what the lower levels actually
     achieved, whatever subgoal was proposed."""
-    achieved = np.asarray(achieved_state, dtype=float)
-    action = position(achieved)
+    action = position(achieved_state)
     reward, done = goal_reward(action, goal, epsilon)
-    return pack_row(state, goal, action, achieved, reward, 0.0 if done else DISCOUNT)
+    return pack_row(state, goal, action, achieved_state, reward, 0.0 if done else DISCOUNT)
 
 
 def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: int,
@@ -64,83 +75,66 @@ def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: in
     reward -horizon with discount 0; goal is None for the exploration policy.
     Returns None when the subgoal was reached (the hindsight action
     transition already rewards that)."""
-    proposed = np.asarray(proposed_subgoal, dtype=float)
-    achieved = np.asarray(achieved_state, dtype=float)
-    if goal_reward(position(achieved), proposed, epsilon)[1]:
+    if goal_reward(position(achieved_state), proposed_subgoal, epsilon)[1]:
         return None
-    return pack_row(state, goal, proposed, achieved, -float(horizon), 0.0)
+    return pack_row(state, goal, proposed_subgoal, achieved_state, -float(horizon), 0.0)
 
 
-def hindsight_goal_transitions(segment, num_relabels: int, epsilon: float,
+def hindsight_goal_transitions(steps: np.ndarray, num_relabels: int, epsilon: float,
                                rng: np.random.Generator) -> np.ndarray:
-    """Relabel a segment of (state, action, next_state) steps against
-    substitute goals drawn from its own achieved states.
+    """Relabel a segment, the block of step rows one level stored (with or
+    without goal columns), against substitute goals drawn from its own
+    achieved states.
 
     The final achieved state is always the first substitute; the rest are
     uniform draws over the segment. Every step is relabeled against every
-    substitute goal: the result is one (num_relabels * len(segment), width)
-    block of rows, goal outer, step inner.
+    substitute goal: the result is one (num_relabels * len(steps), width)
+    block of rows with GOAL_DIM goal columns, goal outer, step inner.
     """
-    if not segment:
+    if len(steps) == 0:
         raise ValueError("empty segment")
-    states, actions, nexts = (np.array(c, dtype=float) for c in zip(*segment))
-    n, sd = states.shape
-    achieved = position(nexts)
-    gd, ad = achieved.shape[1], actions.shape[1]
+    states, _, actions, nexts, _, _ = columns(steps)
+    n = len(steps)
+    width = 2 * STATE_DIM + GOAL_DIM + ACTION_DIM + 2
     if num_relabels <= 0:
-        return np.empty((0, 2 * sd + gd + ad + 2))
+        return np.empty((0, width))
+    achieved = position(nexts)
     picks = [n - 1] + [int(rng.integers(0, n)) for _ in range(num_relabels - 1)]
     xy = achieved.tolist()
     done = np.array([[math.hypot(ax - gx, ay - gy) < epsilon for ax, ay in xy]
                      for gx, gy in (xy[p] for p in picks)])
-    out = np.empty((num_relabels, n, 2 * sd + gd + ad + 2))
-    out[:, :, :sd] = states
-    out[:, :, sd:sd + gd] = achieved[picks][:, None, :]
-    out[:, :, sd + gd:sd + gd + ad] = actions
-    out[:, :, sd + gd + ad:-2] = nexts
-    out[:, :, -2] = np.where(done, 0.0, -1.0)
-    out[:, :, -1] = np.where(done, 0.0, DISCOUNT)
+    out = np.empty((num_relabels, n, width))
+    s, g, a, ns, reward, discount = columns(out)
+    s[:] = states
+    g[:] = achieved[picks][:, None, :]
+    a[:] = actions
+    ns[:] = nexts
+    reward[:] = np.where(done, 0.0, -1.0)
+    discount[:] = np.where(done, 0.0, DISCOUNT)
     return out.reshape(num_relabels * n, -1)
 
 
-def exploration_transition(state, action, next_state,
-                           novelty_model: rnd.NoveltyModel) -> np.ndarray:
+def exploration_transition(state, action, next_state, new: bool) -> np.ndarray:
     """Top-level exploration row (no goal columns): reward 0 and terminate
-    (discount 0) on entering a new state, else reward -1 and discount 0.99."""
-    ns = np.asarray(next_state, dtype=float)
-    reward, new = rnd.exploration_reward(novelty_model, ns)
-    return pack_row(state, None, action, ns, reward, 0.0 if new else DISCOUNT)
+    (discount 0) when the novelty model finds next_state new (the verdict of
+    rnd.exploration_reward), else reward -1 and discount 0.99."""
+    return pack_row(state, None, action, next_state, 0.0 if new else -1.0,
+                    0.0 if new else DISCOUNT)
 
 
 class ReplayBuffer:
-    """Uniform-sampling ring buffer of packed float32 rows.
+    """Uniform-sampling FIFO ring of float32 rows of one width: a level's
+    packed rows (see columns), or the novelty model's visited (x, y)
+    positions. Storage is allocated at the first push."""
 
-    Each row is state | goal | action | next_state | reward | discount, with
-    the column widths (state, goal, action) fixed at construction; the
-    exploration policy's buffer has goal width 0 and no goal columns. Storage is
-    allocated at the first push.
-    """
-
-    def __init__(self, capacity: int, widths):
+    def __init__(self, capacity: int, width: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        sd, gd, ad = widths
         self.capacity = capacity
+        self.width = width
         self.count = 0
         self.next_index = 0
         self.rows = None
-        self.widths = (sd, gd, ad)
-        self.width = 2 * sd + gd + ad + 2
-        # column slices of state, goal, action, next_state
-        self._spans = (slice(0, sd), slice(sd, sd + gd), slice(sd + gd, sd + gd + ad),
-                       slice(sd + gd + ad, 2 * sd + gd + ad))
-
-    def columns(self, rows: np.ndarray):
-        """(state, goal_or_None, action, next_state, reward, discount): views
-        into rows laid out like this buffer's rows."""
-        s, g, a, ns = self._spans
-        return (rows[:, s], None if self.widths[1] == 0 else rows[:, g], rows[:, a], rows[:, ns],
-                rows[:, -2], rows[:, -1])
 
 
 def buffer_push(buf: ReplayBuffer, rows: np.ndarray) -> ReplayBuffer:
@@ -168,8 +162,8 @@ def buffer_push(buf: ReplayBuffer, rows: np.ndarray) -> ReplayBuffer:
 
 
 def sample_arrays(buf: ReplayBuffer, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample with replacement for training: a float64 (batch_size,
-    width) matrix of rows in the buffer's layout (see ReplayBuffer.columns)."""
+    """Uniform sample with replacement: a float64 (batch_size, width) matrix
+    of stored rows."""
     if buf.count == 0:
         raise ValueError("sample from empty buffer")
     idx = rng.integers(0, buf.count, batch_size)

@@ -181,6 +181,16 @@ def evaluate(agent: HacxAgent, spec: EnvSpec, n_test: int,
     return float(np.mean(dists)), succ / n_test
 
 
+def check_output_dirs(*paths: str) -> None:
+    """Raise ConfigError unless each path, or its nearest existing ancestor, is a directory."""
+    for path in paths:
+        p = os.path.abspath(path)
+        while not os.path.lexists(p):
+            p = os.path.dirname(p)
+        if not os.path.isdir(p):
+            raise ConfigError(f"output directory {path}: {p} is not a directory")
+
+
 def write_metrics(rows, path: str) -> None:
     """One line per row, in METRICS_HEADER's column order: the episode as an
     int, every other column as the repr of a float."""
@@ -291,7 +301,9 @@ def run_trials(cfg: RunConfig, out_root: str = None) -> str:
     raises TrainingError (training diverged) is reported and excluded; any
     other exception propagates. Returns the aggregate file path."""
     out_root = out_root or cfg.output_dir
-    # the environment's and the agent's records' checks, before anything is written
+    # the output paths', the environment's and the agent's records' checks,
+    # before anything is built or written
+    check_output_dirs(out_root, *(os.path.join(out_root, f"seed{s}") for s in cfg.seeds))
     build_agent(cfg, load_spec(cfg.env), np.random.default_rng(0))
     os.makedirs(out_root, exist_ok=True)
     with open(os.path.join(out_root, "config.txt"), "w") as f:
@@ -400,6 +412,10 @@ def main(argv=None) -> int:
             agg = run_trials(cfg)
             print(f"aggregate written to {agg}")
         else:   # eval or map, on the geometry the checkpoint holds unless --env names one
+            if args.command == "map":
+                if not args.output_dir:
+                    raise ConfigError("--output-dir must not be empty")
+                check_output_dirs(args.output_dir)
             agent = read_checkpoint(args.checkpoint)
             spec = load_spec(args.env) if args.env else agent.spec
             if args.command == "eval":
@@ -409,8 +425,6 @@ def main(argv=None) -> int:
                 mcd, sr = evaluate(agent, spec, args.test_episodes, rng)
                 print(f"mean_closest_distance={mcd!r} success_rate={sr!r}")
             else:
-                if not args.output_dir:
-                    raise ConfigError("--output-dir must not be empty")
                 os.makedirs(args.output_dir, exist_ok=True)
                 write_maps(agent, spec, args.output_dir)
                 print(f"maps written to {args.output_dir}")

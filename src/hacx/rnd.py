@@ -6,15 +6,15 @@ target's by more than a threshold. The reward is binary: 0 for new states,
 phase boundaries (advance_phase); between phases the reward is a frozen,
 pure function of the state, which is what makes the shrinking-novelty
 curriculum well defined. Both networks see only the (x, y) position
-(envsim.position). An agent's novelty networks have the hidden sizes
-RND_HIDDEN and its visited-state ring holds STATE_BUFFER_CAPACITY positions;
-the code size is the target network's output size.
+(envsim.position), and advance_phase samples the visited ones from a width-2
+hac.ReplayBuffer of STATE_BUFFER_CAPACITY rows. The networks have the hidden
+sizes RND_HIDDEN; the code size is the target network's output size.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import approx
 from .approx import Network, Optimizer
 from .envsim import MAP_RESOLUTION, position
 from .errors import ConfigError
+from .hac import ReplayBuffer, buffer_push, sample_arrays
 
 log = logging.getLogger(__name__)
 
@@ -40,10 +41,9 @@ class NoveltyModel:
     predictor: Network
     predictor_opt: Optimizer
     epsilon_rnd: float
-    state_buffer: np.ndarray    # (capacity, 2) float32 ring of visited h(s)
     phase_index: int = 0
-    buffer_count: int = 0
-    buffer_next: int = 0
+    visited: ReplayBuffer = field(default_factory=lambda: ReplayBuffer(STATE_BUFFER_CAPACITY, 2),
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon_rnd) and self.phase_index >= 0):
@@ -56,8 +56,7 @@ def novelty_model_init(rng: np.random.Generator, *, code_dim: int, epsilon_rnd: 
     sizes = [2, *RND_HIDDEN, code_dim]
     target = approx.network_init(sizes, rng)
     predictor = approx.network_init(sizes, rng)
-    return NoveltyModel(target, predictor, Optimizer(learning_rate), epsilon_rnd,
-                        np.zeros((STATE_BUFFER_CAPACITY, 2), dtype=np.float32))
+    return NoveltyModel(target, predictor, Optimizer(learning_rate), epsilon_rnd)
 
 
 def calibrate_epsilon(model: NoveltyModel, bounds, rng: np.random.Generator) -> float:
@@ -91,11 +90,8 @@ def exploration_reward(model: NoveltyModel, state_next):
 
 
 def observe(model: NoveltyModel, state) -> NoveltyModel:
-    """Record h(s) into the ring buffer of visited states."""
-    model.state_buffer[model.buffer_next] = position(state)
-    cap = model.state_buffer.shape[0]
-    model.buffer_next = (model.buffer_next + 1) % cap
-    model.buffer_count = min(model.buffer_count + 1, cap)
+    """Record h(s) into the ring of visited states."""
+    buffer_push(model.visited, position(state))
     return model
 
 
@@ -106,13 +102,12 @@ def advance_phase(model: NoveltyModel, gradient_steps: int, batch_size: int,
 
     With an empty buffer this is a no-op (warning logged, no counter bump).
     """
-    if model.buffer_count == 0:
+    if model.visited.count == 0:
         log.warning("advance_phase called with empty state buffer; skipping")
         return model
     d = model.target.output_dim
     for _ in range(gradient_steps):
-        idx = rng.integers(0, model.buffer_count, batch_size)
-        pts = model.state_buffer[idx].astype(float)
+        pts = sample_arrays(model.visited, batch_size, rng)
         target_codes = approx.forward(model.target, pts)
         pred_codes, trace = approx.forward_trace(model.predictor, pts)
         diff = pred_codes - target_codes

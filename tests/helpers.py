@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences, random network factories, a
 reference forward/backward pass, gradients by name, a named view of packed
-transition rows with replay-buffer inspection helpers, and a snapshot line
-editor."""
+transition rows, relabel segments built from packed rows, replay-buffer
+inspection helpers, and a snapshot line editor."""
 
 import base64
 from typing import NamedTuple
@@ -155,9 +155,6 @@ def ref_backward_trace(net, trace, upstream):
 
 # Packed transition rows by name
 
-STATE_DIM, ACTION_DIM = 4, 2
-
-
 class Transition(NamedTuple):
     """Named columns of one packed row state | goal | action | next_state |
     reward | discount (hac.pack_row); vectors are views into the row."""
@@ -170,18 +167,23 @@ class Transition(NamedTuple):
 
 
 def transition(row) -> Transition:
-    """Named view of one row with 4-wide states and 2-wide actions; goal is
-    None when the row has no goal columns."""
-    sd, ad = STATE_DIM, ACTION_DIM
-    gd = len(row) - 2 * sd - ad - 2
-    return Transition(row[:sd], row[sd + gd:sd + gd + ad], float(row[-2]),
-                      row[sd + gd + ad:-2], None if gd == 0 else row[sd:sd + gd],
-                      float(row[-1]))
+    """Named view of one row (hac.columns); goal is None when the row has no
+    goal columns."""
+    s, g, a, ns, reward, discount = hac.columns(row)
+    return Transition(s, a, float(reward), ns, g, float(discount))
 
 
 def transitions(block) -> list:
     """Named views of the rows of a block, in order."""
     return [transition(row) for row in block]
+
+
+def segment_rows(steps, goal=None) -> np.ndarray:
+    """The block of packed rows a level stores for its (state, action,
+    next_state) steps, as hac.hindsight_goal_transitions reads it: the goal
+    columns hold goal (none when goal is None), and reward and discount,
+    which relabeling replaces, are -1 and hac.DISCOUNT."""
+    return np.array([hac.pack_row(s, goal, a, ns, -1.0, hac.DISCOUNT) for s, a, ns in steps])
 
 
 # Snapshot editing
@@ -233,7 +235,7 @@ def buffer_sample(buf, batch_size, rng):
 def stored_columns(buf):
     """(state, goal_or_None, action, next_state, reward, discount) views of
     the rows pushed so far, in slot order."""
-    return buf.columns(buf.rows[:buf.count])
+    return hac.columns(buf.rows[:buf.count])
 
 
 def _vec_text(v) -> str:

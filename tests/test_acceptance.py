@@ -95,14 +95,17 @@ def test_transition_invariants_hold_in_bulk():
                 check(pt.discount == 0.0, "penalty discount is not 0")
                 total += 1
 
-            et = helpers.transition(hac.exploration_transition(s, a, ns, model))
+            reward, new = rnd.exploration_reward(model, ns)
+            et = helpers.transition(hac.exploration_transition(s, a, ns, new))
+            check(et.reward == reward, "exploration reward is not the novelty verdict")
             check(et.reward in (0.0, -1.0), "exploration reward not in {0,-1}")
             check((et.reward == 0.0) == (et.discount == 0.0),
                   "reward/discount coupling broken (exploration)")
             check(et.goal is None, "exploration transition carries a goal")
             total += 1
 
-        for t in helpers.transitions(hac.hindsight_goal_transitions(seg, 2, eps, rng)):
+        steps = helpers.segment_rows(seg, goal)
+        for t in helpers.transitions(hac.hindsight_goal_transitions(steps, 2, eps, rng)):
             r, done = hac.goal_reward(envsim.position(t.next_state), t.goal, eps)
             check(t.reward == r, "relabeled reward inconsistent with its goal")
             check(t.discount == (0.0 if done else hac.DISCOUNT),

@@ -78,7 +78,7 @@ def test_make_agent_shapes_and_bounds():
     for lvl in ag.levels[1:]:
         assert np.allclose(lvl.actor.output_low, [0, 0])
         assert np.allclose(lvl.actor.output_high, [10, 10])
-    assert ag.explore_top.buffer.widths[1] == 0
+    assert ag.explore_top.buffer.width == 12    # no goal columns
     # actor input: state alone for the explore policy, state+goal otherwise
     assert ag.explore_top.actor.layer_sizes[0] == 4
     assert ag.levels[0].actor.layer_sizes[0] == 6
@@ -186,7 +186,7 @@ def test_test_mode_writes_nothing_and_uses_goal_policy():
     assert rec.top_policy_used == "goal"
     assert all(p.buffer.count == 0 for p in ag.levels)
     assert ag.explore_top.buffer.count == 0
-    assert ag.novelty.buffer_count == 0
+    assert ag.novelty.visited.count == 0
     assert ag.visits.counts.sum() == 0
     assert agent.policy_snapshot(ag) == snap_before
     positions = np.array(rec.primitive_states)[:, :2]
@@ -353,7 +353,7 @@ def test_novelty_and_visits_written_during_training():
     ag = small_agent(spec, k=2)
     rec = agent.run_episode(ag, spec, "train", np.random.default_rng(1))
     steps = len(rec.primitive_states) - 1
-    assert ag.novelty.buffer_count == steps
+    assert ag.novelty.visited.count == steps
     assert ag.visits.counts.sum() == steps
 
 
@@ -457,7 +457,7 @@ def _assert_restores_the_same_agent(ag, snap):
 
     probe = np.random.default_rng(42)
     for pa, pb in zip(ag.levels + [ag.explore_top], back.levels + [back.explore_top]):
-        assert pa.buffer.widths == pb.buffer.widths
+        assert pa.buffer.width == pb.buffer.width
         assert np.array_equal(pa.noise_sigma, pb.noise_sigma)
         for _ in range(50):
             x = probe.uniform(0, 10, pa.actor.input_dim)
@@ -472,7 +472,7 @@ def _assert_restores_the_same_agent(ag, snap):
     # live experience does not travel through snapshots
     assert all(p.buffer.count == 0 for p in back.levels)
     assert back.explore_top.buffer.count == 0
-    assert back.novelty.buffer_count == 0
+    assert back.novelty.visited.count == 0
     assert back.visits.counts.sum() == 0
     # canonical form: snapshotting the restored agent reproduces the text
     assert agent.policy_snapshot(back) == snap

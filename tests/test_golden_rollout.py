@@ -127,8 +127,8 @@ def rollout_digests(tag: str) -> dict:
         out[f"{name}.count"] = p.buffer.count
         out[f"{name}.rows"] = _sha(p.buffer.rows[:p.buffer.count])
     nov = ag.novelty
-    out["novelty.count"] = nov.buffer_count
-    out["novelty.states"] = _sha(nov.state_buffer[:nov.buffer_count])
+    out["novelty.count"] = nov.visited.count
+    out["novelty.states"] = _sha(nov.visited.rows[:nov.visited.count])
     out["visits"] = _sha(ag.visits.counts)
     out["rng"] = _sha(repr(rng.bit_generator.state))
     out["snapshot"] = _sha(agent.policy_snapshot(ag))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hacx import envsim, hac, rnd
 from hacx.errors import ShapeError
 
-from helpers import (Transition, buffer_sample, dump_transitions, stored_columns,
-                     transition, transitions)
+from helpers import (Transition, buffer_sample, dump_transitions, segment_rows,
+                     stored_columns, transition, transitions)
 
 
 def vec(*xs):
@@ -124,11 +128,15 @@ def test_subgoal_test_threshold_consistency(px, py, x, y, h, eps):
 
 # hindsight goal relabeling -------------------------------------------------------
 
-def three_step_segment():
+def three_steps():
     s = [vec(0, 0, 0, 0), vec(1, 0, 0, 0), vec(2, 0, 0, 0)]
     ns = [vec(1, 0, 0, 0), vec(2, 0, 0, 0), vec(3, 0, 0, 0)]
     a = [vec(1, 0), vec(1, 0), vec(1, 0)]
     return list(zip(s, a, ns))
+
+
+def three_step_segment():
+    return segment_rows(three_steps(), goal=vec(9, 9))
 
 
 def test_relabel_counts_and_final_goal():
@@ -155,16 +163,18 @@ def test_relabel_goals_come_from_achieved_states():
 
 
 def test_relabel_zero_and_empty():
-    assert len(hac.hindsight_goal_transitions(three_step_segment(), 0, 0.5,
-                                              np.random.default_rng(0))) == 0
+    assert hac.hindsight_goal_transitions(three_step_segment(), 0, 0.5,
+                                          np.random.default_rng(0)).shape == (0, 14)
     with pytest.raises(ValueError):
-        hac.hindsight_goal_transitions([], 2, 0.5, np.random.default_rng(0))
+        hac.hindsight_goal_transitions(segment_rows([]), 2, 0.5, np.random.default_rng(0))
 
 
 def test_relabel_preserves_original_actions():
-    seg = three_step_segment()
-    out = transitions(hac.hindsight_goal_transitions(seg, 1, 0.5, np.random.default_rng(0)))
-    for t, (s, a, ns) in zip(out, seg):
+    steps = three_steps()
+    # an explore level's rows have no goal columns; their relabels gain them
+    out = transitions(hac.hindsight_goal_transitions(segment_rows(steps), 1, 0.5,
+                                                     np.random.default_rng(0)))
+    for t, (s, a, ns) in zip(out, steps):
         assert np.array_equal(t.state, s)
         assert np.array_equal(t.action, a)
         assert np.array_equal(t.next_state, ns)
@@ -191,12 +201,14 @@ def test_relabel_block_matches_row_by_row_reference(length, relabels):
     seg = [(rng.normal(size=4), rng.normal(size=2),
             np.concatenate([rng.integers(0, 3, 2) * 0.25, rng.normal(size=2)]))
            for _ in range(length)]
-    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-    got = hac.hindsight_goal_transitions(seg, relabels, 0.5, got_rng)
-    want = reference_relabel(seg, relabels, 0.5, want_rng)
-    assert got.shape == want.shape == (relabels * length, 14)
-    assert np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # the step rows of a goal level, and of the explore policy (no goal columns)
+    for goal in (rng.normal(size=2), None):
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = hac.hindsight_goal_transitions(segment_rows(seg, goal), relabels, 0.5, got_rng)
+        want = reference_relabel(seg, relabels, 0.5, want_rng)
+        assert got.shape == want.shape == (relabels * length, 14)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # exploration transitions ---------------------------------------------------------
@@ -204,20 +216,27 @@ def test_relabel_block_matches_row_by_row_reference(length, relabels):
 def test_exploration_transition_coupling():
     model = rnd.novelty_model_init(np.random.default_rng(0), code_dim=16, epsilon_rnd=0.1,
                                    learning_rate=1e-3)
-    s, a, ns = vec(0, 0, 0, 0), vec(1, 1), vec(1, 1, 0, 0)
+    (s, a, ns), = three_steps()[:1]
 
+    # the row takes the novelty model's verdict: reward 0 and terminal when new
     model.epsilon_rnd = -1.0  # everything is new
-    t = transition(hac.exploration_transition(s, a, ns, model))
-    assert (t.reward, t.discount, t.goal) == (0.0, 0.0, None)
+    reward, new = rnd.exploration_reward(model, ns)
+    t = transition(hac.exploration_transition(s, a, ns, new))
+    assert (t.reward, t.discount, t.goal) == (reward, 0.0, None) == (0.0, 0.0, None)
 
     model.epsilon_rnd = float("inf")  # nothing is new
-    t = transition(hac.exploration_transition(s, a, ns, model))
-    assert (t.reward, t.discount, t.goal) == (-1.0, hac.DISCOUNT, None)
+    reward, new = rnd.exploration_reward(model, ns)
+    t = transition(hac.exploration_transition(s, a, ns, new))
+    assert (t.reward, t.discount, t.goal) == (reward, hac.DISCOUNT, None)
+    assert reward == -1.0
+    # an explore step's row is the row its segment holds
+    assert np.array_equal(hac.exploration_transition(s, a, ns, False),
+                          segment_rows([(s, a, ns)])[0])
 
 
-# replay buffer -------------------------------------------------------------------
+# packed rows and the ring buffer --------------------------------------------------
 
-GOAL_WIDTHS, EXPLORE_WIDTHS = (4, 2, 2), (4, 0, 2)
+GOAL_WIDTH, EXPLORE_WIDTH, POSITION_WIDTH = 14, 12, 2
 
 
 def goal_transition(i):
@@ -225,63 +244,103 @@ def goal_transition(i):
                         -1.0, hac.DISCOUNT)
 
 
+def ring_row(width, i):
+    """Row i of a ring of the given width: a goal-level row, or the novelty
+    model's visited position (i, -i); column 0 holds i either way."""
+    return goal_transition(i) if width == GOAL_WIDTH else vec(i, -i)
+
+
+@pytest.mark.parametrize("width", [EXPLORE_WIDTH, GOAL_WIDTH])
+def test_columns_of_a_row_and_of_a_block(width):
+    # the goal width is what the row width leaves; every actor outputs 2
+    goal = None if width == EXPLORE_WIDTH else vec(8, 9)
+    rows = np.array([hac.pack_row(vec(i, 1, 2, 3), goal, vec(4, i), vec(5, 6, 7, i),
+                                  -float(i), 0.5) for i in range(3)])
+    assert rows.shape == (3, width)
+    s, g, a, ns, r, d = hac.columns(rows)
+    assert np.array_equal(s, [[i, 1, 2, 3] for i in range(3)])
+    assert np.array_equal(a, [[4, i] for i in range(3)])
+    assert np.array_equal(ns, [[5, 6, 7, i] for i in range(3)])
+    assert np.array_equal(r, [0.0, -1.0, -2.0]) and np.array_equal(d, [0.5] * 3)
+    if goal is None:
+        assert g is None
+    else:
+        assert np.array_equal(g, [[8, 9]] * 3)
+    # views, and one row reads as the same fields without the leading axis
+    assert all(np.shares_memory(c, rows) for c in (s, a, ns, r, d))
+    one = hac.columns(rows[1])
+    for whole, single in zip(hac.columns(rows), one):
+        assert (whole is None and single is None) or np.array_equal(whole[1], single)
+    assert one[0].shape == (4,) and one[4].shape == ()
+
+
 def test_buffer_eviction_order():
-    buf = hac.ReplayBuffer(2, GOAL_WIDTHS)
-    for i in range(3):
-        hac.buffer_push(buf, goal_transition(i))
-    assert buf.count == 2
-    states = stored_columns(buf)[0][:, 0]
-    assert set(states.tolist()) == {2.0, 1.0}  # 0 was evicted
+    for width in (GOAL_WIDTH, POSITION_WIDTH):
+        buf = hac.ReplayBuffer(2, width)
+        for i in range(3):
+            hac.buffer_push(buf, ring_row(width, i))
+        assert buf.count == 2 and buf.next_index == 1
+        assert set(buf.rows[:, 0].tolist()) == {2.0, 1.0}  # 0 was evicted
 
 
 def test_buffer_rejects_mixed_streams():
-    buf = hac.ReplayBuffer(4, GOAL_WIDTHS)
+    buf = hac.ReplayBuffer(4, GOAL_WIDTH)
     hac.buffer_push(buf, goal_transition(0))
     explore = hac.pack_row(vec(0, 0, 0, 0), None, vec(1, 1), vec(1, 1, 0, 0), 0.0, 0.0)
     with pytest.raises(ShapeError):
         hac.buffer_push(buf, explore)
     with pytest.raises(ShapeError):
-        hac.buffer_push(hac.ReplayBuffer(4, EXPLORE_WIDTHS), goal_transition(0))
+        hac.buffer_push(hac.ReplayBuffer(4, EXPLORE_WIDTH), goal_transition(0))
+    with pytest.raises(ShapeError):
+        hac.buffer_push(hac.ReplayBuffer(4, POSITION_WIDTH), goal_transition(0))
 
 
 def test_buffer_sample_shapes_and_source():
-    buf = hac.ReplayBuffer(100, GOAL_WIDTHS)
+    buf = hac.ReplayBuffer(100, GOAL_WIDTH)
     for i in range(10):
         hac.buffer_push(buf, goal_transition(i))
     rows = hac.sample_arrays(buf, 32, np.random.default_rng(0))
     assert rows.shape == (32, 14) and rows.dtype == np.float64
-    s, g, a, ns, r, d = buf.columns(rows)
+    s, g, a, ns, r, d = hac.columns(rows)
     assert s.shape == (32, 4) and a.shape == (32, 2) and g.shape == (32, 2)
     assert ns.shape == (32, 4) and r.shape == (32,) and d.shape == (32,)
     assert set(s[:, 0].tolist()) <= set(float(i) for i in range(10))
     ts = buffer_sample(buf, 5, np.random.default_rng(1))
     assert len(ts) == 5 and all(isinstance(t, Transition) for t in ts)
+    # the novelty model's ring of positions samples the same way
+    ring = hac.ReplayBuffer(100, POSITION_WIDTH)
+    for i in range(10):
+        hac.buffer_push(ring, ring_row(POSITION_WIDTH, i))
+    pts = hac.sample_arrays(ring, 32, np.random.default_rng(0))
+    assert pts.shape == (32, 2) and pts.dtype == np.float64
+    assert np.array_equal(pts[:, 0], rows[:, 0]) and np.array_equal(pts[:, 1], -pts[:, 0])
 
 
 def test_buffer_sampling_is_uniform():
-    buf = hac.ReplayBuffer(4, GOAL_WIDTHS)
-    for i in range(4):
-        hac.buffer_push(buf, goal_transition(i))
-    s = hac.sample_arrays(buf, 10_000, np.random.default_rng(7))
-    counts = np.array([(s[:, 0] == float(i)).sum() for i in range(4)])
-    # each cell expected 2500, sd ~ 43; allow 5 sigma
-    assert np.all(np.abs(counts - 2500) < 5 * np.sqrt(10_000 * 0.25 * 0.75))
+    for width in (GOAL_WIDTH, POSITION_WIDTH):
+        buf = hac.ReplayBuffer(4, width)
+        for i in range(4):
+            hac.buffer_push(buf, ring_row(width, i))
+        s = hac.sample_arrays(buf, 10_000, np.random.default_rng(7))
+        counts = np.array([(s[:, 0] == float(i)).sum() for i in range(4)])
+        # each cell expected 2500, sd ~ 43; allow 5 sigma
+        assert np.all(np.abs(counts - 2500) < 5 * np.sqrt(10_000 * 0.25 * 0.75))
 
 
 def test_buffer_empty_sample_raises():
     with pytest.raises(ValueError):
-        hac.sample_arrays(hac.ReplayBuffer(4, GOAL_WIDTHS), 1, np.random.default_rng(0))
+        hac.sample_arrays(hac.ReplayBuffer(4, GOAL_WIDTH), 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        hac.ReplayBuffer(0, GOAL_WIDTHS)
+        hac.ReplayBuffer(0, GOAL_WIDTH)
 
 
 def test_explore_buffer_has_no_goal_column():
-    buf = hac.ReplayBuffer(4, EXPLORE_WIDTHS)
+    buf = hac.ReplayBuffer(4, EXPLORE_WIDTH)
     hac.buffer_push(buf, hac.pack_row(vec(0, 0, 0, 0), None, vec(1, 1), vec(1, 1, 0, 0),
                                       0.0, 0.0))
     rows = hac.sample_arrays(buf, 3, np.random.default_rng(0))
     assert rows.shape == (3, 12)
-    assert buf.columns(rows)[1] is None
+    assert hac.columns(rows)[1] is None
 
 
 @pytest.mark.parametrize("explore", [False, True])
@@ -293,7 +352,7 @@ def test_packed_rows_round_trip(explore):
                          None if explore else rng.normal(size=2),
                          float(rng.uniform()))
               for _ in range(5)]
-    buf = hac.ReplayBuffer(8, EXPLORE_WIDTHS if explore else GOAL_WIDTHS)
+    buf = hac.ReplayBuffer(8, EXPLORE_WIDTH if explore else GOAL_WIDTH)
     for t in pushed:
         hac.buffer_push(buf, hac.pack_row(t.state, None if explore else t.goal, t.action,
                                           t.next_state, t.reward, t.discount))
@@ -319,29 +378,41 @@ def test_packed_rows_round_trip(explore):
 @pytest.mark.parametrize("first", [0, 3, 6])
 def test_block_push_equals_row_by_row(capacity, first):
     # a block lands exactly where its rows would, pushed one by one: across
-    # the wrap-around, and when the block is longer than the buffer
-    rng = np.random.default_rng(capacity * 10 + first)
-    lead = rng.normal(size=(first, 14))
-    for n in (0, 1, 4, 9, 20):
-        block = rng.normal(size=(n, 14))
-        one, many = hac.ReplayBuffer(capacity, GOAL_WIDTHS), hac.ReplayBuffer(capacity, GOAL_WIDTHS)
-        for buf in (one, many):
-            for row in lead:
-                hac.buffer_push(buf, row)
-        for row in block:
-            hac.buffer_push(one, row)
-        assert hac.buffer_push(many, block) is many
-        assert (many.count, many.next_index) == (one.count, one.next_index)
-        if one.rows is not None:
-            assert np.array_equal(many.rows, one.rows)
+    # the wrap-around, and when the block is longer than the buffer; for
+    # packed rows and for the novelty model's positions
+    for width in (GOAL_WIDTH, POSITION_WIDTH):
+        rng = np.random.default_rng(capacity * 10 + first)
+        lead = rng.normal(size=(first, width))
+        for n in (0, 1, 4, 9, 20):
+            block = rng.normal(size=(n, width))
+            one, many = hac.ReplayBuffer(capacity, width), hac.ReplayBuffer(capacity, width)
+            for buf in (one, many):
+                for row in lead:
+                    hac.buffer_push(buf, row)
+            for row in block:
+                hac.buffer_push(one, row)
+            assert hac.buffer_push(many, block) is many
+            assert (many.count, many.next_index) == (one.count, one.next_index)
+            if one.rows is not None:
+                assert np.array_equal(many.rows, one.rows)
 
 
 def test_buffer_rejects_badly_shaped_rows():
-    buf = hac.ReplayBuffer(4, GOAL_WIDTHS)
+    buf = hac.ReplayBuffer(4, GOAL_WIDTH)
     for bad in (np.zeros(13), np.zeros((2, 15)), np.zeros((1, 2, 14)), np.float64(1.0)):
         with pytest.raises(ShapeError):
             hac.buffer_push(buf, bad)
     assert buf.count == 0 and buf.rows is None
+
+
+def test_importing_hac_does_not_load_rnd():
+    # rnd keeps its visited positions in a hac.ReplayBuffer, so hac must not
+    # import rnd back
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hac.__file__)))
+    code = "import sys, hacx.hac; print(sorted(m for m in sys.modules if m.startswith('hacx')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert "'hacx.hac'" in out and "hacx.rnd" not in out
 
 
 # transition dumps ----------------------------------------------------------------

@@ -427,6 +427,40 @@ def test_cli_empty_output_dir_exits_2_and_writes_nothing(tmp_path, monkeypatch, 
     assert sorted(os.listdir(tmp_path)) == ["c.txt", "cfg.txt"]
 
 
+def test_cli_output_dir_that_is_a_file_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                  capsys):
+    ckpt = tmp_path / "c.txt"
+    harness.write_checkpoint(harness.build_agent(
+        smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)), str(ckpt))
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "seed0").write_text("x")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def never(*args, **kwargs):
+        raise AssertionError("an agent was built before the output directory was checked")
+
+    monkeypatch.setattr(harness, "build_agent", never)
+    monkeypatch.setattr(harness, "read_checkpoint", never)
+    train = ["--env", "open_field_near", "--episodes", "1", "--seed", "0", "--levels", "1"]
+    cases = [["train", *train, "--output-dir", str(blocker)],
+             ["train", *train, "--output-dir", str(blocker / "sub")],
+             ["train", *train, "--output-dir", str(taken)],     # its seed0 is a file
+             ["baseline", "hac", *train, "--output-dir", str(blocker)],
+             ["map", "--checkpoint", str(ckpt), "--output-dir", str(blocker)],
+             ["map", "--checkpoint", str(ckpt), "--output-dir", str(blocker / "sub")]]
+    for argv in cases:
+        assert harness.main(["--quiet", *argv]) == 2, argv
+        assert "not a directory" in capsys.readouterr().err
+    monkeypatch.setenv("HACX_OUTPUT_DIR", str(blocker))
+    assert harness.main(["--quiet", "train", *train]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.txt", "file", "seed0", "taken"]
+
+
 def test_cli_malformed_checkpoint_content_exits_3(tmp_path, capsys):
     spec = envsim.builtin_spec("open_field_near")
     ag = harness.build_agent(smoke_cfg(), spec, np.random.default_rng(0))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hacx import approx, rnd
+from hacx import approx, hac, rnd
 from hacx.errors import ConfigError
 
 BOUNDS = (0.0, 0.0, 10.0, 10.0)
@@ -71,22 +71,23 @@ def test_calibration_is_the_stated_percentile():
 
 def test_observe_stores_positions_in_ring_order():
     # a ring of 3 positions; an agent's holds rnd.STATE_BUFFER_CAPACITY
-    model = replace(fresh_model(), state_buffer=np.zeros((3, 2), dtype=np.float32))
+    assert fresh_model().visited.capacity == rnd.STATE_BUFFER_CAPACITY
+    model = replace(fresh_model(), visited=hac.ReplayBuffer(3, 2))
     states = [np.array([float(i), float(-i), 99.0, 99.0]) for i in range(5)]
     for s in states:
         rnd.observe(model, s)
-    assert model.buffer_count == 3
-    assert model.buffer_next == 5 % 3
+    assert model.visited.count == 3
+    assert model.visited.next_index == 5 % 3
     # slots hold the last writes at indices 0<-3, 1<-4, 2<-2
-    assert np.allclose(model.state_buffer[0], [3.0, -3.0])
-    assert np.allclose(model.state_buffer[1], [4.0, -4.0])
-    assert np.allclose(model.state_buffer[2], [2.0, -2.0])
+    assert np.allclose(model.visited.rows[0], [3.0, -3.0])
+    assert np.allclose(model.visited.rows[1], [4.0, -4.0])
+    assert np.allclose(model.visited.rows[2], [2.0, -2.0])
 
 
 def test_observe_projects_to_position():
     model = fresh_model()
     rnd.observe(model, np.array([1.5, 2.5, 0.3, -0.7]))
-    assert np.allclose(model.state_buffer[0], [1.5, 2.5])
+    assert np.allclose(model.visited.rows[0], [1.5, 2.5])
 
 
 def test_advance_phase_zero_steps_only_bumps_counter():
