@@ -23,13 +23,16 @@ environment step, and no vector is written once built. A level below the top
 stops when it comes within epsilon of its subgoal or after H actions; the
 top level acts until the episode ends, at task success or the step limit. An
 episode is a success when any of its states, the start included, passes the
-same task-success test that ends a goal episode. What a level stores is
-hindsight: above the bottom level its action component is the state the
-subtree actually reached, and its step rows, kept in segments, are relabeled
-when the episode ends (an explore episode's top segment into the goal top
-level's buffer, so exploring trains the goal policy). Proposed subgoals are
-occasionally tested (noise-free descent) and penalized when missed. Training
-is deterministic-policy-gradient style on each level's own buffer, with no
+same task-success test that ends a goal episode. Each goal verdict is one
+hac.within, computed where the rollout has the floats and handed to the row
+it decides. What a level stores is hindsight: above the bottom level its
+action component is the state the subtree actually reached, and its step
+rows, kept in segments, are relabeled when the episode ends (an explore
+episode's top segment into the goal top level's buffer, so exploring trains
+the goal policy). Proposed subgoals are occasionally tested (noise-free
+descent) and penalized when missed, which is the verdict the level below
+stopped on. An Episode is its own record. Training is
+deterministic-policy-gradient style on each level's own buffer, with no
 target networks; critics are bounded to the feasible sparse-reward range.
 """
 
@@ -48,7 +51,8 @@ from .envsim import EnvSpec, VisitGrid
 from .errors import CheckpointError, ConfigError, TrainingError
 from .hac import (DISCOUNT, GOAL_DIM, STATE_DIM, ReplayBuffer, buffer_push, columns,
                   exploration_transition, hindsight_action_transition,
-                  hindsight_goal_transitions, pack_row, sample_arrays, subgoal_test_transition)
+                  hindsight_goal_transitions, pack_row, sample_arrays, subgoal_test_transition,
+                  within)
 from .kvtext import fmt_float, fmt_vector, read_entries, read_vector
 
 log = logging.getLogger(__name__)
@@ -86,15 +90,6 @@ class LevelPolicy:
         self.buffer = ReplayBuffer(REPLAY_CAPACITY, self.critic.input_dim + STATE_DIM + 2)
         self.noise_sigma = noise_scale * actor.half
         self.actor_in = np.empty(actor.input_dim)
-
-
-@dataclass
-class EpisodeRecord:
-    top_policy_used: str
-    primitive_states: list
-    closest_distance: float
-    success: bool
-    transitions_emitted: dict
 
 
 @dataclass
@@ -211,42 +206,43 @@ def select_action(policy: LevelPolicy, state, goal, mode: str,
     return a
 
 
-class _Episode:
-    """Mutable state threaded through the level recursion. s_vec is the
-    current primitive state as one float64 (x, y, vx, vy) vector, built once
-    per environment step and never written afterwards; primitive_states
-    holds every one of them, the start included. segments[i] holds level
-    i's segments, lists of the step rows it stored: one per call at level 0,
-    one per episode above."""
+class Episode:
+    """One episode's state, threaded through the level recursion, and its
+    record once it ends. s_vec is the current primitive state as one float64
+    (x, y, vx, vy) vector, built once per environment step and never written
+    afterwards; primitive_states holds every one of them, the start included.
+    segments[i] holds level i's segments, lists of the step rows it stored:
+    one per call at level 0, one per episode above."""
 
-    def __init__(self, spec, s, task_goal, mode, top, rng, k):
+    def __init__(self, spec, s, task_goal, mode, top_policy_used, rng, k):
         self.spec = spec
         self.s_vec = s
-        self.steps = 0
         self.task_goal = task_goal
         self.task_xy = task_goal.tolist()
         self.mode = mode
-        self.top = top
+        self.top_policy_used = top_policy_used
         self.rng = rng
         self.done = False
         self.success = self.at_task_goal(*s[:2].tolist())
         self.primitive_states = [s]
-        self.counts = {f"level{i}": 0 for i in range(k)}
-        self.counts["explore"] = 0
-        self.counts["relabel"] = 0
         self.segments = [[]] + [[[]] for _ in range(1, k)]
 
     def at_task_goal(self, x: float, y: float) -> bool:
         """The task-success test, on Python floats."""
-        return math.hypot(x - self.task_xy[0], y - self.task_xy[1]) < self.spec.epsilon_task
+        return within(x, y, *self.task_xy, self.spec.epsilon_task)
+
+    @property
+    def closest_distance(self) -> float:
+        """The least distance of any state, the start included, to the task goal."""
+        positions = np.array(self.primitive_states)[:, :2]
+        return float(np.min(np.linalg.norm(positions - self.task_goal, axis=1)))
 
 
-def _env_step(agent: HacxAgent, ep: _Episode, action, train: bool):
+def _env_step(agent: HacxAgent, ep: Episode, action, train: bool):
     """Level 0's advance: one environment step, the novelty and visit
     records of a training step, and the task-success and step-limit tests.
     Returns the new position as Python floats."""
     s = ep.s_vec = envsim.env_step(ep.spec, ep.s_vec, action)
-    ep.steps += 1
     ep.primitive_states.append(s)
     x, y, _, _ = s.tolist()
     if train:
@@ -254,25 +250,27 @@ def _env_step(agent: HacxAgent, ep: _Episode, action, train: bool):
         envsim.record_visit(agent.visits, x, y)
     hit = ep.at_task_goal(x, y)
     ep.success = ep.success or hit
-    ep.done = ep.steps >= ep.spec.max_primitive_steps or (hit and ep.top == "goal")
+    ep.done = (len(ep.primitive_states) > ep.spec.max_primitive_steps
+               or (hit and ep.top_policy_used == "goal"))
     return x, y
 
 
-def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
+def _run_level(agent: HacxAgent, ep: Episode, i: int, goal, testing: bool):
     """Level i pursues goal (None for the explore policy): act, let the level
     below (or the environment) carry the action out, store one row.
     A level below the top stops on reaching its goal or after H actions; the
     top level acts until the episode ends. A generator: for each action it
     yields select_action's (policy, state, goal, mode) and is sent the action
     back, so whoever drives it chooses how actions are computed. Returns the
-    position reached, as Python floats."""
+    position reached, as Python floats, and whether it is within epsilon of
+    goal: the verdict the level's last row holds, and, for the level above,
+    the test of the subgoal it proposed."""
     is_top = i == agent.k - 1
     train = ep.mode == "train"
     mode = "noisy" if train and not testing else "deterministic"
-    explore_here = is_top and ep.top == "explore"
+    explore_here = is_top and ep.top_policy_used == "explore"
     policy = agent.explore_top if explore_here else agent.levels[i]
     eps = agent.epsilon
-    name = "explore" if explore_here else f"level{i}"
     if explore_here:
         goal = None
     else:
@@ -290,10 +288,12 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
                                                < agent.subgoal_test_rate))
         if i == 0:
             x, y = _env_step(agent, ep, action, train)
+            missed = False
         else:
-            x, y = yield from _run_level(agent, ep, i - 1, action, child_testing)
+            x, y, child_reached = yield from _run_level(agent, ep, i - 1, action, child_testing)
+            missed = child_testing and not child_reached
         ns_vec = ep.s_vec
-        reached = goal is not None and math.hypot(x - gx, y - gy) < eps
+        reached = goal is not None and within(x, y, gx, gy, eps)
 
         if train:
             if explore_here:
@@ -304,28 +304,19 @@ def _run_level(agent: HacxAgent, ep: _Episode, i: int, goal, testing: bool):
                 row = pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
                                0.0 if reached else DISCOUNT)
             else:
-                row = hindsight_action_transition(s_vec, ns_vec, goal, eps)
+                row = hindsight_action_transition(s_vec, ns_vec, goal, reached)
             buffer_push(policy.buffer, row)
-            ep.counts[name] += 1
             segment.append(row)
-            if child_testing:
-                row = subgoal_test_transition(s_vec, action, ns_vec, agent.horizon, eps, goal)
-                if row is not None:
-                    buffer_push(policy.buffer, row)
-                    ep.counts[name] += 1
+            if missed:
+                buffer_push(policy.buffer, subgoal_test_transition(s_vec, action, ns_vec,
+                                                                   agent.horizon, goal))
 
         if ep.done or (not is_top and (reached or attempts >= agent.horizon)):
-            return x, y
-
-
-def _record(ep: _Episode) -> EpisodeRecord:
-    positions = np.array(ep.primitive_states)[:, :2]
-    closest = float(np.min(np.linalg.norm(positions - ep.task_goal, axis=1)))
-    return EpisodeRecord(ep.top, ep.primitive_states, closest, ep.success, ep.counts)
+            return x, y, reached
 
 
 def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
-                rng: np.random.Generator) -> EpisodeRecord:
+                rng: np.random.Generator) -> Episode:
     """One episode. Test mode is pure: always the goal policy, deterministic
     actions, and nothing written to buffers, novelty model, or visit grid."""
     if mode not in ("train", "test"):
@@ -333,7 +324,7 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
     train = mode == "train"
     s, task_goal = envsim.env_reset(spec, rng)
     top = choose_top_policy(agent.tau, rng) if train else "goal"
-    ep = _Episode(spec, s, task_goal, mode, top, rng, agent.k)
+    ep = Episode(spec, s, task_goal, mode, top, rng, agent.k)
 
     run = _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
     try:
@@ -349,8 +340,7 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
                 rows = hindsight_goal_transitions(np.array(seg), agent.num_relabels,
                                                   agent.epsilon, rng)
                 buffer_push(p.buffer, rows)
-                ep.counts["relabel"] += len(rows)
-    return _record(ep)
+    return ep
 
 
 # Test episodes run together, at most: this bounds the memory of a long
@@ -359,8 +349,8 @@ LOCKSTEP_EPISODES = 64
 
 
 def run_test_episodes(agent: HacxAgent, spec: EnvSpec, n: int, rng: np.random.Generator):
-    """Yield the records of n test episodes, in order: the records, and the
-    rng state once all are drawn, of n run_episode(agent, spec, "test", rng)
+    """Yield n test episodes, in order: the episodes, and the rng state once
+    all are drawn, of n run_episode(agent, spec, "test", rng)
     calls one after another. Up to LOCKSTEP_EPISODES of them run in
     lockstep, and a batch's resets are drawn when it starts, which are the
     only draws a test episode makes."""
@@ -379,7 +369,7 @@ def _run_lockstep(agent: HacxAgent, spec: EnvSpec, n: int,
     eps, runs, requests = [], [], []
     for _ in range(n):
         s, task_goal = envsim.env_reset(spec, rng)
-        ep = _Episode(spec, s, task_goal, "test", "goal", rng, agent.k)
+        ep = Episode(spec, s, task_goal, "test", "goal", rng, agent.k)
         run = _run_level(agent, ep, agent.k - 1, task_goal, testing=False)
         eps.append(ep)
         runs.append(run)
@@ -397,7 +387,7 @@ def _run_lockstep(agent: HacxAgent, spec: EnvSpec, n: int,
                 except StopIteration:
                     requests[j] = None
         live = [j for j in live if requests[j] is not None]
-    return [_record(ep) for ep in eps]
+    return eps
 
 
 def _named_policies(agent: HacxAgent) -> list:

@@ -396,8 +396,9 @@ def spec_from_text(text: str) -> EnvSpec:
 
 def spec_from_entries(entries) -> EnvSpec:
     """The geometry of (section, key, value) entries, as read_entries gives
-    them; the section is ignored, and each wall entry adds one wall."""
-    kw = {"name": "custom", "walls": []}
+    them; the section is ignored, and each wall entry adds one wall. Any
+    other key given twice raises ConfigError."""
+    kw = {"walls": []}
     for _, key, val in entries:
         if key not in GEOMETRY_KEYS:
             raise ConfigError(f"unknown geometry key {key!r}")
@@ -405,12 +406,14 @@ def spec_from_entries(entries) -> EnvSpec:
         value = parse_value(key, parser, val)
         if key == "wall":
             kw["walls"].append(value)
+        elif field_name in kw:
+            raise ConfigError(f"geometry key {key!r} given twice")
         else:
             kw[field_name] = value
     for needed in ("bounds", "start", "goal"):
         if GEOMETRY_KEYS[needed][0] not in kw:
             raise ConfigError(f"geometry text missing {needed!r}")
-    return validate_spec(EnvSpec(**kw))
+    return validate_spec(EnvSpec(**{"name": "custom", **kw}))
 
 
 def load_spec(name_or_path: str) -> EnvSpec:

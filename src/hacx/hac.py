@@ -10,11 +10,11 @@ have no goal columns. ReplayBuffer, a float32 ring of rows of one width,
 holds each level's rows and the novelty model's visited positions.
 
 Rewards are 0 or -1 (or -H for a failed subgoal test); the stored discount
-is 0.99 except on terminal transitions, where it is exactly 0. Goal rewards
-and the subgoal test come from one scalar test per row, math.hypot of the
-position difference against epsilon (as in goal_reward): a vectorised
-np.hypot or np.linalg.norm can differ in the last bit at the epsilon
-boundary.
+is 0.99 except on terminal transitions, where it is exactly 0. One goal test,
+within, decides a level's stop rule, task success, the subgoal test and every
+relabeled reward. The rollout computes each verdict once, where it has the
+floats, and hands it to the builder that writes it; only relabeling, which
+makes up its goals, runs the test itself.
 """
 
 from __future__ import annotations
@@ -42,15 +42,11 @@ def columns(rows: np.ndarray):
             rows[..., a:ns], rows[..., ns:-2], rows[..., -2], rows[..., -1])
 
 
-def goal_reward(achieved, goal, epsilon: float):
-    """Sparse reward against a goal-space point: (0, True) inside the open
-    epsilon-ball, (-1, False) otherwise. Both points are 2-vectors."""
-    if len(achieved) != 2 or len(goal) != 2:
-        raise ShapeError(f"achieved {np.shape(achieved)} and goal {np.shape(goal)} "
-                         "must be 2-vectors")
-    done = math.hypot(float(achieved[0]) - float(goal[0]),
-                      float(achieved[1]) - float(goal[1])) < epsilon
-    return (0.0 if done else -1.0), done
+def within(x: float, y: float, gx: float, gy: float, epsilon: float) -> bool:
+    """The goal test: (x, y) lies in the open epsilon-ball around (gx, gy).
+    Python floats and math.hypot, since a vectorised np.hypot or
+    np.linalg.norm can differ in the last bit at the epsilon boundary."""
+    return math.hypot(x - gx, y - gy) < epsilon
 
 
 def pack_row(state, goal, action, next_state, reward: float,
@@ -61,22 +57,20 @@ def pack_row(state, goal, action, next_state, reward: float,
     return np.concatenate((*parts, (reward, discount)), dtype=float)
 
 
-def hindsight_action_transition(state, achieved_state, goal, epsilon: float) -> np.ndarray:
+def hindsight_action_transition(state, achieved_state, goal, reached: bool) -> np.ndarray:
     """Subgoal-level row whose action is what the lower levels actually
-    achieved, whatever subgoal was proposed."""
-    action = position(achieved_state)
-    reward, done = goal_reward(action, goal, epsilon)
-    return pack_row(state, goal, action, achieved_state, reward, 0.0 if done else DISCOUNT)
+    achieved, whatever subgoal was proposed; reached is the level's own goal
+    test on achieved_state, which ends the row's episode with reward 0."""
+    return pack_row(state, goal, position(achieved_state), achieved_state,
+                    0.0 if reached else -1.0, 0.0 if reached else DISCOUNT)
 
 
 def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: int,
-                            epsilon: float, goal=None):
+                            goal) -> np.ndarray:
     """Penalty row for a tested subgoal the lower levels failed to reach:
     reward -horizon with discount 0; goal is None for the exploration policy.
-    Returns None when the subgoal was reached (the hindsight action
-    transition already rewards that)."""
-    if goal_reward(position(achieved_state), proposed_subgoal, epsilon)[1]:
-        return None
+    The caller writes one for a miss only: a reached subgoal's hindsight
+    action transition already rewards it."""
     return pack_row(state, goal, proposed_subgoal, achieved_state, -float(horizon), 0.0)
 
 
@@ -89,7 +83,8 @@ def hindsight_goal_transitions(steps: np.ndarray, num_relabels: int, epsilon: fl
     The final achieved state is always the first substitute; the rest are
     uniform draws over the segment. Every step is relabeled against every
     substitute goal: the result is one (num_relabels * len(steps), width)
-    block of rows with GOAL_DIM goal columns, goal outer, step inner.
+    block of rows with GOAL_DIM goal columns, goal outer, step inner, each
+    rewarded by within of its achieved position and its goal.
     """
     if len(steps) == 0:
         raise ValueError("empty segment")
@@ -101,7 +96,7 @@ def hindsight_goal_transitions(steps: np.ndarray, num_relabels: int, epsilon: fl
     achieved = position(nexts)
     picks = [n - 1] + [int(rng.integers(0, n)) for _ in range(num_relabels - 1)]
     xy = achieved.tolist()
-    done = np.array([[math.hypot(ax - gx, ay - gy) < epsilon for ax, ay in xy]
+    done = np.array([[within(ax, ay, gx, gy, epsilon) for ax, ay in xy]
                      for gx, gy in (xy[p] for p in picks)])
     out = np.empty((num_relabels, n, width))
     s, g, a, ns, reward, discount = columns(out)

@@ -126,11 +126,15 @@ KEYMAP = {
 
 
 def parse_config_text(text: str) -> RunConfig:
-    cfg = RunConfig()
+    """The RunConfig of config text; an unknown or repeated key raises ConfigError."""
+    cfg, seen = RunConfig(), set()
     for section, key, val in kvtext.read_entries(text):
         full = f"{section}.{key}" if section else key
         if full not in KEYMAP:
             raise ConfigError(f"unknown config key {full!r}")
+        if full in seen:
+            raise ConfigError(f"config key {full!r} given twice")
+        seen.add(full)
         field_name, parser = KEYMAP[full]
         cfg = replace(cfg, **{field_name: kvtext.parse_value(full, parser, val)})
     return cfg
@@ -393,7 +397,7 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--env", help="override the environment the checkpoint holds")
-    p_eval.add_argument("--test-episodes", type=int, default=50)
+    p_eval.add_argument("--test-episodes", type=int, default=RunConfig.test_episodes)
     p_eval.add_argument("--seed", type=int, default=0)
 
     p_map = sub.add_parser("map", help="emit novelty/visitation maps for a checkpoint")

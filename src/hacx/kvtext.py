@@ -1,13 +1,14 @@
 """The `key = value` text format of run configs, geometry files and policy
 snapshots: one entry per line, split at the first `=` and stripped; `#`
 starts a comment; blank lines are skipped; a `[name]` line opens a section
-holding the entries below it. Keys may repeat, and each reader decides what
-that means. A single float, and the few floats of a geometry's rectangles, are
-written with `repr`, which reads back to the same float. A long float vector
-(a snapshot's learned parameters and Adam moments) is written as one base64
-string of its little-endian float64 bytes, which reads back to the same bits,
--0.0 and NaN payloads included, and writes and reads many times faster than
-`repr` text.
+holding the entries below it. read_entries keeps a repeated key, and every
+reader refuses one but a geometry's wall (a config's dotted key and its
+[section] form are one key). A single float, and the few floats of a
+geometry's rectangles, are written with `repr`, which reads back to the same
+float. A long float vector (a snapshot's learned parameters and Adam
+moments) is written as one base64 string of its little-endian float64 bytes,
+which reads back to the same bits, -0.0 and NaN payloads included, and
+writes and reads many times faster than `repr` text.
 """
 
 import base64

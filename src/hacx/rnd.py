@@ -14,6 +14,7 @@ sizes RND_HIDDEN; the code size is the target network's output size.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,9 @@ CALIBRATION_PERCENTILE = 5.0
 
 @dataclass
 class NoveltyModel:
-    """Raises ConfigError unless the threshold is finite and the phase index
-    >= 0."""
+    """Raises ConfigError unless the threshold is finite and >= 0 (novelty
+    errors are norms, so a negative one finds every state new forever) and
+    the phase index >= 0."""
 
     target: Network
     predictor: Network
@@ -46,9 +48,9 @@ class NoveltyModel:
                                   repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon_rnd) and self.phase_index >= 0):
-            raise ConfigError(f"the novelty threshold must be finite ({self.epsilon_rnd}) "
-                              f"and the phase index >= 0 ({self.phase_index})")
+        if not (0.0 <= self.epsilon_rnd < math.inf and self.phase_index >= 0):
+            raise ConfigError(f"the novelty threshold must be finite and >= 0 ({self.epsilon_rnd})"
+                              f" and the phase index >= 0 ({self.phase_index})")
 
 
 def novelty_model_init(rng: np.random.Generator, *, code_dim: int, epsilon_rnd: float,

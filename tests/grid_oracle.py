@@ -52,7 +52,8 @@ def collect_transitions(repeats_per_cell, rng):
                 achieved = random_hop(start, rng)
                 rng.uniform(0, SIZE - 1, 2)  # a proposed subgoal, which hindsight discards
                 t = transition(hac.hindsight_action_transition(
-                    state4(start), state4(achieved), goal_vec, 0.5))
+                    state4(start), state4(achieved), goal_vec,
+                    hac.within(*achieved, *GOAL, 0.5)))
                 table[(start, achieved)] = t
     return table
 

@@ -75,24 +75,26 @@ def test_transition_invariants_hold_in_bulk():
         achieved = [envsim.position(ns) for (_, _, ns) in seg]
 
         for (s, a, ns) in seg:
+            x, y = ns[:2].tolist()
             rng.uniform(-5, 5, 2)   # a proposed subgoal, which hindsight discards
-            t = helpers.transition(hac.hindsight_action_transition(s, ns, goal, eps))
+            done = hac.within(x, y, *goal.tolist(), eps)
+            t = helpers.transition(hac.hindsight_action_transition(s, ns, goal, done))
             check(np.array_equal(t.action, envsim.position(ns)),
                   "hindsight action is not the achieved goal projection")
-            r, done = hac.goal_reward(envsim.position(ns), goal, eps)
-            check(t.reward == r, "hindsight reward mismatch")
+            check(t.reward == (0.0 if done else -1.0), "hindsight reward mismatch")
             check(t.discount == (0.0 if done else hac.DISCOUNT),
                   "hindsight discount mismatch")
             check((t.reward == 0.0) == (t.discount == 0.0),
                   "reward/discount coupling broken (hindsight)")
             total += 1
 
-            pt = hac.subgoal_test_transition(s, rng.uniform(-5, 5, 2), ns,
-                                             horizon, eps, goal)
-            if pt is not None:
-                pt = helpers.transition(pt)
+            proposal = rng.uniform(-5, 5, 2)
+            if not hac.within(x, y, *proposal.tolist(), eps):
+                pt = helpers.transition(hac.subgoal_test_transition(s, proposal, ns,
+                                                                    horizon, goal))
                 check(pt.reward == -float(horizon), "penalty reward is not -horizon")
                 check(pt.discount == 0.0, "penalty discount is not 0")
+                check(np.array_equal(pt.action, proposal), "penalty action is not the proposal")
                 total += 1
 
             reward, new = rnd.exploration_reward(model, ns)
@@ -106,8 +108,9 @@ def test_transition_invariants_hold_in_bulk():
 
         steps = helpers.segment_rows(seg, goal)
         for t in helpers.transitions(hac.hindsight_goal_transitions(steps, 2, eps, rng)):
-            r, done = hac.goal_reward(envsim.position(t.next_state), t.goal, eps)
-            check(t.reward == r, "relabeled reward inconsistent with its goal")
+            done = hac.within(*t.next_state[:2].tolist(), *t.goal.tolist(), eps)
+            check(t.reward == (0.0 if done else -1.0),
+                  "relabeled reward inconsistent with its goal")
             check(t.discount == (0.0 if done else hac.DISCOUNT),
                   "relabeled discount inconsistent with its goal")
             check(any(np.allclose(t.goal, g) for g in achieved),

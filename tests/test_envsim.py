@@ -366,6 +366,15 @@ def test_spec_from_text_rejects_garbage():
         envsim.spec_from_text("[env]\nmystery = 3\n")
 
 
+def test_spec_from_text_rejects_a_repeated_key():
+    # only walls add up; any other key given twice is refused, not last-wins
+    base = "bounds = 0 0 10 10\nstart = 1 1 2 2\ngoal = 8 8 9 9\n"
+    for extra in ("max_steps = 100\nmax_steps = 200\n", "goal = 7 7 8 8\n",
+                  "[env]\nstart = 1 1 2 2\n"):
+        with pytest.raises(ConfigError, match="given twice"):
+            envsim.spec_from_text(base + extra)
+
+
 def test_spec_from_text_defaults_and_repeated_walls():
     spec = envsim.spec_from_text("bounds = 0 0 10 10\nstart = 1 1 2 2\ngoal = 8 8 9 9\n"
                                  "wall = 4 2 4.5 8\nwall = 6 2 6.5 8\n")

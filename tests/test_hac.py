@@ -17,21 +17,24 @@ def vec(*xs):
     return np.array(xs, dtype=float)
 
 
-# sparse goal reward -----------------------------------------------------------
+# the goal test ------------------------------------------------------------------
 
-def test_goal_reward_345_triangle():
-    achieved, goal = vec(0.0, 0.0), vec(3.0, 4.0)
-    assert hac.goal_reward(achieved, goal, 5.1) == (0.0, True)
-    assert hac.goal_reward(achieved, goal, 5.0) == (-1.0, False)  # strict
-
-
-def test_goal_reward_exact_hit():
-    assert hac.goal_reward(vec(2.0, 2.0), vec(2.0, 2.0), 1e-12) == (0.0, True)
+def test_within_345_triangle():
+    assert hac.within(0.0, 0.0, 3.0, 4.0, 5.1)
+    assert not hac.within(0.0, 0.0, 3.0, 4.0, 5.0)  # strict
 
 
-def test_goal_reward_shape_mismatch():
-    with pytest.raises(ShapeError):
-        hac.goal_reward(vec(1.0, 2.0, 3.0), vec(1.0, 2.0), 0.5)
+def test_within_exact_hit():
+    assert hac.within(2.0, 2.0, 2.0, 2.0, 1e-12)
+
+
+def test_within_uses_hypot_at_the_boundary():
+    # np.linalg.norm puts this point a last bit outside epsilon; math.hypot,
+    # which the stop rule, the subgoal test and relabeling all use through
+    # within, puts it inside
+    x, y, eps = 0.20345524067614962, 0.2623133404418495, 0.3319673531122475
+    assert hac.within(x, y, 0.0, 0.0, eps)
+    assert not np.linalg.norm([x, y]) < eps
 
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -40,12 +43,8 @@ coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 @settings(max_examples=60, deadline=None)
 @given(ax=coords, ay=coords, gx=coords, gy=coords,
        eps=st.floats(1e-6, 10, allow_nan=False))
-def test_goal_reward_matches_distance(ax, ay, gx, gy, eps):
-    reward, done = hac.goal_reward(vec(ax, ay), vec(gx, gy), eps)
-    dist = np.hypot(ax - gx, ay - gy)
-    assert done == (dist < eps)
-    assert reward == (0.0 if done else -1.0)
-    assert (reward == 0.0) == done
+def test_within_matches_distance(ax, ay, gx, gy, eps):
+    assert hac.within(ax, ay, gx, gy, eps) == (np.hypot(ax - gx, ay - gy) < eps)
 
 
 # hindsight action transitions ---------------------------------------------------
@@ -53,7 +52,7 @@ def test_goal_reward_matches_distance(ax, ay, gx, gy, eps):
 def test_hindsight_action_replaces_proposal():
     state = vec(0.0, 0.0, 0.0, 0.0)
     achieved = vec(1.0, 2.0, 0.3, 0.1)
-    t = transition(hac.hindsight_action_transition(state, achieved, vec(9.0, 9.0), 0.5))
+    t = transition(hac.hindsight_action_transition(state, achieved, vec(9.0, 9.0), False))
     assert np.allclose(t.action, [1.0, 2.0])  # what was reached
     assert t.reward == -1.0
     assert t.discount == hac.DISCOUNT
@@ -63,26 +62,30 @@ def test_hindsight_action_replaces_proposal():
 
 def test_hindsight_action_success_terminates():
     t = transition(hac.hindsight_action_transition(vec(0, 0, 0, 0), vec(8.9, 9.0, 0, 0),
-                                                   vec(9.0, 9.0), 0.5))
+                                                   vec(9.0, 9.0), True))
     assert t.reward == 0.0
     assert t.discount == 0.0
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=coords, y=coords)
-def test_hindsight_action_identity(x, y):
-    # the stored action is always the achieved position
+@given(x=coords, y=coords, reached=st.booleans())
+def test_hindsight_action_identity(x, y, reached):
+    # the stored action is always the achieved position, and the row writes
+    # the verdict it is given
     t = transition(hac.hindsight_action_transition(vec(0, 0, 0, 0), vec(x, y, 0.5, -0.5),
-                                                   vec(0.0, 0.0), 0.5))
+                                                   vec(0.0, 0.0), reached))
     assert np.array_equal(t.action, vec(x, y))
-    assert (t.reward == 0.0) == (t.discount == 0.0)
+    assert (t.reward == 0.0) == (t.discount == 0.0) == reached
 
 
 # subgoal testing ---------------------------------------------------------------
+# whether a tested subgoal was reached is the verdict the level below stopped
+# on; test_agent's test_stored_rows_follow_the_goal_test checks the rollout
+# writes a penalty row exactly for the misses
 
 def test_subgoal_test_miss_pays_horizon_penalty():
     t = transition(hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
-                                               vec(1.0, 1.0, 0, 0), horizon=10, epsilon=0.5,
+                                               vec(1.0, 1.0, 0, 0), horizon=10,
                                                goal=vec(9.0, 9.0)))
     assert t.reward == -10.0
     assert t.discount == 0.0
@@ -92,38 +95,20 @@ def test_subgoal_test_miss_pays_horizon_penalty():
 
 def test_subgoal_test_horizon_one():
     t = transition(hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
-                                               vec(0.0, 0.0, 0, 0), horizon=1, epsilon=0.5))
+                                               vec(0.0, 0.0, 0, 0), horizon=1, goal=None))
     assert t.reward == -1.0 and t.discount == 0.0
     assert t.goal is None
 
 
-def test_subgoal_test_hit_is_silent():
-    t = hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(5.0, 5.0),
-                                    vec(5.2, 4.9, 0, 0), horizon=10, epsilon=0.5)
-    assert t is None
-
-
-def test_subgoal_test_agrees_with_goal_reward_at_the_boundary():
-    # np.linalg.norm puts this point a last bit outside epsilon; math.hypot,
-    # which goal_reward uses, puts it inside: no penalty for a reached subgoal
-    achieved, eps = vec(0.20345524067614962, 0.2623133404418495, 0, 0), 0.3319673531122475
-    assert hac.goal_reward(achieved[:2], vec(0.0, 0.0), eps) == (0.0, True)
-    assert hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(0.0, 0.0), achieved,
-                                       horizon=10, epsilon=eps) is None
-
-
 @settings(max_examples=40, deadline=None)
-@given(px=coords, py=coords, x=coords, y=coords,
-       h=st.integers(1, 50), eps=st.floats(1e-3, 5.0, allow_nan=False))
-def test_subgoal_test_threshold_consistency(px, py, x, y, h, eps):
-    t = hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(px, py),
-                                    vec(x, y, 0, 0), horizon=h, epsilon=eps)
-    reached = np.hypot(x - px, y - py) < eps
-    if reached:
-        assert t is None
-    else:
-        t = transition(t)
-        assert t.reward == -float(h) and t.discount == 0.0
+@given(px=coords, py=coords, x=coords, y=coords, h=st.integers(1, 50))
+def test_subgoal_test_threshold_consistency(px, py, x, y, h):
+    # the penalty row is the same whatever the distance: the caller decides
+    t = transition(hac.subgoal_test_transition(vec(0, 0, 0, 0), vec(px, py),
+                                               vec(x, y, 0, 0), horizon=h, goal=None))
+    assert t.reward == -float(h) and t.discount == 0.0
+    assert np.array_equal(t.action, vec(px, py))
+    assert np.array_equal(t.next_state, vec(x, y, 0, 0))
 
 
 # hindsight goal relabeling -------------------------------------------------------
@@ -157,8 +142,8 @@ def test_relabel_goals_come_from_achieved_states():
     assert len(out) == 15
     for t in out:
         assert (float(t.goal[0]), float(t.goal[1])) in achieved
-        want, done = hac.goal_reward(envsim.position(t.next_state), t.goal, 0.5)
-        assert t.reward == want
+        done = hac.within(*t.next_state[:2].tolist(), *t.goal.tolist(), 0.5)
+        assert t.reward == (0.0 if done else -1.0)
         assert t.discount == (0.0 if done else hac.DISCOUNT)
 
 
@@ -181,7 +166,7 @@ def test_relabel_preserves_original_actions():
 
 
 def reference_relabel(segment, num_relabels, epsilon, rng):
-    """Row-by-row relabeling: the same goal draws, rewards from goal_reward."""
+    """Row-by-row relabeling: the same goal draws, rewards from within."""
     achieved = [envsim.position(ns) for (_, _, ns) in segment]
     goals = [achieved[-1]]
     for _ in range(num_relabels - 1):
@@ -189,8 +174,9 @@ def reference_relabel(segment, num_relabels, epsilon, rng):
     rows = []
     for g in goals:
         for (s, a, ns) in segment:
-            reward, done = hac.goal_reward(envsim.position(ns), g, epsilon)
-            rows.append(hac.pack_row(s, g, a, ns, reward, 0.0 if done else hac.DISCOUNT))
+            done = hac.within(float(ns[0]), float(ns[1]), float(g[0]), float(g[1]), epsilon)
+            rows.append(hac.pack_row(s, g, a, ns, 0.0 if done else -1.0,
+                                     0.0 if done else hac.DISCOUNT))
     return np.array(rows)
 
 
@@ -219,7 +205,7 @@ def test_exploration_transition_coupling():
     (s, a, ns), = three_steps()[:1]
 
     # the row takes the novelty model's verdict: reward 0 and terminal when new
-    model.epsilon_rnd = -1.0  # everything is new
+    model.epsilon_rnd = 0.0  # every state whose codes differ at all is new
     reward, new = rnd.exploration_reward(model, ns)
     t = transition(hac.exploration_transition(s, a, ns, new))
     assert (t.reward, t.discount, t.goal) == (reward, 0.0, None) == (0.0, 0.0, None)

@@ -75,6 +75,16 @@ def test_parse_rejects_unknown_key_and_bad_values():
         harness.parse_config_text("just some words\n")
 
 
+def test_parse_rejects_a_repeated_key():
+    # the dotted and [section] forms are one key; a repeat is refused, not
+    # silently won by the last value
+    for text in ("agent.tau = 0.5\nagent.tau = 0.7\n", "agent.tau = 0.5\n[agent]\ntau = 0.7\n",
+                 "[agent]\ntau = 0.5\n[training]\nepisodes = 3\n[agent]\ntau = 0.7\n",
+                 "env = four_rooms\nenv = spiral\n"):
+        with pytest.raises(ConfigError, match="given twice"):
+            harness.parse_config_text(text)
+
+
 def test_parse_rnd_epsilon_auto():
     cfg = harness.parse_config_text("rnd.epsilon = auto\n")
     assert cfg.rnd_epsilon == 0.0
@@ -102,7 +112,7 @@ def test_validate_rejects_bad_settings():
     spec = envsim.builtin_spec("open_field_near")
     for kw in (dict(levels=0), dict(tau=1.5), dict(horizon=0), dict(rnd_code_dim=0),
                dict(subgoal_test_rate=2.0), dict(epsilon_level=-1.0),
-               dict(rnd_epsilon=float("nan"))):
+               dict(rnd_epsilon=float("nan")), dict(rnd_epsilon=-1.0)):
         with pytest.raises(ConfigError):
             harness.build_agent(smoke_cfg(**kw), spec, np.random.default_rng(0))
 
@@ -363,15 +373,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     # agent's records refuse before anything is written
     train = ["--quiet", "train", "--env", "open_field_near", "--episodes", "1",
              "--output-dir", str(tmp_path / "y")]
-    cfg = tmp_path / "cfg.txt"
-    # ... and repeated seeds, from a flag or the config file
-    for argv, text in ((["--seed", "-1"], ""), (["--levels", "0"], ""),
-                       ([], "agent.subgoal_test_rate = 2"), ([], "agent.epsilon = -1"),
-                       ([], "rnd.epsilon = nan"), (["--seeds", "0,0"], ""),
-                       ([], "run.seeds = 0 0")):
-        cfg.write_text("run.seeds = 0\n" + text + "\n")
+    cfg, geometry = tmp_path / "cfg.txt", tmp_path / "geometry.txt"
+    geometry.write_text(envsim.spec_to_text(envsim.builtin_spec("open_field_near"))
+                        + "max_steps = 7\n")
+    # ... repeated seeds, from a flag or the config file, a key given twice in
+    # the config or the geometry file, and a negative novelty threshold; each
+    # case's config names the seed 0 unless it names the seeds itself
+    for argv, text, why in (
+            (["--seed", "-1"], "", "seeds"), (["--levels", "0"], "", "at least 1 level"),
+            ([], "agent.subgoal_test_rate = 2", "subgoal_test_rate"),
+            ([], "agent.epsilon = -1", "epsilon"), ([], "rnd.epsilon = nan", "novelty"),
+            ([], "rnd.epsilon = -1", "novelty"), (["--seeds", "0,0"], "", "distinct seeds"),
+            ([], "run.seeds = 0 0", "distinct seeds"),
+            ([], "agent.tau = 0.5\nagent.tau = 0.7", "'agent.tau' given twice"),
+            ([], "run.seeds = 1\n[run]\nseeds = 2", "'run.seeds' given twice"),
+            (["--env", str(geometry)], "", "'max_steps' given twice")):
+        cfg.write_text(("" if "seeds" in text else "run.seeds = 0\n") + text + "\n")
         assert harness.main(train + ["--config", str(cfg)] + argv) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and why in err, err
     assert not (tmp_path / "y").exists()
 
     corrupt = tmp_path / "corrupt.txt"
@@ -393,6 +413,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)), str(ckpt))
     assert harness.main(["--quiet", "eval", "--checkpoint", str(ckpt), "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+    # a snapshot whose novelty threshold is negative
+    corrupt.write_text(edit_line(ckpt.read_text(), "epsilon_rnd", "-1.0", section="rnd"))
+    assert harness.main(["--quiet", "eval", "--checkpoint", str(corrupt)]) == 3
+    assert "novelty threshold" in capsys.readouterr().err
 
 
 def test_cli_bad_input_paths_exit_2_and_write_nothing(tmp_path, capsys):

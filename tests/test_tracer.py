@@ -45,7 +45,8 @@ def test_tracer_covers_a_smoke_run(tmp_path):
     harness.run_episode = counted_run_episode
     harness.run_test_episodes = counted_run_test_episodes
     try:
-        harness.run_trial(smoke_cfg(episodes=2), 0, str(tmp_path))
+        # four episodes: goal and explore ones, so every row builder runs
+        harness.run_trial(smoke_cfg(episodes=4), 0, str(tmp_path))
     finally:
         harness.run_episode = traced_run_episode
         harness.run_test_episodes = run_test_episodes
@@ -59,8 +60,7 @@ def test_tracer_covers_a_smoke_run(tmp_path):
     for name in ("agent.update", "approx.backward_trace.critic",
                  "approx.backward_trace.actor", "approx.forward_trace.critic",
                  "approx.optimizer_step.actor", "approx.forward.single",
-                 "hac.sample_arrays", "harness.evaluate",
-                 "hac.hindsight_goal_transitions"):
+                 "harness.evaluate", *(f"hac.{fn}" for fn in tracer.TARGETS["hac"])):
         assert metrics[f"{name}.calls"][0] > 0, name
     # the counts the tracer derives at the builders' boundaries survive
     assert metrics["hac.relabel.transitions_per_step"][0] > 0
