@@ -270,51 +270,32 @@ def spiral_spec(cells: int = 7, max_steps: int = 1000) -> EnvSpec:
     ))
 
 
+_OPEN_FIELD = dict(bounds=(0.0, 0.0, 80.0, 80.0), walls=[], start_region=(39.0, 39.0, 41.0, 41.0))
+
+# Fixed, documented task geometries, by name. four_rooms: 10x10, one route
+# through 3 doorways, shortest path about 120 primitive steps. open_field:
+# 80x80, no interior walls, center to corner, about 500 steps. spiral_maze:
+# 8.75x8.75 single spiral corridor, center to outer end, about 600 steps.
+# open_field_near is a desk-scale extra: the open field arena with the goal
+# 3 units from the start.
+BUILTINS = {spec.name: validate_spec(spec) for spec in (
+    EnvSpec("four_rooms", bounds=(0.0, 0.0, 10.0, 10.0), walls=_cross_walls(),
+            start_region=(0.75, 0.75, 1.75, 1.75), task_goal_region=(8.25, 8.25, 9.25, 9.25),
+            max_primitive_steps=300),
+    EnvSpec("open_field", **_OPEN_FIELD, task_goal_region=(75.0, 75.0, 77.0, 77.0),
+            max_primitive_steps=800),
+    EnvSpec("open_field_near", **_OPEN_FIELD, task_goal_region=(42.5, 39.5, 43.5, 40.5),
+            max_primitive_steps=100),
+    spiral_spec(cells=7),
+)}
+BUILTIN_NAMES = tuple(BUILTINS)
+
+
 def builtin_spec(name: str) -> EnvSpec:
-    """Fixed, documented task geometries.
-
-    four_rooms: 10x10, one route through 3 doorways, shortest path about
-    120 primitive steps. open_field: 80x80, no interior walls, center to
-    corner, about 500 steps. spiral_maze: 8.75x8.75 single spiral corridor,
-    center to outer end, about 600 steps. open_field_near is a desk-scale
-    extra: the open field arena with the goal 3 units from the start.
-    """
-    if name == "four_rooms":
-        return validate_spec(EnvSpec(
-            name=name,
-            bounds=(0.0, 0.0, 10.0, 10.0),
-            walls=_cross_walls(),
-            start_region=(0.75, 0.75, 1.75, 1.75),
-            task_goal_region=(8.25, 8.25, 9.25, 9.25),
-            epsilon_task=0.5,
-            max_primitive_steps=300,
-        ))
-    if name == "open_field":
-        return validate_spec(EnvSpec(
-            name=name,
-            bounds=(0.0, 0.0, 80.0, 80.0),
-            walls=[],
-            start_region=(39.0, 39.0, 41.0, 41.0),
-            task_goal_region=(75.0, 75.0, 77.0, 77.0),
-            epsilon_task=0.5,
-            max_primitive_steps=800,
-        ))
-    if name == "open_field_near":
-        return validate_spec(EnvSpec(
-            name="open_field_near",
-            bounds=(0.0, 0.0, 80.0, 80.0),
-            walls=[],
-            start_region=(39.0, 39.0, 41.0, 41.0),
-            task_goal_region=(42.5, 39.5, 43.5, 40.5),
-            epsilon_task=0.5,
-            max_primitive_steps=100,
-        ))
-    if name == "spiral_maze":
-        return spiral_spec(cells=7)
-    raise ConfigError(f"unknown environment {name!r}")
-
-
-BUILTIN_NAMES = ("four_rooms", "open_field", "open_field_near", "spiral_maze")
+    """The builtin geometry called name (BUILTINS)."""
+    if name not in BUILTINS:
+        raise ConfigError(f"unknown environment {name!r}")
+    return BUILTINS[name]
 
 
 def record_visit(grid: VisitGrid, x: float, y: float) -> VisitGrid:

@@ -4,7 +4,8 @@ maps, and checkpoint files.
 Config files use the `key = value` grammar of hacx.kvtext, shared with
 geometry files and checkpoints. Keys live in dotted sections
 (`agent.levels = 3`); a `[section]` header line sets the prefix for the lines
-after it, so both spellings work. The full key list is the KEYMAP table below.
+after it, so both spellings work. Each RunConfig field below declares its
+key, and its parser follows from its default's type.
 
 Metrics are CSV with the fixed header
 episode,mean_closest_distance,success_rate,explore_fraction,novelty_new_fraction,seconds.
@@ -19,7 +20,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,33 +36,60 @@ METRICS_HEADER = ("episode,mean_closest_distance,success_rate,"
                   "explore_fraction,novelty_new_fraction,seconds")
 
 
+def _parse_bool(v: str) -> bool:
+    if v.lower() in ("1", "true", "yes", "on"):
+        return True
+    if v.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {v!r}")
+
+
+def _parse_int_tuple(v: str) -> tuple:
+    try:
+        return tuple(int(p) for p in v.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"expected integers, got {v!r}")
+
+
+# the parser of a setting's config value, by the type of its default
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_int_tuple}
+
+
+def _setting(key: str, default, parse=None):
+    """A RunConfig field that config files name key, parsed by parse or, if
+    none is given, by the parser of its default's type."""
+    return field(default=default,
+                 metadata={"key": key, "parse": parse or _PARSERS[type(default)]})
+
+
 @dataclass
 class RunConfig:
-    env: str = "four_rooms"
-    levels: int = 3
-    horizon: int = 10
-    epsilon_level: float = 0.5
-    subgoal_test_rate: float = 0.3
-    tau: float = 0.6
-    hidden: tuple = (64, 64)
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    relabels: int = 2
-    relabel_enabled: bool = True
-    rnd_code_dim: int = 16
-    rnd_epsilon: float = 0.0        # 0 = auto-calibrate
-    rnd_phase_episodes: int = 100
-    rnd_phase_gradient_steps: int = 2000
-    rnd_batch_size: int = 128
-    rnd_lr: float = 1e-3
-    episodes: int = 2000
-    batch_size: int = 128
-    rounds_per_episode: int = 40
-    test_episodes: int = 50
-    eval_every: int = 100
-    seeds: tuple = (0, 1, 2, 3, 4)
-    output_dir: str = "runs"
-    record_wall_time: bool = False
+    env: str = _setting("env", "four_rooms")
+    levels: int = _setting("agent.levels", 3)
+    horizon: int = _setting("agent.horizon", 10)
+    epsilon_level: float = _setting("agent.epsilon", 0.5)
+    subgoal_test_rate: float = _setting("agent.subgoal_test_rate", 0.3)
+    tau: float = _setting("agent.tau", 0.6)
+    hidden: tuple = _setting("agent.hidden", (64, 64))
+    actor_lr: float = _setting("agent.actor_lr", 1e-4)
+    critic_lr: float = _setting("agent.critic_lr", 1e-3)
+    relabels: int = _setting("agent.relabels", 2)
+    relabel_enabled: bool = _setting("agent.relabel_enabled", True)
+    rnd_code_dim: int = _setting("rnd.code_dim", 16)
+    rnd_epsilon: float = _setting("rnd.epsilon", 0.0,   # 0 or auto = auto-calibrate
+                                  lambda v: 0.0 if v == "auto" else float(v))
+    rnd_phase_episodes: int = _setting("rnd.phase_episodes", 100)
+    rnd_phase_gradient_steps: int = _setting("rnd.phase_gradient_steps", 2000)
+    rnd_batch_size: int = _setting("rnd.batch_size", 128)
+    rnd_lr: float = _setting("rnd.lr", 1e-3)
+    episodes: int = _setting("training.episodes", 2000)
+    batch_size: int = _setting("training.batch_size", 128)
+    rounds_per_episode: int = _setting("training.rounds_per_episode", 40)
+    test_episodes: int = _setting("eval.test_episodes", 50)
+    eval_every: int = _setting("eval.eval_every", 100)
+    seeds: tuple = _setting("run.seeds", (0, 1, 2, 3, 4))
+    output_dir: str = _setting("run.output_dir", "runs")
+    record_wall_time: bool = _setting("run.record_wall_time", False)
 
     def validate(self) -> "RunConfig":
         """Check the run's own settings; the agent's records check the agent's."""
@@ -80,49 +108,8 @@ class RunConfig:
         return self
 
 
-def _parse_bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
-
-
-def _parse_int_tuple(v: str) -> tuple:
-    try:
-        return tuple(int(p) for p in v.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"expected integers, got {v!r}")
-
-
-# config key -> (RunConfig field, parser)
-KEYMAP = {
-    "env": ("env", str),
-    "agent.levels": ("levels", int),
-    "agent.horizon": ("horizon", int),
-    "agent.epsilon": ("epsilon_level", float),
-    "agent.subgoal_test_rate": ("subgoal_test_rate", float),
-    "agent.tau": ("tau", float),
-    "agent.hidden": ("hidden", _parse_int_tuple),
-    "agent.actor_lr": ("actor_lr", float),
-    "agent.critic_lr": ("critic_lr", float),
-    "agent.relabels": ("relabels", int),
-    "agent.relabel_enabled": ("relabel_enabled", _parse_bool),
-    "rnd.code_dim": ("rnd_code_dim", int),
-    "rnd.epsilon": ("rnd_epsilon", lambda v: 0.0 if v == "auto" else float(v)),
-    "rnd.phase_episodes": ("rnd_phase_episodes", int),
-    "rnd.phase_gradient_steps": ("rnd_phase_gradient_steps", int),
-    "rnd.batch_size": ("rnd_batch_size", int),
-    "rnd.lr": ("rnd_lr", float),
-    "training.episodes": ("episodes", int),
-    "training.batch_size": ("batch_size", int),
-    "training.rounds_per_episode": ("rounds_per_episode", int),
-    "eval.test_episodes": ("test_episodes", int),
-    "eval.eval_every": ("eval_every", int),
-    "run.seeds": ("seeds", _parse_int_tuple),
-    "run.output_dir": ("output_dir", str),
-    "run.record_wall_time": ("record_wall_time", _parse_bool),
-}
+# config key -> RunConfig field
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -130,13 +117,13 @@ def parse_config_text(text: str) -> RunConfig:
     cfg, seen = RunConfig(), set()
     for section, key, val in kvtext.read_entries(text):
         full = f"{section}.{key}" if section else key
-        if full not in KEYMAP:
+        if full not in _FIELDS:
             raise ConfigError(f"unknown config key {full!r}")
         if full in seen:
             raise ConfigError(f"config key {full!r} given twice")
         seen.add(full)
-        field_name, parser = KEYMAP[full]
-        cfg = replace(cfg, **{field_name: kvtext.parse_value(full, parser, val)})
+        f = _FIELDS[full]
+        cfg = replace(cfg, **{f.name: kvtext.parse_value(full, f.metadata["parse"], val)})
     return cfg
 
 
@@ -148,7 +135,6 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_text(cfg: RunConfig) -> str:
     """Canonical echo of a config, readable back by parse_config_text."""
-    rev = {fname: key for key, (fname, _) in KEYMAP.items()}
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
@@ -158,7 +144,7 @@ def config_to_text(cfg: RunConfig) -> str:
             v = int(v)
         elif isinstance(v, float):
             v = kvtext.fmt_float(v)
-        lines.append(f"{rev[f.name]} = {v}")
+        lines.append(f"{f.metadata['key']} = {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -247,8 +233,15 @@ def read_checkpoint(path: str) -> HacxAgent:
 
 
 def write_maps(agent: HacxAgent, spec: EnvSpec, out_dir: str) -> None:
+    """The visit counts of training (visits.pgm) and the novelty map."""
     with open(os.path.join(out_dir, "visits.pgm"), "wb") as f:
         f.write(envsim.grid_to_image(agent.visits))
+    write_novelty_map(agent, spec, out_dir)
+
+
+def write_novelty_map(agent: HacxAgent, spec: EnvSpec, out_dir: str) -> None:
+    """The cells of spec's bounds the novelty model finds new, as novelty.pgm
+    and novelty.txt."""
     flags = rnd.novelty_map(agent.novelty, spec.bounds)
     with open(os.path.join(out_dir, "novelty.pgm"), "wb") as f:
         f.write(envsim.bool_grid_to_image(flags))
@@ -341,41 +334,46 @@ def run_trials(cfg: RunConfig, out_root: str = None) -> str:
 # CLI
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """Each flag but --config and --seed stores into the RunConfig field of its dest."""
     p.add_argument("--config", help="config file path")
     p.add_argument("--env", help="builtin name or geometry file")
     p.add_argument("--levels", type=int)
     p.add_argument("--episodes", type=int)
     p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int, help="single seed (overrides --seeds)")
+    p.add_argument("--seed", type=int, help="a single seed; not with --seeds")
     p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--rounds", type=int, help="gradient rounds per episode")
+    p.add_argument("--rounds", type=int, dest="rounds_per_episode", metavar="ROUNDS",
+                   help="gradient rounds per episode")
     p.add_argument("--eval-every", type=int)
     p.add_argument("--test-episodes", type=int)
     p.add_argument("--output-dir")
 
 
-def _cfg_from_args(args) -> RunConfig:
+# the paper's baseline arms: the settings each preset fixes
+BASELINES = {"hac": dict(tau=0.0), "rnd": dict(levels=1), "hacx": {}}
+
+
+def _cfg_from_args(args, preset: dict) -> RunConfig:
+    """The config file's settings, or the defaults, under each flag given,
+    HACX_OUTPUT_DIR and the preset. --seeds is parsed here, not by argparse,
+    so that a bad list is a config error (exit 2)."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    for flag, fname in (("env", "env"), ("levels", "levels"),
-                        ("episodes", "episodes"), ("tau", "tau"),
-                        ("rounds", "rounds_per_episode"),
-                        ("eval_every", "eval_every"),
-                        ("test_episodes", "test_episodes"),
-                        ("output_dir", "output_dir")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            cfg = replace(cfg, **{fname: v})
-    if getattr(args, "seeds", None):
-        cfg = replace(cfg, seeds=_parse_int_tuple(args.seeds))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
+    given = {f.name: getattr(args, f.name) for f in fields(cfg)
+             if getattr(args, f.name, None) is not None}
+    if "seeds" in given:
+        given["seeds"] = _parse_int_tuple(given["seeds"])
+    if args.seed is not None:
+        if "seeds" in given:
+            raise ConfigError("give --seed or --seeds, not both")
+        given["seeds"] = (args.seed,)
+    for name, value in preset.items():
+        if given.get(name, value) != value:
+            raise ConfigError(f"baseline {args.preset} sets {name} = {value}, "
+                              f"but a flag gives {name} = {given[name]}")
     env_dir = os.environ.get("HACX_OUTPUT_DIR")
     if env_dir:
-        cfg = replace(cfg, output_dir=env_dir)
-    return cfg.validate()
-
-
-BASELINES = {"hac": dict(tau=0.0), "rnd": dict(levels=1), "hacx": {}}
+        given["output_dir"] = env_dir
+    return replace(cfg, **{**given, **preset}).validate()
 
 
 def main(argv=None) -> int:
@@ -400,7 +398,7 @@ def main(argv=None) -> int:
     p_eval.add_argument("--test-episodes", type=int, default=RunConfig.test_episodes)
     p_eval.add_argument("--seed", type=int, default=0)
 
-    p_map = sub.add_parser("map", help="emit novelty/visitation maps for a checkpoint")
+    p_map = sub.add_parser("map", help="emit the novelty map of a checkpoint")
     p_map.add_argument("--checkpoint", required=True)
     p_map.add_argument("--env", help="override the environment the checkpoint holds")
     p_map.add_argument("--output-dir", default=".")
@@ -410,9 +408,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command in ("train", "baseline"):
-            cfg = _cfg_from_args(args)
-            if args.command == "baseline":
-                cfg = replace(cfg, **BASELINES[args.preset]).validate()
+            cfg = _cfg_from_args(args, BASELINES[args.preset] if args.command == "baseline"
+                                 else {})
             agg = run_trials(cfg)
             print(f"aggregate written to {agg}")
         else:   # eval or map, on the geometry the checkpoint holds unless --env names one
@@ -429,9 +426,10 @@ def main(argv=None) -> int:
                 mcd, sr = evaluate(agent, spec, args.test_episodes, rng)
                 print(f"mean_closest_distance={mcd!r} success_rate={sr!r}")
             else:
+                # a checkpoint holds no visit counts, so no visits.pgm
                 os.makedirs(args.output_dir, exist_ok=True)
-                write_maps(agent, spec, args.output_dir)
-                print(f"maps written to {args.output_dir}")
+                write_novelty_map(agent, spec, args.output_dir)
+                print(f"novelty map written to {args.output_dir}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

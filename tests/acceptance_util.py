@@ -57,8 +57,8 @@ def crit6_configs() -> dict:
     base = _crit6_base()
     return {
         "crit6_hacx": base.validate(),
-        "crit6_hac": replace(base, tau=0.0).validate(),
-        "crit6_rnd": replace(base, levels=1).validate(),
+        "crit6_hac": replace(base, **harness.BASELINES["hac"]).validate(),
+        "crit6_rnd": replace(base, **harness.BASELINES["rnd"]).validate(),
     }
 
 
@@ -75,7 +75,7 @@ def crit7_configs() -> dict:
     base = _crit7_base()
     return {
         "crit7_hacx": base.validate(),
-        "crit7_hac": replace(base, tau=0.0).validate(),
+        "crit7_hac": replace(base, **harness.BASELINES["hac"]).validate(),
     }
 
 

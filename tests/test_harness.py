@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hacx.errors import CheckpointError, ConfigError, TrainingError
 
 from helpers import drop_values, edit_line
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
 
 SMOKE = """
 env = open_field_near
@@ -98,6 +99,15 @@ def test_config_round_trip():
     back = harness.parse_config_text(text)
     assert back == cfg
     assert harness.config_to_text(back) == text
+
+
+def test_readme_lists_every_config_key():
+    # the first column of the README's key table names each RunConfig key once
+    readme = open(os.path.join(ROOT, "README.md")).read()
+    table = readme.split("| key | meaning |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = [key for row in table.splitlines()
+              for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(f.metadata["key"] for f in fields(harness.RunConfig))
 
 
 def test_validate_rejects_bad_settings():
@@ -354,7 +364,8 @@ def test_cli_train_eval_map_loop(tmp_path, capsys):
                          "--output-dir", map_dir])
     assert code == 0
     capsys.readouterr()
-    assert os.path.exists(os.path.join(map_dir, "novelty.pgm"))
+    # a checkpoint holds no visit counts, so map writes no visits.pgm
+    assert sorted(os.listdir(map_dir)) == ["novelty.pgm", "novelty.txt"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -387,7 +398,8 @@ def test_cli_exit_codes(tmp_path, capsys):
             ([], "run.seeds = 0 0", "distinct seeds"),
             ([], "agent.tau = 0.5\nagent.tau = 0.7", "'agent.tau' given twice"),
             ([], "run.seeds = 1\n[run]\nseeds = 2", "'run.seeds' given twice"),
-            (["--env", str(geometry)], "", "'max_steps' given twice")):
+            (["--env", str(geometry)], "", "'max_steps' given twice"),
+            (["--seeds", "0,1", "--seed", "5"], "", "--seed or --seeds")):
         cfg.write_text(("" if "seeds" in text else "run.seeds = 0\n") + text + "\n")
         assert harness.main(train + ["--config", str(cfg)] + argv) == 2
         err = capsys.readouterr().err
@@ -610,24 +622,27 @@ def test_cli_training_failure_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_baseline_presets(tmp_path, capsys):
-    out = str(tmp_path / "base")
-    code = harness.main(["--quiet", "baseline", "hac", "--env", "open_field_near",
-                         "--episodes", "1", "--seed", "0", "--rounds", "0",
-                         "--eval-every", "1", "--test-episodes", "1",
-                         "--output-dir", out])
-    assert code == 0
-    capsys.readouterr()
-    echoed = harness.load_config(os.path.join(out, "config.txt"))
-    assert echoed.tau == 0.0
-
-    out2 = str(tmp_path / "base2")
-    code = harness.main(["--quiet", "baseline", "rnd", "--env", "open_field_near",
-                         "--episodes", "1", "--seed", "0", "--rounds", "0",
-                         "--eval-every", "1", "--test-episodes", "1",
-                         "--output-dir", out2])
-    assert code == 0
-    capsys.readouterr()
-    assert harness.load_config(os.path.join(out2, "config.txt")).levels == 1
+    # a preset's settings override the config file's; a flag may repeat one
+    # of them, but not give it another value
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("agent.tau = 0.5\nagent.levels = 2\n")
+    flags = ["--config", str(cfg), "--env", "open_field_near", "--episodes", "1", "--seed",
+             "0", "--rounds", "0", "--eval-every", "1", "--test-episodes", "1"]
+    for preset, argv, want in (("hac", [], (0.0, 2)), ("rnd", ["--levels", "1"], (0.5, 1))):
+        out = str(tmp_path / preset)
+        assert harness.main(["--quiet", "baseline", preset, *flags, *argv,
+                             "--output-dir", out]) == 0
+        capsys.readouterr()
+        echoed = harness.load_config(os.path.join(out, "config.txt"))
+        assert (echoed.tau, echoed.levels) == want
+    for preset, argv, why in (("rnd", ["--levels", "3"], "baseline rnd sets levels = 1"),
+                              ("hac", ["--tau", "0.5"], "baseline hac sets tau = 0.0")):
+        out = tmp_path / "clash"
+        assert harness.main(["--quiet", "baseline", preset, *flags, *argv,
+                             "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and why in err, err
+        assert not out.exists()
 
 
 def test_cli_output_dir_env_var(tmp_path, monkeypatch, capsys):
