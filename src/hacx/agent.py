@@ -47,13 +47,13 @@ import numpy as np
 
 from . import approx, envsim, rnd
 from .approx import Network, Optimizer
-from .envsim import EnvSpec, VisitGrid
+from .envsim import MAP_RESOLUTION, EnvSpec
 from .errors import CheckpointError, ConfigError, TrainingError
 from .hac import (DISCOUNT, GOAL_DIM, STATE_DIM, ReplayBuffer, buffer_push, columns,
                   exploration_transition, hindsight_action_transition,
                   hindsight_goal_transitions, pack_row, sample_arrays, subgoal_test_transition,
                   within)
-from .kvtext import fmt_float, fmt_vector, read_entries, read_vector
+from .kvtext import FLOAT, INT, INTS, fmt_vector, read_entries, read_vector
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +110,8 @@ class HacxAgent:
     epsilon: float
     subgoal_test_rate: float
     num_relabels: int
-    visits: VisitGrid = field(init=False, repr=False, compare=False)
+    # training's visit counts over spec.bounds (envsim.record_visit)
+    visits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.k >= 1 and 0.0 <= self.tau <= 1.0 and self.horizon >= 1
@@ -121,7 +122,7 @@ class HacxAgent:
                 "> 0, subgoal_test_rate in [0, 1] and num_relabels >= 0; got k, tau, horizon, "
                 f"epsilon, subgoal_test_rate, num_relabels = {self.k}, {self.tau}, "
                 f"{self.horizon}, {self.epsilon}, {self.subgoal_test_rate}, {self.num_relabels}")
-        self.visits = VisitGrid(self.spec.bounds)
+        self.visits = np.zeros((MAP_RESOLUTION, MAP_RESOLUTION), dtype=np.int64)
 
     @property
     def k(self) -> int:
@@ -247,7 +248,7 @@ def _env_step(agent: HacxAgent, ep: Episode, action, train: bool):
     x, y, _, _ = s.tolist()
     if train:
         rnd.observe(agent.novelty, s)
-        envsim.record_visit(agent.visits, x, y)
+        envsim.record_visit(agent.visits, agent.spec.bounds, x, y)
     hit = ep.at_task_goal(x, y)
     ep.success = ep.success or hit
     ep.done = (len(ep.primitive_states) > ep.spec.max_primitive_steps
@@ -336,7 +337,7 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
 
     if train and agent.num_relabels > 0:
         for p, segments in zip(agent.levels, ep.segments):
-            for seg in filter(None, segments):
+            for seg in segments:
                 rows = hindsight_goal_transitions(np.array(seg), agent.num_relabels,
                                                   agent.epsilon, rng)
                 buffer_push(p.buffer, rows)
@@ -465,28 +466,22 @@ def update(agent: HacxAgent, rounds: int, batch_size: int,
 MAGIC = "HACX5"
 
 
-def _widths(v: str) -> tuple:
-    return tuple(int(w) for w in v.split())
-
-
-_WRITERS = {int: str, float: fmt_float, _widths: lambda v: " ".join(map(str, v))}
-
-# (section, key): (make_agent keyword, parser, the agent's value). Every
+# (section, key): (make_agent keyword, kvtext kind, the agent's value). Every
 # network of a level and of the explore policy has the same hidden widths,
 # every actor (critic) optimizer the same step size.
 _SETTINGS = {
-    ("agent", "k"): ("k", int, lambda a: a.k),
-    ("agent", "tau"): ("tau", float, lambda a: a.tau),
-    ("agent", "horizon"): ("horizon", int, lambda a: a.horizon),
-    ("agent", "epsilon"): ("epsilon_level", float, lambda a: a.epsilon),
-    ("agent", "subgoal_test_rate"): ("subgoal_test_rate", float, lambda a: a.subgoal_test_rate),
-    ("agent", "num_relabels"): ("num_relabels", int, lambda a: a.num_relabels),
-    ("agent", "hidden"): ("hidden", _widths, lambda a: a.levels[0].actor.layer_sizes[1:-1]),
-    ("agent", "actor_lr"): ("actor_lr", float, lambda a: a.levels[0].actor_opt.learning_rate),
-    ("agent", "critic_lr"): ("critic_lr", float, lambda a: a.levels[0].critic_opt.learning_rate),
-    ("rnd", "epsilon_rnd"): ("rnd_epsilon", float, lambda a: a.novelty.epsilon_rnd),
-    ("rnd", "code_dim"): ("rnd_code_dim", int, lambda a: a.novelty.target.output_dim),
-    ("rnd", "lr"): ("rnd_lr", float, lambda a: a.novelty.predictor_opt.learning_rate),
+    ("agent", "k"): ("k", INT, lambda a: a.k),
+    ("agent", "tau"): ("tau", FLOAT, lambda a: a.tau),
+    ("agent", "horizon"): ("horizon", INT, lambda a: a.horizon),
+    ("agent", "epsilon"): ("epsilon_level", FLOAT, lambda a: a.epsilon),
+    ("agent", "subgoal_test_rate"): ("subgoal_test_rate", FLOAT, lambda a: a.subgoal_test_rate),
+    ("agent", "num_relabels"): ("num_relabels", INT, lambda a: a.num_relabels),
+    ("agent", "hidden"): ("hidden", INTS, lambda a: a.levels[0].actor.layer_sizes[1:-1]),
+    ("agent", "actor_lr"): ("actor_lr", FLOAT, lambda a: a.levels[0].actor_opt.learning_rate),
+    ("agent", "critic_lr"): ("critic_lr", FLOAT, lambda a: a.levels[0].critic_opt.learning_rate),
+    ("rnd", "epsilon_rnd"): ("rnd_epsilon", FLOAT, lambda a: a.novelty.epsilon_rnd),
+    ("rnd", "code_dim"): ("rnd_code_dim", INT, lambda a: a.novelty.target.output_dim),
+    ("rnd", "lr"): ("rnd_lr", FLOAT, lambda a: a.novelty.predictor_opt.learning_rate),
 }
 
 
@@ -520,8 +515,8 @@ def policy_snapshot(agent: HacxAgent) -> str:
                                  f"but the snapshot writes level 0's, {hidden} and {lr}")
 
     def settings(section):
-        return [f"[{section}]"] + [f"{key} = {_WRITERS[parse](value(agent))}"
-                                   for (sec, key), (_, parse, value) in _SETTINGS.items()
+        return [f"[{section}]"] + [f"{key} = {kind.write(value(agent))}"
+                                   for (sec, key), (_, kind, value) in _SETTINGS.items()
                                    if sec == section]
 
     lines = [MAGIC, *settings("agent"), *envsim.spec_to_text(agent.spec).splitlines(),
@@ -566,14 +561,14 @@ def restore(snapshot: str) -> HacxAgent:
     counts come back empty. Malformed or out-of-range content raises
     CheckpointError, and so does a key that no record of an agent of the
     written k reads."""
-    def take(section: str, key: str, parse=str):
-        """The parsed value of key, which is then no longer left to read."""
+    def take(section: str, key: str, read):
+        """The value of key, read by read, which is then no longer left to read."""
         if section not in sections:
             raise CheckpointError(f"missing section [{section}]")
         if key not in sections[section]:
             raise CheckpointError(f"[{section}]: missing {key!r}")
         try:
-            return parse(sections[section].pop(key))
+            return read(sections[section].pop(key))
         except ValueError as e:
             raise CheckpointError(f"[{section}] {key} {e}") from e
 
@@ -581,8 +576,8 @@ def restore(snapshot: str) -> HacxAgent:
         sections, geometry = _sections(snapshot)
         sections.pop("env", None)
         spec = envsim.spec_from_entries(geometry)
-        kw = {name: take(section, key, parse)
-              for (section, key), (name, parse, _) in _SETTINGS.items()}
+        kw = {name: take(section, key, kind.read)
+              for (section, key), (name, kind, _) in _SETTINGS.items()}
         # make_agent allocates the networks the settings ask for, so settings
         # whose networks need more values than this text holds (2 characters
         # a value at least; base64 float64 takes 10 2/3) are refused before
@@ -603,11 +598,12 @@ def restore(snapshot: str) -> HacxAgent:
                     m = v = None
                     if {"m", "v"} & sections[section].keys():
                         m, v = take(section, "m", floats), take(section, "v", floats)
+                    steps = take(section, "steps", INT.read)
                     setattr(record, opt_field, replace(getattr(record, opt_field), m=m, v=v,
-                                                       step_count=take(section, "steps", int)))
+                                                       step_count=steps))
             except ValueError as e:
                 raise CheckpointError(f"[{section}] {e}") from e
-        agent.novelty = replace(agent.novelty, phase_index=take("rnd", "phase_index", int))
+        agent.novelty = replace(agent.novelty, phase_index=take("rnd", "phase_index", INT.read))
     except ValueError as e:     # ConfigError is a ValueError
         raise CheckpointError(f"malformed snapshot: {e}") from e
     unread = [f"[{section}] {' '.join(values)}" for section, values in sections.items() if values]

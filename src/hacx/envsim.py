@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .kvtext import fmt_float, fmt_floats, parse_value, read_entries, read_file
+from .kvtext import FLOAT, INT, RECT, STR, parse_value, read_entries, read_file
 
 Rect = tuple[float, float, float, float]
 
@@ -57,18 +57,6 @@ class EnvSpec:
                 per_side += [[w[side] for w in ws], [(w[1 - axis], w[3 - axis]) for w in ws]]
             out.append(tuple(per_side))
         return tuple(out)
-
-
-@dataclass
-class VisitGrid:
-    """Counts of recorded states on a MAP_RESOLUTION x MAP_RESOLUTION grid
-    over bounds; counts[ix, iy] with ix along x and iy along y."""
-
-    bounds: Rect
-    counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.counts = np.zeros((MAP_RESOLUTION, MAP_RESOLUTION), dtype=np.int64)
 
 
 def rect_valid(r: Rect) -> bool:
@@ -116,6 +104,12 @@ def validate_spec(spec: EnvSpec) -> EnvSpec:
                                           spec.action_bounds, spec.max_primitive_steps)):
         raise ConfigError("epsilon_task, dt, max_speed, action_bounds, "
                           "max_primitive_steps must all be positive and finite")
+    # env_step's velocity before the speed cap, at most m per axis, must stay
+    # finite, or the cap scales an infinite speed by 0 into NaN
+    m = spec.max_speed + spec.action_bounds * spec.dt
+    if not math.isfinite(math.hypot(m, m)):
+        raise ConfigError(f"max_speed + action_bounds * dt = {m!r} is too large: "
+                          "a step's velocity would overflow")
     return spec
 
 
@@ -298,16 +292,17 @@ def builtin_spec(name: str) -> EnvSpec:
     return BUILTINS[name]
 
 
-def record_visit(grid: VisitGrid, x: float, y: float) -> VisitGrid:
-    """Increment the count of the cell containing the position (x, y)."""
-    x0, y0, x1, y1 = grid.bounds
+def record_visit(counts: np.ndarray, bounds: Rect, x: float, y: float) -> None:
+    """Increment the count of the cell of a MAP_RESOLUTION x MAP_RESOLUTION
+    grid over bounds that contains the position (x, y); counts[ix, iy] has
+    ix along x and iy along y."""
+    x0, y0, x1, y1 = bounds
     if not (x0 <= x <= x1 and y0 <= y <= y1):
-        raise ValueError(f"position ({x}, {y}) outside bounds {grid.bounds}; physics bug?")
+        raise ValueError(f"position ({x}, {y}) outside bounds {bounds}; physics bug?")
     res = MAP_RESOLUTION
     ix = min(int((x - x0) / (x1 - x0) * res), res - 1)
     iy = min(int((y - y0) / (y1 - y0) * res), res - 1)
-    grid.counts[ix, iy] += 1
-    return grid
+    counts[ix, iy] += 1
 
 
 def _p5(px: np.ndarray) -> bytes:
@@ -317,9 +312,8 @@ def _p5(px: np.ndarray) -> bytes:
     return f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii") + img.tobytes()
 
 
-def grid_to_image(grid: VisitGrid) -> bytes:
-    """Render counts as a P5 graymap, log-scaled to 0..255."""
-    c = grid.counts
+def grid_to_image(c: np.ndarray) -> bytes:
+    """Render visit counts as a P5 graymap, log-scaled to 0..255."""
     mx = c.max()
     if mx > 0:
         px = np.rint(np.log1p(c) / np.log1p(mx) * 255.0).astype(np.uint8)
@@ -339,34 +333,27 @@ def bool_grid_to_text(flags: np.ndarray) -> str:
     return "\n".join("".join("1" if v else "0" for v in row) for row in img) + "\n"
 
 
-def _parse_rect(v: str) -> Rect:
-    rect = tuple(float(p) for p in v.split())
-    if len(rect) != 4:
-        raise ValueError("a rectangle needs 4 numbers")
-    return rect
-
-
-# geometry key -> (EnvSpec field, parser, writer), in file order
+# geometry key -> (EnvSpec field, kvtext kind), in file order
 GEOMETRY_KEYS = {
-    "name": ("name", str, str),
-    "bounds": ("bounds", _parse_rect, fmt_floats),
-    "start": ("start_region", _parse_rect, fmt_floats),
-    "goal": ("task_goal_region", _parse_rect, fmt_floats),
-    "epsilon": ("epsilon_task", float, fmt_float),
-    "max_steps": ("max_primitive_steps", int, str),
-    "action_bounds": ("action_bounds", float, fmt_float),
-    "dt": ("dt", float, fmt_float),
-    "max_speed": ("max_speed", float, fmt_float),
-    "wall": ("walls", _parse_rect, fmt_floats),
+    "name": ("name", STR),
+    "bounds": ("bounds", RECT),
+    "start": ("start_region", RECT),
+    "goal": ("task_goal_region", RECT),
+    "epsilon": ("epsilon_task", FLOAT),
+    "max_steps": ("max_primitive_steps", INT),
+    "action_bounds": ("action_bounds", FLOAT),
+    "dt": ("dt", FLOAT),
+    "max_speed": ("max_speed", FLOAT),
+    "wall": ("walls", RECT),
 }
 
 
 def spec_to_text(spec: EnvSpec) -> str:
     """Serialize geometry as plain key = value text (one wall per line)."""
     lines = ["[env]"]
-    for key, (field_name, _, write) in GEOMETRY_KEYS.items():
+    for key, (field_name, kind) in GEOMETRY_KEYS.items():
         values = spec.walls if key == "wall" else [getattr(spec, field_name)]
-        lines += [f"{key} = {write(v)}" for v in values]
+        lines += [f"{key} = {kind.write(v)}" for v in values]
     return "\n".join(lines) + "\n"
 
 
@@ -383,8 +370,8 @@ def spec_from_entries(entries) -> EnvSpec:
     for _, key, val in entries:
         if key not in GEOMETRY_KEYS:
             raise ConfigError(f"unknown geometry key {key!r}")
-        field_name, parser, _ = GEOMETRY_KEYS[key]
-        value = parse_value(key, parser, val)
+        field_name, kind = GEOMETRY_KEYS[key]
+        value = parse_value(key, kind.read, val)
         if key == "wall":
             kw["walls"].append(value)
         elif field_name in kw:

@@ -5,7 +5,7 @@ Config files use the `key = value` grammar of hacx.kvtext, shared with
 geometry files and checkpoints. Keys live in dotted sections
 (`agent.levels = 3`); a `[section]` header line sets the prefix for the lines
 after it, so both spellings work. Each RunConfig field below declares its
-key, and its parser follows from its default's type.
+key, and its kind of value (kvtext) follows from its default's type.
 
 Metrics are CSV with the fixed header
 episode,mean_closest_distance,success_rate,explore_fraction,novelty_new_fraction,seconds.
@@ -36,30 +36,12 @@ METRICS_HEADER = ("episode,mean_closest_distance,success_rate,"
                   "explore_fraction,novelty_new_fraction,seconds")
 
 
-def _parse_bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
-
-
-def _parse_int_tuple(v: str) -> tuple:
-    try:
-        return tuple(int(p) for p in v.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"expected integers, got {v!r}")
-
-
-# the parser of a setting's config value, by the type of its default
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_int_tuple}
-
-
-def _setting(key: str, default, parse=None):
-    """A RunConfig field that config files name key, parsed by parse or, if
-    none is given, by the parser of its default's type."""
+def _setting(key: str, default, read=None):
+    """A RunConfig field that config files name key, of the kvtext kind of
+    its default's type; read, if given, replaces that kind's reader."""
+    kind = kvtext.KIND_OF[type(default)]
     return field(default=default,
-                 metadata={"key": key, "parse": parse or _PARSERS[type(default)]})
+                 metadata={"key": key, "kind": kind._replace(read=read) if read else kind})
 
 
 @dataclass
@@ -123,7 +105,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"config key {full!r} given twice")
         seen.add(full)
         f = _FIELDS[full]
-        cfg = replace(cfg, **{f.name: kvtext.parse_value(full, f.metadata["parse"], val)})
+        cfg = replace(cfg, **{f.name: kvtext.parse_value(full, f.metadata["kind"].read, val)})
     return cfg
 
 
@@ -135,17 +117,8 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_text(cfg: RunConfig) -> str:
     """Canonical echo of a config, readable back by parse_config_text."""
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = " ".join(str(x) for x in v)
-        elif isinstance(v, bool):
-            v = int(v)
-        elif isinstance(v, float):
-            v = kvtext.fmt_float(v)
-        lines.append(f"{f.metadata['key']} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.metadata['key']} = {f.metadata['kind'].write(getattr(cfg, f.name))}\n"
+                   for f in fields(cfg))
 
 
 def build_agent(cfg: RunConfig, spec: EnvSpec, rng: np.random.Generator) -> HacxAgent:
@@ -354,14 +327,15 @@ BASELINES = {"hac": dict(tau=0.0), "rnd": dict(levels=1), "hacx": {}}
 
 
 def _cfg_from_args(args, preset: dict) -> RunConfig:
-    """The config file's settings, or the defaults, under each flag given,
-    HACX_OUTPUT_DIR and the preset. --seeds is parsed here, not by argparse,
+    """The config file's settings, or the defaults, under HACX_OUTPUT_DIR,
+    each flag given and the preset: --output-dir wins over HACX_OUTPUT_DIR,
+    which wins over run.output_dir. --seeds is parsed here, not by argparse,
     so that a bad list is a config error (exit 2)."""
     cfg = load_config(args.config) if args.config else RunConfig()
     given = {f.name: getattr(args, f.name) for f in fields(cfg)
              if getattr(args, f.name, None) is not None}
     if "seeds" in given:
-        given["seeds"] = _parse_int_tuple(given["seeds"])
+        given["seeds"] = kvtext.parse_value("--seeds", kvtext.INTS.read, given["seeds"])
     if args.seed is not None:
         if "seeds" in given:
             raise ConfigError("give --seed or --seeds, not both")
@@ -372,7 +346,7 @@ def _cfg_from_args(args, preset: dict) -> RunConfig:
                               f"but a flag gives {name} = {given[name]}")
     env_dir = os.environ.get("HACX_OUTPUT_DIR")
     if env_dir:
-        given["output_dir"] = env_dir
+        given.setdefault("output_dir", env_dir)
     return replace(cfg, **{**given, **preset}).validate()
 
 

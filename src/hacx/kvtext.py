@@ -3,16 +3,23 @@ snapshots: one entry per line, split at the first `=` and stripped; `#`
 starts a comment; blank lines are skipped; a `[name]` line opens a section
 holding the entries below it. read_entries keeps a repeated key, and every
 reader refuses one but a geometry's wall (a config's dotted key and its
-[section] form are one key). A single float, and the few floats of a
-geometry's rectangles, are written with `repr`, which reads back to the same
-float. A long float vector (a snapshot's learned parameters and Adam
-moments) is written as one base64 string of its little-endian float64 bytes,
-which reads back to the same bits, -0.0 and NaN payloads included, and
-writes and reads many times faster than `repr` text.
+[section] form are one key).
+
+A setting's value is one of six kinds, each one reader and one writer, and
+every reader raises ValueError on text that spells no value of its kind:
+INT (an int), FLOAT (a float, written with `repr`, which reads back to the
+same float), STR (the text itself), BOOL (reads 1/true/yes/on and
+0/false/no/off in any case, writes 1 or 0), INTS (integers separated by
+spaces or commas, written space-separated) and RECT (exactly 4 floats,
+written with `repr`, space-separated). A long float vector (a snapshot's
+learned parameters and Adam moments) is written as one base64 string of its
+little-endian float64 bytes, which reads back to the same bits, -0.0 and NaN
+payloads included, and writes and reads many times faster than `repr` text.
 """
 
 import base64
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,11 +56,12 @@ def read_file(path: str, what: str) -> str:
         raise ConfigError(f"{what} {path} is not UTF-8 text: {e}") from e
 
 
-def parse_value(key: str, parser, value: str):
-    """parser(value); a value it rejects raises ConfigError naming key."""
+def parse_value(key: str, read, value: str):
+    """read(value), read being a kind's reader or one like it; a value it
+    rejects with ValueError raises ConfigError naming key."""
     try:
-        return parser(value)
-    except (ValueError, TypeError) as e:
+        return read(value)
+    except ValueError as e:
         raise ConfigError(f"bad value for {key}: {value!r} ({e})")
 
 
@@ -64,6 +72,39 @@ def fmt_float(x) -> str:
 def fmt_floats(v) -> str:
     """The floats of an array of any shape, flattened, space-separated."""
     return " ".join(map(repr, np.asarray(v, dtype=float).ravel().tolist()))
+
+
+def _read_bool(v: str) -> bool:
+    if v.lower() in ("1", "true", "yes", "on"):
+        return True
+    if v.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {v!r}")
+
+
+def _read_rect(v: str) -> tuple:
+    rect = tuple(float(p) for p in v.split())
+    if len(rect) != 4:
+        raise ValueError("a rectangle needs 4 numbers")
+    return rect
+
+
+class Kind(NamedTuple):
+    """How one kind of setting value is read from text and written to it."""
+    read: Callable[[str], object]
+    write: Callable[[object], str]
+
+
+INT = Kind(int, str)
+FLOAT = Kind(float, fmt_float)
+STR = Kind(str, str)
+BOOL = Kind(_read_bool, lambda b: str(int(b)))
+INTS = Kind(lambda v: tuple(int(p) for p in v.replace(",", " ").split()),
+            lambda v: " ".join(map(str, v)))
+RECT = Kind(_read_rect, fmt_floats)
+
+# the kind of a setting, by the type of its default
+KIND_OF = {int: INT, float: FLOAT, str: STR, bool: BOOL, tuple: INTS}
 
 
 def fmt_vector(v) -> str:

@@ -187,7 +187,7 @@ def test_test_mode_writes_nothing_and_uses_goal_policy():
     assert all(p.buffer.count == 0 for p in ag.levels)
     assert ag.explore_top.buffer.count == 0
     assert ag.novelty.visited.count == 0
-    assert ag.visits.counts.sum() == 0
+    assert ag.visits.sum() == 0
     assert agent.policy_snapshot(ag) == snap_before
     positions = np.array(rec.primitive_states)[:, :2]
     dists = np.linalg.norm(positions - positions[-1], axis=1)
@@ -419,7 +419,7 @@ def test_novelty_and_visits_written_during_training():
     rec = agent.run_episode(ag, spec, "train", np.random.default_rng(1))
     steps = len(rec.primitive_states) - 1
     assert ag.novelty.visited.count == steps
-    assert ag.visits.counts.sum() == steps
+    assert ag.visits.sum() == steps
 
 
 # updates -------------------------------------------------------------------------
@@ -538,7 +538,7 @@ def _assert_restores_the_same_agent(ag, snap):
     assert all(p.buffer.count == 0 for p in back.levels)
     assert back.explore_top.buffer.count == 0
     assert back.novelty.visited.count == 0
-    assert back.visits.counts.sum() == 0
+    assert back.visits.sum() == 0
     # canonical form: snapshotting the restored agent reproduces the text
     assert agent.policy_snapshot(back) == snap
 

@@ -297,21 +297,21 @@ def test_four_rooms_blocks_straight_line():
 
 def test_record_visit_counts_and_bounds():
     # 64 cells per side over 10 units: a cell is 0.15625 wide
-    grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0))
-    envsim.record_visit(grid, 0.1, 0.1)
-    envsim.record_visit(grid, 0.15, 0.15)
-    envsim.record_visit(grid, 10.0, 10.0)  # edge clamps into last cell
-    assert grid.counts[0, 0] == 2
-    assert grid.counts[63, 63] == 1
-    assert grid.counts.sum() == 3
+    counts, bounds = np.zeros((64, 64), dtype=np.int64), (0.0, 0.0, 10.0, 10.0)
+    envsim.record_visit(counts, bounds, 0.1, 0.1)
+    envsim.record_visit(counts, bounds, 0.15, 0.15)
+    envsim.record_visit(counts, bounds, 10.0, 10.0)  # edge clamps into last cell
+    assert counts[0, 0] == 2
+    assert counts[63, 63] == 1
+    assert counts.sum() == 3
     with pytest.raises(ValueError):
-        envsim.record_visit(grid, 10.5, 1.0)
+        envsim.record_visit(counts, bounds, 10.5, 1.0)
 
 
 def test_grid_to_image_format_and_orientation():
-    grid = envsim.VisitGrid((0.0, 0.0, 10.0, 10.0))
-    envsim.record_visit(grid, 9.9, 9.9)  # top-right corner
-    img = envsim.grid_to_image(grid)
+    counts = np.zeros((64, 64), dtype=np.int64)
+    envsim.record_visit(counts, (0.0, 0.0, 10.0, 10.0), 9.9, 9.9)  # top-right corner
+    img = envsim.grid_to_image(counts)
     assert img.startswith(b"P5\n64 64\n255\n")
     pixels = np.frombuffer(img[len(b"P5\n64 64\n255\n"):], dtype=np.uint8).reshape(64, 64)
     assert pixels[0, 63] == 255  # first row is the highest y band
@@ -319,8 +319,7 @@ def test_grid_to_image_format_and_orientation():
 
 
 def test_grid_to_image_empty_is_black():
-    grid = envsim.VisitGrid((0.0, 0.0, 1.0, 1.0))
-    img = envsim.grid_to_image(grid)
+    img = envsim.grid_to_image(np.zeros((64, 64), dtype=np.int64))
     body = img.split(b"\n", 3)[3]
     assert set(body) == {0}
 
@@ -373,6 +372,27 @@ def test_spec_from_text_rejects_a_repeated_key():
                   "[env]\nstart = 1 1 2 2\n"):
         with pytest.raises(ConfigError, match="given twice"):
             envsim.spec_from_text(base + extra)
+
+
+def test_spec_from_text_rejects_a_velocity_that_would_overflow():
+    # finite settings whose step velocity overflows: before the refusal,
+    # vx += ax * dt gave inf, the speed cap scaled it by 0 into NaN, and the
+    # first visit record raised on a NaN position
+    text = envsim.spec_to_text(envsim.builtin_spec("open_field_near"))
+
+    def edited(dt, action_bounds, max_speed="1.0"):
+        return (text.replace("dt = 0.1", f"dt = {dt}")
+                .replace("action_bounds = 1.0", f"action_bounds = {action_bounds}")
+                .replace("max_speed = 1.0", f"max_speed = {max_speed}"))
+
+    for dt, ab, speed in (("1e200", "1e200", "1.0"), ("1e-3", "1.0", "1.5e308")):
+        with pytest.raises(ConfigError, match="overflow"):
+            envsim.spec_from_text(edited(dt, ab, speed))
+    # just inside the bound, a step stays finite and in bounds
+    spec = envsim.spec_from_text(edited("1e150", "1e150"))
+    s, _ = envsim.env_reset(spec, np.random.default_rng(0))
+    s = envsim.env_step(spec, s, [1e150, -1e150])
+    assert np.isfinite(s).all() and s.tolist()[:2] == [80.0, 0.0]
 
 
 def test_spec_from_text_defaults_and_repeated_walls():

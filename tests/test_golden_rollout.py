@@ -96,7 +96,7 @@ def state_digest(ag) -> str:
     nov = back.novelty
     parts = [repr((back.k, back.tau, back.horizon, back.epsilon, back.subgoal_test_rate,
                    back.q_low, back.num_relabels, back.num_relabels > 0, nov.epsilon_rnd,
-                   nov.phase_index, back.env_name, tuple(back.visits.bounds)))]
+                   nov.phase_index, back.env_name, tuple(back.spec.bounds)))]
     pairs = [(net, opt) for p in [*back.levels, back.explore_top]
              for net, opt in ((p.actor, p.actor_opt), (p.critic, p.critic_opt))]
     pairs += [(nov.target, None), (nov.predictor, nov.predictor_opt)]
@@ -129,7 +129,7 @@ def rollout_digests(tag: str) -> dict:
     nov = ag.novelty
     out["novelty.count"] = nov.visited.count
     out["novelty.states"] = _sha(nov.visited.rows[:nov.visited.count])
-    out["visits"] = _sha(ag.visits.counts)
+    out["visits"] = _sha(ag.visits)
     out["rng"] = _sha(repr(rng.bit_generator.state))
     out["snapshot"] = _sha(agent.policy_snapshot(ag))
     out["state"] = state_digest(ag)

@@ -655,6 +655,14 @@ def test_cli_output_dir_env_var(tmp_path, monkeypatch, capsys):
     assert code == 0
     capsys.readouterr()
     assert os.path.exists(os.path.join(out, "aggregate.csv"))
+    # an explicit --output-dir wins over the variable
+    flag_out = str(tmp_path / "via_flag")
+    assert harness.main(["--quiet", "train", "--env", "open_field_near", "--levels", "1",
+                         "--episodes", "1", "--seed", "1", "--rounds", "0",
+                         "--test-episodes", "1", "--output-dir", flag_out]) == 0
+    capsys.readouterr()
+    assert os.path.exists(os.path.join(flag_out, "seed1", "metrics.csv"))
+    assert not os.path.exists(os.path.join(out, "seed1"))
 
 
 def test_cli_config_file_plus_flag_override(tmp_path, capsys):
@@ -684,6 +692,30 @@ def test_cli_bad_number_in_geometry_file_exits_2(tmp_path, capsys, line, bad):
                          "--episodes", "1", "--seed", "0",
                          "--output-dir", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_geometry_whose_velocity_would_overflow_exits_2_or_3(tmp_path, capsys):
+    huge = {"dt": "1e200", "action_bounds": "1e200"}
+    text = envsim.spec_to_text(envsim.builtin_spec("open_field_near"))
+    for key, value in huge.items():
+        text = edit_line(text, key, value, section="env")
+    geometry = tmp_path / "g.txt"
+    geometry.write_text(text)
+    out = tmp_path / "out"
+    assert harness.main(["--quiet", "train", "--env", str(geometry), "--levels", "1",
+                         "--episodes", "1", "--seed", "0", "--output-dir", str(out)]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+    # a snapshot's [env] is read by the same reader, as a corrupt checkpoint
+    snap = agent_mod.policy_snapshot(harness.build_agent(
+        smoke_cfg(), envsim.builtin_spec("open_field_near"), np.random.default_rng(0)))
+    for key, value in huge.items():
+        snap = edit_line(snap, key, value, section="env")
+    ckpt = tmp_path / "c.txt"
+    ckpt.write_text(snap)
+    assert harness.main(["--quiet", "eval", "--checkpoint", str(ckpt),
+                         "--test-episodes", "1"]) == 3
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_cli_eval_and_map_use_the_trained_geometry(tmp_path, capsys):

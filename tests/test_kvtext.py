@@ -1,4 +1,6 @@
 import base64
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +54,53 @@ def test_float_writers_match_repr():
     assert kvtext.fmt_floats([]) == ""
     assert kvtext.fmt_float(np.float64(1 / 3)) == repr(1 / 3)
     assert kvtext.fmt_float(2) == "2.0"
+
+
+# kinds of setting value ------------------------------------------------------------
+
+# floats that `repr` keeps bit for bit: all but a NaN with a sign or a payload
+FLOATS = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
+
+
+def bits(*xs) -> bytes:
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.integers(-2**63, 2**63), x=FLOATS, text=st.text(), flag=st.booleans(),
+       ints=st.lists(st.integers(-2**63, 2**63), max_size=8),
+       rect=st.lists(FLOATS, min_size=4, max_size=4))
+def test_each_kind_reads_back_what_it_writes(i, x, text, flag, ints, rect):
+    assert kvtext.INT.read(kvtext.INT.write(i)) == i
+    assert bits(kvtext.FLOAT.read(kvtext.FLOAT.write(x))) == bits(x)
+    assert kvtext.STR.read(kvtext.STR.write(text)) == text
+    assert kvtext.BOOL.write(flag) in ("0", "1")
+    assert kvtext.BOOL.read(kvtext.BOOL.write(flag)) is flag
+    assert kvtext.INTS.read(kvtext.INTS.write(tuple(ints))) == tuple(ints)
+    assert "," not in kvtext.INTS.write(tuple(ints))
+    back = kvtext.RECT.read(kvtext.RECT.write(tuple(rect)))
+    assert len(back) == 4 and bits(*back) == bits(*rect)
+
+
+def test_kinds_read_what_people_write():
+    assert [kvtext.BOOL.read(v) for v in ("1", "TRUE", "Yes", "on")] == [True] * 4
+    assert [kvtext.BOOL.read(v) for v in ("0", "false", "NO", "Off")] == [False] * 4
+    assert kvtext.INTS.read("64, 64") == kvtext.INTS.read("64 64") == (64, 64)
+    assert kvtext.INTS.read("") == ()
+    assert kvtext.RECT.read("0 0 10 10") == (0.0, 0.0, 10.0, 10.0)
+
+
+@pytest.mark.parametrize("kind,text", [
+    (kvtext.RECT, "0 0 1"), (kvtext.RECT, "0 0 1 1 2"), (kvtext.RECT, "0,0,1,1"),
+    (kvtext.INT, "1.5"), (kvtext.INT, ""), (kvtext.FLOAT, "1,5"), (kvtext.FLOAT, ""),
+    (kvtext.BOOL, "maybe"), (kvtext.BOOL, ""), (kvtext.INTS, "1 2.5"), (kvtext.INTS, "1;2"),
+])
+def test_kind_readers_refuse_what_their_writers_never_write(kind, text):
+    with pytest.raises(ValueError):
+        kind.read(text)
+    with pytest.raises(ConfigError, match="bad value for k"):
+        kvtext.parse_value("k", kind.read, text)
 
 
 # base64 float64 vectors ------------------------------------------------------------
