@@ -19,19 +19,25 @@ select_action, and run_test_episodes runs many test episodes in lockstep and
 answers each policy's waiting episodes with one approx.forward_rows call,
 whose rows have the bits select_action gives them one by one. The rollout
 carries the primitive state as one float64 vector (x, y, vx, vy) per
-environment step, and no vector is written once built. A level below the top
-stops when it comes within epsilon of its subgoal or after H actions; the
-top level acts until the episode ends, at task success or the step limit. An
-episode is a success when any of its states, the start included, passes the
+environment step: env_step writes it into the next row of the episode's
+states, one float64 table that grows with the steps (hac.RowTable), and no
+row is written again, so an episode keeps no object per step. A level below
+the top stops when it comes within epsilon of its subgoal or after H actions;
+the top level acts until the episode ends, at task success or the step limit.
+An episode is a success when any of its states, the start included, passes the
 same task-success test that ends a goal episode. Each goal verdict is one
 hac.within, computed where the rollout has the floats and handed to the row
 it decides. What a level stores is hindsight: above the bottom level its
-action component is the state the subtree actually reached, and its step
-rows, kept in segments, are relabeled when the episode ends (an explore
-episode's top segment into the goal top level's buffer, so exploring trains
-the goal policy). Proposed subgoals are occasionally tested (noise-free
-descent) and penalized when missed, which is the verdict the level below
-stopped on. An Episode is its own record. Training is
+action component is the state the subtree actually reached. Each level call
+writes its rows, in order, into one float64 table (hac.RowTable) and pushes
+it to its buffer once, when it returns; nothing reads a buffer during an
+episode. Its step rows are kept in segments (one per call at level 0, the
+whole episode above it), and when the episode ends each level's segments
+are relabeled in one block and pushed once (an explore episode's top
+segment into the goal top level's buffer, so exploring trains the goal
+policy). Proposed subgoals are occasionally tested (noise-free descent) and
+penalized when missed, which is the verdict the level below stopped on. An
+Episode is its own record. Training is
 deterministic-policy-gradient style on each level's own buffer, with no
 target networks; critics are bounded to the feasible sparse-reward range.
 """
@@ -49,7 +55,7 @@ from . import approx, envsim, rnd
 from .approx import Network, Optimizer
 from .envsim import MAP_RESOLUTION, EnvSpec
 from .errors import CheckpointError, ConfigError, TrainingError
-from .hac import (DISCOUNT, GOAL_DIM, STATE_DIM, ReplayBuffer, buffer_push, columns,
+from .hac import (DISCOUNT, GOAL_DIM, STATE_DIM, ReplayBuffer, RowTable, buffer_push, columns,
                   exploration_transition, hindsight_action_transition,
                   hindsight_goal_transitions, pack_row, sample_arrays, subgoal_test_transition,
                   within)
@@ -209,11 +215,14 @@ def select_action(policy: LevelPolicy, state, goal, mode: str,
 
 class Episode:
     """One episode's state, threaded through the level recursion, and its
-    record once it ends. s_vec is the current primitive state as one float64
-    (x, y, vx, vy) vector, built once per environment step and never written
-    afterwards; primitive_states holds every one of them, the start included.
-    segments[i] holds level i's segments, lists of the step rows it stored:
-    one per call at level 0, one per episode above."""
+    record once it ends. states holds every primitive state (x, y, vx, vy),
+    the start included, as a row of one float64 table that doubles as the
+    steps grow (never allocated for the step budget); primitive_states is its
+    (steps + 1, 4) block, and s_vec the current state, the last row, which
+    env_step wrote and nothing writes again. step_rows[i] holds, per call of
+    level i in a training episode, the block of step rows the call stored
+    (its subgoal-test rows left out), which segments groups into level i's
+    segments."""
 
     def __init__(self, spec, s, task_goal, mode, top_policy_used, rng, k):
         self.spec = spec
@@ -225,8 +234,24 @@ class Episode:
         self.rng = rng
         self.done = False
         self.success = self.at_task_goal(*s[:2].tolist())
-        self.primitive_states = [s]
-        self.segments = [[]] + [[[]] for _ in range(1, k)]
+        limit = spec.max_primitive_steps + 1
+        self.states = RowTable(STATE_DIM, min(64, limit), limit)
+        self.states.next_row()[:] = s
+        self.step_rows = [[] for _ in range(k)]
+
+    @property
+    def steps(self) -> int:
+        return self.states.n - 1
+
+    @property
+    def primitive_states(self) -> np.ndarray:
+        return self.states.rows
+
+    def segments(self, i: int) -> list:
+        """Level i's segments, the blocks of step rows relabeled together:
+        one per call at level 0, and the whole episode above it."""
+        calls = self.step_rows[i]
+        return calls if i == 0 else [np.concatenate(calls)]
 
     def at_task_goal(self, x: float, y: float) -> bool:
         """The task-success test, on Python floats."""
@@ -235,7 +260,7 @@ class Episode:
     @property
     def closest_distance(self) -> float:
         """The least distance of any state, the start included, to the task goal."""
-        positions = np.array(self.primitive_states)[:, :2]
+        positions = self.primitive_states[:, :2]
         return float(np.min(np.linalg.norm(positions - self.task_goal, axis=1)))
 
 
@@ -243,16 +268,14 @@ def _env_step(agent: HacxAgent, ep: Episode, action, train: bool):
     """Level 0's advance: one environment step, the novelty and visit
     records of a training step, and the task-success and step-limit tests.
     Returns the new position as Python floats."""
-    s = ep.s_vec = envsim.env_step(ep.spec, ep.s_vec, action)
-    ep.primitive_states.append(s)
+    s = ep.s_vec = envsim.env_step(ep.spec, ep.s_vec, action, ep.states.next_row())
     x, y, _, _ = s.tolist()
     if train:
         rnd.observe(agent.novelty, s)
         envsim.record_visit(agent.visits, agent.spec.bounds, x, y)
     hit = ep.at_task_goal(x, y)
     ep.success = ep.success or hit
-    ep.done = (len(ep.primitive_states) > ep.spec.max_primitive_steps
-               or (hit and ep.top_policy_used == "goal"))
+    ep.done = ep.steps >= ep.spec.max_primitive_steps or (hit and ep.top_policy_used == "goal")
     return x, y
 
 
@@ -262,10 +285,12 @@ def _run_level(agent: HacxAgent, ep: Episode, i: int, goal, testing: bool):
     A level below the top stops on reaching its goal or after H actions; the
     top level acts until the episode ends. A generator: for each action it
     yields select_action's (policy, state, goal, mode) and is sent the action
-    back, so whoever drives it chooses how actions are computed. Returns the
-    position reached, as Python floats, and whether it is within epsilon of
-    goal: the verdict the level's last row holds, and, for the level above,
-    the test of the subgoal it proposed."""
+    back, so whoever drives it chooses how actions are computed. In training
+    the call's rows, each step's and each missed subgoal test's, go into one
+    table, pushed once on return. Returns the position reached, as Python
+    floats, and whether it is within epsilon of goal: the verdict the level's
+    last row holds, and, for the level above, the test of the subgoal it
+    proposed."""
     is_top = i == agent.k - 1
     train = ep.mode == "train"
     mode = "noisy" if train and not testing else "deterministic"
@@ -276,15 +301,19 @@ def _run_level(agent: HacxAgent, ep: Episode, i: int, goal, testing: bool):
         goal = None
     else:
         gx, gy = float(goal[0]), float(goal[1])
-    if i == 0:
-        ep.segments[0].append([])
-    segment = ep.segments[i][-1]
+    if train:
+        # a step row per action, and above level 0 a test row per missed
+        # subgoal: a level below the top fills its H actions' rows, the top grows
+        rows = RowTable(policy.buffer.width, agent.horizon if i == 0 else 2 * agent.horizon)
+        tested = []
     attempts = 0
 
     while True:
         attempts += 1
-        s_vec = ep.s_vec
-        action = yield policy, s_vec, goal, mode
+        # the state this action starts from, by its row: a view held while
+        # the level below runs would keep the table alive once it has grown
+        start = ep.states.n - 1
+        action = yield policy, ep.s_vec, goal, mode
         child_testing = i > 0 and (testing or (train and ep.rng.random()
                                                < agent.subgoal_test_rate))
         if i == 0:
@@ -293,26 +322,30 @@ def _run_level(agent: HacxAgent, ep: Episode, i: int, goal, testing: bool):
         else:
             x, y, child_reached = yield from _run_level(agent, ep, i - 1, action, child_testing)
             missed = child_testing and not child_reached
-        ns_vec = ep.s_vec
         reached = goal is not None and within(x, y, gx, gy, eps)
 
         if train:
+            s_vec, ns_vec = ep.states.table[start], ep.s_vec
+            row = rows.next_row()
             if explore_here:
                 # above level 0 the stored action is the state the subtree reached
                 _, new = rnd.exploration_reward(agent.novelty, ns_vec)
-                row = exploration_transition(s_vec, action if i == 0 else ns_vec[:2], ns_vec, new)
+                exploration_transition(s_vec, action if i == 0 else ns_vec[:2], ns_vec, new, row)
             elif i == 0:
-                row = pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
-                               0.0 if reached else DISCOUNT)
+                pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
+                         0.0 if reached else DISCOUNT, row)
             else:
-                row = hindsight_action_transition(s_vec, ns_vec, goal, reached)
-            buffer_push(policy.buffer, row)
-            segment.append(row)
+                hindsight_action_transition(s_vec, ns_vec, goal, reached, row)
             if missed:
-                buffer_push(policy.buffer, subgoal_test_transition(s_vec, action, ns_vec,
-                                                                   agent.horizon, goal))
+                tested.append(rows.n)
+                subgoal_test_transition(s_vec, action, ns_vec, agent.horizon, goal,
+                                        rows.next_row())
 
         if ep.done or (not is_top and (reached or attempts >= agent.horizon)):
+            if train:
+                buffer_push(policy.buffer, rows.rows)
+                ep.step_rows[i].append(np.delete(rows.rows, tested, axis=0) if tested
+                                       else rows.rows)
             return x, y, reached
 
 
@@ -336,11 +369,9 @@ def run_episode(agent: HacxAgent, spec: EnvSpec, mode: str,
         pass
 
     if train and agent.num_relabels > 0:
-        for p, segments in zip(agent.levels, ep.segments):
-            for seg in segments:
-                rows = hindsight_goal_transitions(np.array(seg), agent.num_relabels,
-                                                  agent.epsilon, rng)
-                buffer_push(p.buffer, rows)
+        for i, p in enumerate(agent.levels):
+            buffer_push(p.buffer, hindsight_goal_transitions(ep.segments(i), agent.num_relabels,
+                                                             agent.epsilon, rng))
     return ep
 
 

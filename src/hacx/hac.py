@@ -5,9 +5,12 @@ state | goal | action | next_state | reward | discount (pack_row; columns
 reads them, and a row's width tells its goal width): sparse goal rewards
 with termination-on-success, hindsight action transitions (the action is
 the state reached, in goal space), hindsight goal relabeling (one block per
-segment of step rows), subgoal-test penalties, and exploration rows, which
-have no goal columns. ReplayBuffer, a float32 ring of rows of one width,
-holds each level's rows and the novelty model's visited positions.
+level, from its segments of step rows), subgoal-test penalties, and
+exploration rows, which have no goal columns. Every builder writes its row
+into a given float64 row (out) or returns a new one. RowTable, a float64
+table that doubles when full, holds rows while an episode runs: each level
+call's rows and the episode's states. ReplayBuffer, a float32 ring of rows of
+one width, holds each level's rows and the novelty model's visited positions.
 
 Rewards are 0 or -1 (or -H for a failed subgoal test); the stored discount
 is 0.99 except on terminal transitions, where it is exactly 0. One goal test,
@@ -49,72 +52,117 @@ def within(x: float, y: float, gx: float, gy: float, epsilon: float) -> bool:
     return math.hypot(x - gx, y - gy) < epsilon
 
 
-def pack_row(state, goal, action, next_state, reward: float,
-             discount: float) -> np.ndarray:
-    """One float64 row state | goal | action | next_state | reward | discount.
-    A goal of None (an exploration row) leaves out the goal columns."""
+def pack_row(state, goal, action, next_state, reward: float, discount: float,
+             out: np.ndarray = None) -> np.ndarray:
+    """One float64 row state | goal | action | next_state | reward | discount,
+    written into out when given. A goal of None (an exploration row) leaves
+    out the goal columns."""
     parts = (state, action, next_state) if goal is None else (state, goal, action, next_state)
-    return np.concatenate((*parts, (reward, discount)), dtype=float)
+    if out is None:
+        return np.concatenate((*parts, (reward, discount)), dtype=float)
+    return np.concatenate((*parts, (reward, discount)), out=out)
 
 
-def hindsight_action_transition(state, achieved_state, goal, reached: bool) -> np.ndarray:
+def hindsight_action_transition(state, achieved_state, goal, reached: bool,
+                                out: np.ndarray = None) -> np.ndarray:
     """Subgoal-level row whose action is what the lower levels actually
     achieved, whatever subgoal was proposed; reached is the level's own goal
     test on achieved_state, which ends the row's episode with reward 0."""
     return pack_row(state, goal, position(achieved_state), achieved_state,
-                    0.0 if reached else -1.0, 0.0 if reached else DISCOUNT)
+                    0.0 if reached else -1.0, 0.0 if reached else DISCOUNT, out)
 
 
 def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: int,
-                            goal) -> np.ndarray:
+                            goal, out: np.ndarray = None) -> np.ndarray:
     """Penalty row for a tested subgoal the lower levels failed to reach:
     reward -horizon with discount 0; goal is None for the exploration policy.
     The caller writes one for a miss only: a reached subgoal's hindsight
     action transition already rewards it."""
-    return pack_row(state, goal, proposed_subgoal, achieved_state, -float(horizon), 0.0)
+    return pack_row(state, goal, proposed_subgoal, achieved_state, -float(horizon), 0.0, out)
 
 
-def hindsight_goal_transitions(steps: np.ndarray, num_relabels: int, epsilon: float,
+def hindsight_goal_transitions(segments, num_relabels: int, epsilon: float,
                                rng: np.random.Generator) -> np.ndarray:
-    """Relabel a segment, the block of step rows one level stored (with or
-    without goal columns), against substitute goals drawn from its own
-    achieved states.
+    """Relabel one level's segments, each a block of the step rows it stored
+    (with or without goal columns), every segment against substitute goals
+    drawn from its own achieved states.
 
-    The final achieved state is always the first substitute; the rest are
-    uniform draws over the segment. Every step is relabeled against every
-    substitute goal: the result is one (num_relabels * len(steps), width)
-    block of rows with GOAL_DIM goal columns, goal outer, step inner, each
-    rewarded by within of its achieved position and its goal.
+    A segment's final achieved state is always its first substitute; the rest
+    are uniform draws over the segment, drawn segment after segment. Every
+    step is relabeled against every substitute goal of its segment: the result
+    is one (num_relabels * total steps, width) block of rows with GOAL_DIM goal
+    columns, segment outer, then goal, then step, each rewarded by within of
+    its achieved position and its goal. An empty segment raises ValueError.
     """
-    if len(steps) == 0:
+    if any(len(seg) == 0 for seg in segments):
         raise ValueError("empty segment")
-    states, _, actions, nexts, _, _ = columns(steps)
-    n = len(steps)
     width = 2 * STATE_DIM + GOAL_DIM + ACTION_DIM + 2
     if num_relabels <= 0:
         return np.empty((0, width))
+    steps = np.concatenate(segments)
+    states, _, actions, nexts, _, _ = columns(steps)
     achieved = position(nexts)
-    picks = [n - 1] + [int(rng.integers(0, n)) for _ in range(num_relabels - 1)]
     xy = achieved.tolist()
-    done = np.array([[within(ax, ay, gx, gy, epsilon) for ax, ay in xy]
-                     for gx, gy in (xy[p] for p in picks)])
-    out = np.empty((num_relabels, n, width))
+    # per output row: the step it relabels, its goal's step, and its verdict
+    step_of, goal_of, done = [], [], []
+    start = 0
+    for seg in segments:
+        end = start + len(seg)
+        picks = [end - 1] + [start + int(rng.integers(0, len(seg)))
+                             for _ in range(num_relabels - 1)]
+        span, seg_xy = range(start, end), xy[start:end]
+        for p in picks:
+            gx, gy = xy[p]
+            done += [within(ax, ay, gx, gy, epsilon) for ax, ay in seg_xy]
+            step_of += span
+            goal_of += [p] * len(seg)
+        start = end
+    step_of = np.array(step_of)
+    done = np.array(done)
+    out = np.empty((len(done), width))
     s, g, a, ns, reward, discount = columns(out)
-    s[:] = states
-    g[:] = achieved[picks][:, None, :]
-    a[:] = actions
-    ns[:] = nexts
+    s[:] = states[step_of]
+    g[:] = achieved[goal_of]
+    a[:] = actions[step_of]
+    ns[:] = nexts[step_of]
     reward[:] = np.where(done, 0.0, -1.0)
     discount[:] = np.where(done, 0.0, DISCOUNT)
-    return out.reshape(num_relabels * n, -1)
+    return out
 
 
-def exploration_transition(state, action, next_state, new: bool) -> np.ndarray:
+def exploration_transition(state, action, next_state, new: bool,
+                           out: np.ndarray = None) -> np.ndarray:
     """Top-level exploration row (no goal columns): reward 0 and terminate
     (discount 0) when the novelty model finds next_state new (the verdict of
     rnd.exploration_reward), else reward -1 and discount 0.99."""
     return pack_row(state, None, action, next_state, 0.0 if new else -1.0,
-                    0.0 if new else DISCOUNT)
+                    0.0 if new else DISCOUNT, out)
+
+
+class RowTable:
+    """Float64 rows of one width, appended in order to a table that doubles
+    when full, up to limit rows if a limit is given: room for a few rows is
+    allocated up front, never for a budget. rows is the filled part, a view."""
+
+    def __init__(self, width: int, capacity: int, limit: int = None):
+        self.table = np.empty((capacity, width))
+        self.n = 0
+        self.limit = limit
+
+    def next_row(self) -> np.ndarray:
+        """The next row, a view for the caller to fill."""
+        n = self.n
+        if n == len(self.table):
+            grown = np.empty((2 * n if self.limit is None else min(2 * n, self.limit),
+                              self.table.shape[1]))
+            grown[:n] = self.table
+            self.table = grown
+        self.n = n + 1
+        return self.table[n]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.table[:self.n]
 
 
 class ReplayBuffer:

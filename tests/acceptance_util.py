@@ -29,9 +29,12 @@ def spiral_small_env_path() -> str:
     path = os.path.join(CACHE, "spiral_small.txt")
     spec = envsim.spiral_spec(cells=5, max_steps=600)
     text = envsim.spec_to_text(spec)
-    if not os.path.exists(path) or open(path).read() != text:
-        with open(path, "w") as f:
-            f.write(text)
+    if os.path.exists(path):
+        with open(path) as f:
+            if f.read() == text:
+                return path
+    with open(path, "w") as f:
+        f.write(text)
     return path
 
 
@@ -125,7 +128,10 @@ def _is_cached(tag: str, cfg: harness.RunConfig) -> bool:
     if not os.path.exists(os.path.join(out_root, "wall.txt")):
         return False
     echo_path = os.path.join(out_root, "config.txt")
-    cached = open(echo_path).read() if os.path.exists(echo_path) else ""
+    cached = ""
+    if os.path.exists(echo_path):
+        with open(echo_path) as f:
+            cached = f.read()
     if cached != _config_echo(cfg):
         raise RuntimeError(
             f"cached run {tag} was produced by a different config; "

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, random network factories, a
 reference forward/backward pass, gradients by name, a named view of packed
 transition rows, relabel segments built from packed rows, replay-buffer
-inspection helpers, and a snapshot line editor."""
+inspection helpers, a snapshot line editor, and a file reader that
+closes the file."""
 
 import base64
 from typing import NamedTuple
@@ -178,11 +179,17 @@ def transitions(block) -> list:
     return [transition(row) for row in block]
 
 
+def read(path, mode="r"):
+    """The whole content of a file, closed once read."""
+    with open(path, mode) as f:
+        return f.read()
+
+
 def segment_rows(steps, goal=None) -> np.ndarray:
     """The block of packed rows a level stores for its (state, action,
-    next_state) steps, as hac.hindsight_goal_transitions reads it: the goal
-    columns hold goal (none when goal is None), and reward and discount,
-    which relabeling replaces, are -1 and hac.DISCOUNT."""
+    next_state) steps: one segment of the list hac.hindsight_goal_transitions
+    reads. The goal columns hold goal (none when goal is None), and reward
+    and discount, which relabeling replaces, are -1 and hac.DISCOUNT."""
     return np.array([hac.pack_row(s, goal, a, ns, -1.0, hac.DISCOUNT) for s, a, ns in steps])
 
 

@@ -107,7 +107,7 @@ def test_transition_invariants_hold_in_bulk():
             total += 1
 
         steps = helpers.segment_rows(seg, goal)
-        for t in helpers.transitions(hac.hindsight_goal_transitions(steps, 2, eps, rng)):
+        for t in helpers.transitions(hac.hindsight_goal_transitions([steps], 2, eps, rng)):
             done = hac.within(*t.next_state[:2].tolist(), *t.goal.tolist(), eps)
             check(t.reward == (0.0 if done else -1.0),
                   "relabeled reward inconsistent with its goal")
@@ -194,7 +194,7 @@ def _cached(number, title, tag, cfg):
 
 def _wall_seconds(out_root):
     path = os.path.join(out_root, "wall.txt")
-    return float(open(path).read().strip()) if os.path.exists(path) else None
+    return float(helpers.read(path).strip()) if os.path.exists(path) else None
 
 
 def test_flat_novelty_baseline_reaches_near_goal():

@@ -96,6 +96,7 @@ def test_committed_crit5_cache_matches_the_code(tmp_path):
     root = au.cached_run("crit5", cfg)
     harness.run_trials(replace(cfg, episodes=100, seeds=(0,)), str(tmp_path))
     live = (tmp_path / "seed0" / "metrics.csv").read_bytes().splitlines()
-    cached = open(os.path.join(root, "seed0", "metrics.csv"), "rb").read().splitlines()
+    with open(os.path.join(root, "seed0", "metrics.csv"), "rb") as f:
+        cached = f.read().splitlines()
     assert live[0] == cached[0]  # header
     assert live[1] == cached[1]

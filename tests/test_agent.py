@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,90 @@ def test_lockstep_test_episodes_match_one_at_a_time(k):
         assert b.top_policy_used == a.top_policy_used
 
 
+def test_an_episode_never_allocates_its_step_budget():
+    # a geometry may allow 10**12 steps: the states table grows with the
+    # steps taken, and primitive_states is each state returned, in order
+    spec = arena(max_primitive_steps=10**12)
+    ag = small_agent(spec)
+    rng = np.random.default_rng(0)
+    s, task_goal = envsim.env_reset(spec, rng)
+    ep = agent.Episode(spec, s, task_goal, "test", "goal", rng, ag.k)
+    seen = [s]
+    for _ in range(300):
+        agent._env_step(ag, ep, np.array([0.3, 0.2]), train=False)
+        seen.append(ep.s_vec)
+    assert not ep.done and ep.steps == 300
+    assert ep.primitive_states.shape == (301, 4)
+    assert ep.primitive_states.tobytes() == np.array(seen).tobytes()
+    assert ep.states.table.nbytes <= 2 * 301 * 4 * 8
+
+
+# what a test episode may hold beside its float64 state rows: the episode,
+# its level generators and their requests (measured: about 3 kB)
+EPISODE_ALLOWANCE = 8192
+
+
+def test_lockstep_test_episodes_keep_one_float64_row_per_state():
+    # 64 test episodes that run in lockstep to their step limit hold their
+    # states together: 32 bytes a state, not an array object each
+    spec = arena(max_primitive_steps=300)
+    ag = small_agent(spec)
+    n = agent.LOCKSTEP_EPISODES
+    recs = list(agent.run_test_episodes(ag, spec, n, np.random.default_rng(0)))
+    states = sum(len(r.primitive_states) for r in recs)
+    assert states == n * (spec.max_primitive_steps + 1)
+    del recs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harness.evaluate(ag, spec, n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * states + n * EPISODE_ALLOWANCE, (peak, states)
+
+
+def test_a_training_episode_pushes_once_per_level_call_and_relabels_once_per_level(
+        monkeypatch):
+    ag = small_agent(k=3, subgoal_test_rate=0.5)
+    calls, pushes, relabels = [], [], []
+    real_level, real_push = agent._run_level, agent.buffer_push
+    real_relabel = agent.hindsight_goal_transitions
+
+    def level(ag, ep, i, goal, testing):
+        calls.append(i)
+        return real_level(ag, ep, i, goal, testing)
+
+    def push(buf, rows):
+        pushes.append((buf, any(rows is r for r in relabels)))
+        return real_push(buf, rows)
+
+    def relabel(*args):
+        relabels.append(real_relabel(*args))
+        return relabels[-1]
+
+    monkeypatch.setattr(agent, "_run_level", level)
+    monkeypatch.setattr(agent, "buffer_push", push)
+    monkeypatch.setattr(agent, "hindsight_goal_transitions", relabel)
+    rng = np.random.default_rng(1)
+    for tau in (0.0, 1.0):
+        ag.tau = tau
+        calls.clear(), pushes.clear(), relabels.clear()
+        rec = agent.run_episode(ag, arena(), "train", rng)
+        top = ag.explore_top if tau else ag.levels[-1]
+        for i, p in enumerate(ag.levels):
+            # a level call pushes to the policy acting there, relabeling to the level
+            acting = (p if i < ag.k - 1 else top).buffer
+            assert [rel for buf, rel in pushes if buf is acting].count(False) == calls.count(i)
+            assert [rel for buf, rel in pushes if buf is p.buffer].count(True) == 1
+        assert len(relabels) == ag.k
+        # every relabel row comes from a step row: num_relabels per step row
+        steps = sum(len(seg) for i in range(ag.k) for seg in rec.segments(i))
+        assert sum(len(r) for r in relabels) == ag.num_relabels * steps
+        assert len(rec.segments(0)) == calls.count(0)
+        assert all(len(rec.segments(i)) == 1 for i in range(1, ag.k))
+
+
 def test_train_episode_deterministic_given_seeds(monkeypatch):
     out, states = [], []
     seen = record_states(monkeypatch)
@@ -248,11 +333,11 @@ def test_train_episode_deterministic_given_seeds(monkeypatch):
         ag = small_agent(seed=13, k=3, horizon=2)
         rec = agent.run_episode(ag, arena(), "train", np.random.default_rng(5))
         out.append(ag.levels[0].buffer.rows[:ag.levels[0].buffer.count].copy())
-        states += rec.primitive_states
+        states.append(rec.primitive_states)
     assert np.array_equal(out[0], out[1])
     # neither the rollout nor the row builders and relabelling wrote a stored
     # state vector
-    assert np.array_equal(np.array(states), np.array(seen))
+    assert np.array_equal(np.concatenate(states), np.array(seen))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -261,17 +346,23 @@ def test_stored_rows_follow_the_goal_test(monkeypatch, k):
     # (the float32 ring could round a verdict at the epsilon boundary), has
     # the reward of the goal test on its own floats; and with every subgoal
     # tested, a penalty row follows each proposal the level below stopped
-    # short of, and no other. Goal and explore episodes both.
+    # short of, and no other. Goal and explore episodes both. A level call
+    # pushes its rows as one block, and relabeling pushes one block per level.
     spec = arena(bounds=(0.0, 0.0, 4.0, 4.0), start_region=(0.5, 0.5, 1.5, 1.5),
                  task_goal_region=(2.5, 2.5, 3.5, 3.5), max_primitive_steps=40)
     ag = small_agent(spec, k=k, seed=k, subgoal_test_rate=1.0, epsilon_level=1.2)
     upper = ag.levels[1:] + ([ag.explore_top] if k >= 2 else [])
-    pushed, proposals = [], []
+    pushed, proposals, relabeled = [], [], []
     real_push, real_select = agent.buffer_push, agent.select_action
+    real_relabel = agent.hindsight_goal_transitions
 
     def push(buf, rows):
-        pushed.append((buf, rows.copy()))
+        pushed.append((buf, rows.copy(), any(rows is b for b in relabeled)))
         return real_push(buf, rows)
+
+    def relabel(*args):
+        relabeled.append(real_relabel(*args))
+        return relabeled[-1]
 
     def select(policy, state, goal, mode, rng=None):
         a = real_select(policy, state, goal, mode, rng)
@@ -281,6 +372,7 @@ def test_stored_rows_follow_the_goal_test(monkeypatch, k):
 
     monkeypatch.setattr(agent, "buffer_push", push)
     monkeypatch.setattr(agent, "select_action", select)
+    monkeypatch.setattr(agent, "hindsight_goal_transitions", relabel)
     rng = np.random.default_rng(k)
     for tau in (0.0, 1.0):
         ag.tau = tau
@@ -293,11 +385,11 @@ def test_stored_rows_follow_the_goal_test(monkeypatch, k):
     penalty = -float(ag.horizon)
     hits = 0
     for p in [*ag.levels, ag.explore_top]:
-        mine = [rows for buf, rows in pushed if buf is p.buffer]
+        mine = [(rows, rel) for buf, rows, rel in pushed if buf is p.buffer]
         if not mine:
             continue
         is_upper = any(p is q for q in upper)
-        s, g, a, ns, r, d = hac.columns(np.vstack(mine))
+        s, g, a, ns, r, d = hac.columns(np.vstack([rows for rows, _ in mine]))
         tested = r == penalty
         for j in np.flatnonzero(~tested):
             if g is not None:
@@ -310,9 +402,10 @@ def test_stored_rows_follow_the_goal_test(monkeypatch, k):
         if not is_upper:
             assert not tested.any()
             continue
-        # proposal n's step row, the n-th row pushed alone and not a penalty,
-        # holds the state where the level below stopped
-        ends = [hac.columns(rows)[3] for rows in mine if rows.ndim == 1 and rows[-2] != penalty]
+        # proposal n's step row, the n-th row a level call pushed that is not
+        # a penalty, holds the state where the level below stopped
+        called = np.vstack([rows for rows, rel in mine if not rel])
+        ends = hac.columns(called[called[:, -2] != penalty])[3]
         mine_proposed = [(st, act) for q, st, act in proposals if q is p]
         assert len(ends) == len(mine_proposed)
         missed = [(st, act, end) for (st, act), end in zip(mine_proposed, ends)

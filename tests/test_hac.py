@@ -126,7 +126,7 @@ def three_step_segment():
 
 def test_relabel_counts_and_final_goal():
     seg = three_step_segment()
-    out = transitions(hac.hindsight_goal_transitions(seg, 2, 0.5, np.random.default_rng(0)))
+    out = transitions(hac.hindsight_goal_transitions([seg], 2, 0.5, np.random.default_rng(0)))
     assert len(out) == 6  # 2 substitute goals x 3 steps
     first_goal = out[0].goal
     assert np.allclose(first_goal, [3.0, 0.0])  # final achieved position
@@ -138,7 +138,7 @@ def test_relabel_counts_and_final_goal():
 def test_relabel_goals_come_from_achieved_states():
     seg = three_step_segment()
     achieved = {(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)}
-    out = transitions(hac.hindsight_goal_transitions(seg, 5, 0.5, np.random.default_rng(3)))
+    out = transitions(hac.hindsight_goal_transitions([seg], 5, 0.5, np.random.default_rng(3)))
     assert len(out) == 15
     for t in out:
         assert (float(t.goal[0]), float(t.goal[1])) in achieved
@@ -148,16 +148,22 @@ def test_relabel_goals_come_from_achieved_states():
 
 
 def test_relabel_zero_and_empty():
-    assert hac.hindsight_goal_transitions(three_step_segment(), 0, 0.5,
-                                          np.random.default_rng(0)).shape == (0, 14)
-    with pytest.raises(ValueError):
-        hac.hindsight_goal_transitions(segment_rows([]), 2, 0.5, np.random.default_rng(0))
+    seg = three_step_segment()
+    for segments in ([seg], [seg, seg]):
+        assert hac.hindsight_goal_transitions(segments, 0, 0.5,
+                                              np.random.default_rng(0)).shape == (0, 14)
+    # an empty segment anywhere in the list, whatever the relabel count
+    empty = segment_rows([])
+    for segments in ([empty], [empty, seg], [seg, empty], [seg, empty, seg]):
+        for relabels in (0, 2):
+            with pytest.raises(ValueError):
+                hac.hindsight_goal_transitions(segments, relabels, 0.5, np.random.default_rng(0))
 
 
 def test_relabel_preserves_original_actions():
     steps = three_steps()
     # an explore level's rows have no goal columns; their relabels gain them
-    out = transitions(hac.hindsight_goal_transitions(segment_rows(steps), 1, 0.5,
+    out = transitions(hac.hindsight_goal_transitions([segment_rows(steps)], 1, 0.5,
                                                      np.random.default_rng(0)))
     for t, (s, a, ns) in zip(out, steps):
         assert np.array_equal(t.state, s)
@@ -166,7 +172,10 @@ def test_relabel_preserves_original_actions():
 
 
 def reference_relabel(segment, num_relabels, epsilon, rng):
-    """Row-by-row relabeling: the same goal draws, rewards from within."""
+    """Row-by-row relabeling of one segment: the same goal draws, rewards
+    from within."""
+    if num_relabels <= 0:
+        return np.empty((0, 14))
     achieved = [envsim.position(ns) for (_, _, ns) in segment]
     goals = [achieved[-1]]
     for _ in range(num_relabels - 1):
@@ -180,20 +189,28 @@ def reference_relabel(segment, num_relabels, epsilon, rng):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("length,relabels", [(1, 1), (3, 2), (10, 2), (60, 4)])
-def test_relabel_block_matches_row_by_row_reference(length, relabels):
-    rng = np.random.default_rng(length)
+@pytest.mark.parametrize("relabels", [0, 1, 2, 4])
+@pytest.mark.parametrize("n_segments", [1, 3, 10, 60])
+def test_relabel_block_matches_row_by_row_reference(n_segments, relabels):
+    # one call on a level's segments is the per-segment reference, segment
+    # after segment: the same rows, byte for byte, and the same draws
+    rng = np.random.default_rng(n_segments * 10 + relabels)
     # positions on a coarse grid, so that many steps sit on the epsilon boundary
-    seg = [(rng.normal(size=4), rng.normal(size=2),
-            np.concatenate([rng.integers(0, 3, 2) * 0.25, rng.normal(size=2)]))
-           for _ in range(length)]
+    segs = [[(rng.normal(size=4), rng.normal(size=2),
+              np.concatenate([rng.integers(0, 3, 2) * 0.25, rng.normal(size=2)]))
+             for _ in range(rng.integers(1, 11))]
+            for _ in range(n_segments)]
+    total = sum(len(seg) for seg in segs)
     # the step rows of a goal level, and of the explore policy (no goal columns)
     for goal in (rng.normal(size=2), None):
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = hac.hindsight_goal_transitions(segment_rows(seg, goal), relabels, 0.5, got_rng)
-        want = reference_relabel(seg, relabels, 0.5, want_rng)
-        assert got.shape == want.shape == (relabels * length, 14)
-        assert np.array_equal(got, want)
+        got = hac.hindsight_goal_transitions([segment_rows(seg, goal) for seg in segs],
+                                             relabels, 0.5, got_rng)
+        want = np.concatenate([reference_relabel(seg, relabels, 0.5, want_rng)
+                               for seg in segs])
+        assert got.shape == want.shape == (relabels * total, 14)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -258,6 +275,40 @@ def test_columns_of_a_row_and_of_a_block(width):
     for whole, single in zip(hac.columns(rows), one):
         assert (whole is None and single is None) or np.array_equal(whole[1], single)
     assert one[0].shape == (4,) and one[4].shape == ()
+
+
+def test_builders_write_the_row_they_return():
+    # a builder given a row of a table writes the bytes it would return
+    s, ns, g = vec(0.1, 0.2, 0.3, 0.4), vec(1.5, -2.5, 0.25, 1e-9), vec(9, -9)
+    built = [
+        (lambda out=None: hac.pack_row(s, g, vec(1, 2), ns, -1.0, hac.DISCOUNT, out), 14),
+        (lambda out=None: hac.hindsight_action_transition(s, ns, g, False, out), 14),
+        (lambda out=None: hac.subgoal_test_transition(s, vec(3, 4), ns, 7, g, out), 14),
+        (lambda out=None: hac.subgoal_test_transition(s, vec(3, 4), ns, 7, None, out), 12),
+        (lambda out=None: hac.exploration_transition(s, vec(1, 2), ns, True, out), 12),
+    ]
+    for build, width in built:
+        table = hac.RowTable(width, 2)
+        row = table.next_row()
+        assert build(row) is row
+        assert row.tobytes() == build().tobytes()
+        assert table.rows.tobytes() == build().tobytes()
+
+
+def test_row_table_grows_by_doubling_up_to_its_limit():
+    table = hac.RowTable(3, 2, limit=11)
+    sizes = []
+    for i in range(11):
+        table.next_row()[:] = (i, -i, 0.5 * i)
+        sizes.append(len(table.table))
+    assert sizes == [2, 2, 4, 4, 8, 8, 8, 8, 11, 11, 11]
+    assert table.n == 11 and table.rows.dtype == np.float64
+    assert np.array_equal(table.rows, [[i, -i, 0.5 * i] for i in range(11)])
+    assert np.shares_memory(table.rows, table.table)
+    free = hac.RowTable(2, 1)
+    for i in range(5):
+        free.next_row()[:] = i
+    assert len(free.table) == 8 and np.array_equal(free.rows[:, 0], range(5))
 
 
 def test_buffer_eviction_order():

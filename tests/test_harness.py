@@ -10,7 +10,7 @@ from hacx import agent as agent_mod
 from hacx import envsim, harness, kvtext, rnd
 from hacx.errors import CheckpointError, ConfigError, TrainingError
 
-from helpers import drop_values, edit_line
+from helpers import drop_values, edit_line, read
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
@@ -103,7 +103,7 @@ def test_config_round_trip():
 
 def test_readme_lists_every_config_key():
     # the first column of the README's key table names each RunConfig key once
-    readme = open(os.path.join(ROOT, "README.md")).read()
+    readme = read(os.path.join(ROOT, "README.md"))
     table = readme.split("| key | meaning |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     listed = [key for row in table.splitlines()
               for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
@@ -155,7 +155,7 @@ def test_metrics_write_read_write_byte_identical(tmp_path):
     rows = harness.read_metrics(p1)
     assert rows == sample_rows()
     harness.write_metrics(rows, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert read(p1, "rb") == read(p2, "rb")
 
 
 def test_metrics_header_enforced(tmp_path):
@@ -175,7 +175,7 @@ def test_checkpoint_write_read_write_byte_identical(tmp_path):
     harness.write_checkpoint(ag, p1)
     back = harness.read_checkpoint(p1)
     harness.write_checkpoint(back, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert read(p1, "rb") == read(p2, "rb")
 
 
 def test_checkpoint_write_failure_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -249,9 +249,9 @@ def test_run_trial_outputs(tmp_path):
     assert harness.read_metrics(os.path.join(out, "metrics.csv")) == rows
     restored = harness.read_checkpoint(os.path.join(out, "checkpoint.txt"))
     assert restored.env_name == "open_field_near"
-    assert open(os.path.join(out, "visits.pgm"), "rb").read().startswith(b"P5\n")
-    assert open(os.path.join(out, "novelty.pgm"), "rb").read().startswith(b"P5\n")
-    text = open(os.path.join(out, "novelty.txt")).read()
+    assert read(os.path.join(out, "visits.pgm"), "rb").startswith(b"P5\n")
+    assert read(os.path.join(out, "novelty.pgm"), "rb").startswith(b"P5\n")
+    text = read(os.path.join(out, "novelty.txt"))
     assert set(text) <= {"0", "1", "\n"}
 
 
@@ -264,9 +264,9 @@ def test_relabel_switch_off_runs_as_zero_relabels(tmp_path):
         harness.run_trial(smoke_cfg(**kw), 0, out)
         outs.append(out)
     for name in ("metrics.csv", "checkpoint.txt", "visits.pgm", "novelty.pgm", "novelty.txt"):
-        a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+        a, b = (read(os.path.join(out, name), "rb") for out in outs)
         assert a == b, name
-    assert "\nnum_relabels = 0\n" in open(os.path.join(outs[0], "checkpoint.txt")).read()
+    assert "\nnum_relabels = 0\n" in read(os.path.join(outs[0], "checkpoint.txt"))
 
 
 def test_run_trial_reproducible(tmp_path):
@@ -276,8 +276,8 @@ def test_run_trial_reproducible(tmp_path):
         harness.run_trial(smoke_cfg(), 3, out)
         outs.append(out)
     for name in ("metrics.csv", "checkpoint.txt", "visits.pgm", "novelty.txt"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = read(os.path.join(outs[0], name), "rb")
+        b = read(os.path.join(outs[1], name), "rb")
         assert a == b, name
 
 
@@ -289,7 +289,7 @@ def test_wall_time_recorded_when_asked(tmp_path):
 def test_run_trials_aggregate_single_seed(tmp_path):
     out = str(tmp_path / "agg1")
     agg = harness.run_trials(smoke_cfg(), out)
-    lines = open(agg).read().splitlines()
+    lines = read(agg).splitlines()
     assert lines[0] == "# seeds = 0"
     assert lines[1] == ("episode,mean_closest_distance_mean,"
                         "mean_closest_distance_std,n_trials")
@@ -304,7 +304,7 @@ def test_run_trials_aggregate_single_seed(tmp_path):
 def test_run_trials_aggregates_across_seeds(tmp_path):
     out = str(tmp_path / "agg2")
     agg = harness.run_trials(smoke_cfg(seeds=(0, 1)), out)
-    lines = open(agg).read().splitlines()
+    lines = read(agg).splitlines()
     rows = [ln.split(",") for ln in lines[2:]]
     assert all(r[3] == "2" for r in rows)
     m0 = harness.read_metrics(os.path.join(out, "seed0", "metrics.csv"))
@@ -740,6 +740,6 @@ def test_cli_eval_and_map_use_the_trained_geometry(tmp_path, capsys):
             assert harness.main(["--quiet", "map", "--checkpoint", ckpt,
                                  "--output-dir", maps] + env) == 0
             outputs.append((capsys.readouterr().out.splitlines()[0],
-                            open(os.path.join(maps, "novelty.txt")).read()))
+                            read(os.path.join(maps, "novelty.txt"))))
         # as with its geometry file, and unlike with the builtin of its name
         assert outputs[0] == outputs[1] != outputs[2]
