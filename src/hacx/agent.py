@@ -19,25 +19,26 @@ select_action, and run_test_episodes runs many test episodes in lockstep and
 answers each policy's waiting episodes with one approx.forward_rows call,
 whose rows have the bits select_action gives them one by one. The rollout
 carries the primitive state as one float64 vector (x, y, vx, vy) per
-environment step: env_step writes it into the next row of the episode's
-states, one float64 table that grows with the steps (hac.RowTable), and no
-row is written again, so an episode keeps no object per step. A level below
-the top stops when it comes within epsilon of its subgoal or after H actions;
-the top level acts until the episode ends, at task success or the step limit.
-An episode is a success when any of its states, the start included, passes the
-same task-success test that ends a goal episode. Each goal verdict is one
-hac.within, computed where the rollout has the floats and handed to the row
-it decides. What a level stores is hindsight: above the bottom level its
-action component is the state the subtree actually reached. Each level call
-writes its rows, in order, into one float64 table (hac.RowTable) and pushes
-it to its buffer once, when it returns; nothing reads a buffer during an
-episode. Its step rows are kept in segments (one per call at level 0, the
-whole episode above it), and when the episode ends each level's segments
-are relabeled in one block and pushed once (an explore episode's top
-segment into the goal top level's buffer, so exploring trains the goal
-policy). Proposed subgoals are occasionally tested (noise-free descent) and
-penalized when missed, which is the verdict the level below stopped on. An
-Episode is its own record. Training is
+environment step, and no vector is written once built. Each is copied into
+the next row of the episode's states, one float64 table that grows with the
+steps (hac.RowTable), and the rollout holds only the vectors its running
+level calls started from, so an episode keeps no object per step. A level
+below the top stops when it comes within epsilon of its subgoal or after H
+actions; the top level acts until the episode ends, at task success or the
+step limit. An episode is a success when any of its states, the start
+included, passes the same task-success test that ends a goal episode. Each
+goal verdict is one hac.within, computed where the rollout has the floats
+and handed to the row it decides. What a level stores is hindsight: above
+the bottom level its action component is the state the subtree actually
+reached. Each level call writes its rows, in order, into one float64 table
+(hac.RowTable) and pushes it to its buffer once, when it returns; nothing
+reads a buffer during an episode. Its step rows are kept in segments (one
+per call at level 0, the whole episode above it), and when the episode ends
+each level's segments are relabeled in one block and pushed once (an
+explore episode's top segment into the goal top level's buffer, so
+exploring trains the goal policy). Proposed subgoals are occasionally tested
+(noise-free descent) and penalized when missed, which is the verdict the
+level below stopped on. An Episode is its own record. Training is
 deterministic-policy-gradient style on each level's own buffer, with no
 target networks; critics are bounded to the feasible sparse-reward range.
 """
@@ -218,11 +219,10 @@ class Episode:
     record once it ends. states holds every primitive state (x, y, vx, vy),
     the start included, as a row of one float64 table that doubles as the
     steps grow (never allocated for the step budget); primitive_states is its
-    (steps + 1, 4) block, and s_vec the current state, the last row, which
-    env_step wrote and nothing writes again. step_rows[i] holds, per call of
-    level i in a training episode, the block of step rows the call stored
-    (its subgoal-test rows left out), which segments groups into level i's
-    segments."""
+    (steps + 1, 4) block, and s_vec the current state, the vector env_step
+    built, which nothing writes. step_rows[i] holds, per call of level i in a
+    training episode, the block of step rows the call stored (its subgoal-test
+    rows left out), which segments groups into level i's segments."""
 
     def __init__(self, spec, s, task_goal, mode, top_policy_used, rng, k):
         self.spec = spec
@@ -236,7 +236,7 @@ class Episode:
         self.success = self.at_task_goal(*s[:2].tolist())
         limit = spec.max_primitive_steps + 1
         self.states = RowTable(STATE_DIM, min(64, limit), limit)
-        self.states.next_row()[:] = s
+        self.states.append(s)
         self.step_rows = [[] for _ in range(k)]
 
     @property
@@ -268,14 +268,15 @@ def _env_step(agent: HacxAgent, ep: Episode, action, train: bool):
     """Level 0's advance: one environment step, the novelty and visit
     records of a training step, and the task-success and step-limit tests.
     Returns the new position as Python floats."""
-    s = ep.s_vec = envsim.env_step(ep.spec, ep.s_vec, action, ep.states.next_row())
+    s = ep.s_vec = envsim.env_step(ep.spec, ep.s_vec, action)
+    ep.states.append(s)
     x, y, _, _ = s.tolist()
     if train:
         rnd.observe(agent.novelty, s)
         envsim.record_visit(agent.visits, agent.spec.bounds, x, y)
     hit = ep.at_task_goal(x, y)
     ep.success = ep.success or hit
-    ep.done = ep.steps >= ep.spec.max_primitive_steps or (hit and ep.top_policy_used == "goal")
+    ep.done = ep.states.n > ep.spec.max_primitive_steps or (hit and ep.top_policy_used == "goal")
     return x, y
 
 
@@ -310,10 +311,8 @@ def _run_level(agent: HacxAgent, ep: Episode, i: int, goal, testing: bool):
 
     while True:
         attempts += 1
-        # the state this action starts from, by its row: a view held while
-        # the level below runs would keep the table alive once it has grown
-        start = ep.states.n - 1
-        action = yield policy, ep.s_vec, goal, mode
+        s_vec = ep.s_vec
+        action = yield policy, s_vec, goal, mode
         child_testing = i > 0 and (testing or (train and ep.rng.random()
                                                < agent.subgoal_test_rate))
         if i == 0:
@@ -322,24 +321,23 @@ def _run_level(agent: HacxAgent, ep: Episode, i: int, goal, testing: bool):
         else:
             x, y, child_reached = yield from _run_level(agent, ep, i - 1, action, child_testing)
             missed = child_testing and not child_reached
+        ns_vec = ep.s_vec
         reached = goal is not None and within(x, y, gx, gy, eps)
 
         if train:
-            s_vec, ns_vec = ep.states.table[start], ep.s_vec
-            row = rows.next_row()
             if explore_here:
                 # above level 0 the stored action is the state the subtree reached
                 _, new = rnd.exploration_reward(agent.novelty, ns_vec)
-                exploration_transition(s_vec, action if i == 0 else ns_vec[:2], ns_vec, new, row)
+                row = exploration_transition(s_vec, action if i == 0 else ns_vec[:2], ns_vec, new)
             elif i == 0:
-                pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
-                         0.0 if reached else DISCOUNT, row)
+                row = pack_row(s_vec, goal, action, ns_vec, 0.0 if reached else -1.0,
+                               0.0 if reached else DISCOUNT)
             else:
-                hindsight_action_transition(s_vec, ns_vec, goal, reached, row)
+                row = hindsight_action_transition(s_vec, ns_vec, goal, reached)
+            rows.append(row)
             if missed:
                 tested.append(rows.n)
-                subgoal_test_transition(s_vec, action, ns_vec, agent.horizon, goal,
-                                        rows.next_row())
+                rows.append(subgoal_test_transition(s_vec, action, ns_vec, agent.horizon, goal))
 
         if ep.done or (not is_top and (reached or attempts >= agent.horizon)):
             if train:

@@ -159,10 +159,9 @@ def _slide(p: float, other: float, delta: float, axis: int, spec: EnvSpec):
     return c, blocked
 
 
-def env_step(spec: EnvSpec, s: np.ndarray, action, out: np.ndarray = None) -> np.ndarray:
+def env_step(spec: EnvSpec, s: np.ndarray, action) -> np.ndarray:
     """Advance one timestep from the state vector s = (x, y, vx, vy); pure
-    function of (spec, s, action) that returns a new vector, or writes it
-    into the float64 4-vector out and returns out."""
+    function of (spec, s, action) that returns a new vector."""
     try:
         ax, ay = action.tolist() if isinstance(action, np.ndarray) else action
         ax, ay = float(ax), float(ay)
@@ -184,11 +183,7 @@ def env_step(spec: EnvSpec, s: np.ndarray, action, out: np.ndarray = None) -> np
     x, bx = _slide(x, y, vx * dt, 0, spec)
     y, by = _slide(y, x, vy * dt, 1, spec)
     # a wall or bound face may be an int; the state stays float64
-    state = (x, y, 0.0 if bx else vx, 0.0 if by else vy)
-    if out is None:
-        return np.array(state, dtype=float)
-    out[:] = state
-    return out
+    return np.array((x, y, 0.0 if bx else vx, 0.0 if by else vy), dtype=float)
 
 
 def _cross_walls():

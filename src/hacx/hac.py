@@ -6,10 +6,9 @@ reads them, and a row's width tells its goal width): sparse goal rewards
 with termination-on-success, hindsight action transitions (the action is
 the state reached, in goal space), hindsight goal relabeling (one block per
 level, from its segments of step rows), subgoal-test penalties, and
-exploration rows, which have no goal columns. Every builder writes its row
-into a given float64 row (out) or returns a new one. RowTable, a float64
-table that doubles when full, holds rows while an episode runs: each level
-call's rows and the episode's states. ReplayBuffer, a float32 ring of rows of
+exploration rows, which have no goal columns. RowTable, a float64 table
+that doubles when full, holds rows while an episode runs: each level call's
+rows and the episode's states. ReplayBuffer, a float32 ring of rows of
 one width, holds each level's rows and the novelty model's visited positions.
 
 Rewards are 0 or -1 (or -H for a failed subgoal test); the stored discount
@@ -52,33 +51,29 @@ def within(x: float, y: float, gx: float, gy: float, epsilon: float) -> bool:
     return math.hypot(x - gx, y - gy) < epsilon
 
 
-def pack_row(state, goal, action, next_state, reward: float, discount: float,
-             out: np.ndarray = None) -> np.ndarray:
-    """One float64 row state | goal | action | next_state | reward | discount,
-    written into out when given. A goal of None (an exploration row) leaves
-    out the goal columns."""
+def pack_row(state, goal, action, next_state, reward: float,
+             discount: float) -> np.ndarray:
+    """One float64 row state | goal | action | next_state | reward | discount.
+    A goal of None (an exploration row) leaves out the goal columns."""
     parts = (state, action, next_state) if goal is None else (state, goal, action, next_state)
-    if out is None:
-        return np.concatenate((*parts, (reward, discount)), dtype=float)
-    return np.concatenate((*parts, (reward, discount)), out=out)
+    return np.concatenate((*parts, (reward, discount)), dtype=float)
 
 
-def hindsight_action_transition(state, achieved_state, goal, reached: bool,
-                                out: np.ndarray = None) -> np.ndarray:
+def hindsight_action_transition(state, achieved_state, goal, reached: bool) -> np.ndarray:
     """Subgoal-level row whose action is what the lower levels actually
     achieved, whatever subgoal was proposed; reached is the level's own goal
     test on achieved_state, which ends the row's episode with reward 0."""
     return pack_row(state, goal, position(achieved_state), achieved_state,
-                    0.0 if reached else -1.0, 0.0 if reached else DISCOUNT, out)
+                    0.0 if reached else -1.0, 0.0 if reached else DISCOUNT)
 
 
 def subgoal_test_transition(state, proposed_subgoal, achieved_state, horizon: int,
-                            goal, out: np.ndarray = None) -> np.ndarray:
+                            goal) -> np.ndarray:
     """Penalty row for a tested subgoal the lower levels failed to reach:
     reward -horizon with discount 0; goal is None for the exploration policy.
     The caller writes one for a miss only: a reached subgoal's hindsight
     action transition already rewards it."""
-    return pack_row(state, goal, proposed_subgoal, achieved_state, -float(horizon), 0.0, out)
+    return pack_row(state, goal, proposed_subgoal, achieved_state, -float(horizon), 0.0)
 
 
 def hindsight_goal_transitions(segments, num_relabels: int, epsilon: float,
@@ -130,13 +125,12 @@ def hindsight_goal_transitions(segments, num_relabels: int, epsilon: float,
     return out
 
 
-def exploration_transition(state, action, next_state, new: bool,
-                           out: np.ndarray = None) -> np.ndarray:
+def exploration_transition(state, action, next_state, new: bool) -> np.ndarray:
     """Top-level exploration row (no goal columns): reward 0 and terminate
     (discount 0) when the novelty model finds next_state new (the verdict of
     rnd.exploration_reward), else reward -1 and discount 0.99."""
     return pack_row(state, None, action, next_state, 0.0 if new else -1.0,
-                    0.0 if new else DISCOUNT, out)
+                    0.0 if new else DISCOUNT)
 
 
 class RowTable:
@@ -149,16 +143,16 @@ class RowTable:
         self.n = 0
         self.limit = limit
 
-    def next_row(self) -> np.ndarray:
-        """The next row, a view for the caller to fill."""
+    def append(self, row) -> None:
+        """Copy row into the next row of the table."""
         n = self.n
         if n == len(self.table):
             grown = np.empty((2 * n if self.limit is None else min(2 * n, self.limit),
                               self.table.shape[1]))
             grown[:n] = self.table
             self.table = grown
+        self.table[n] = row
         self.n = n + 1
-        return self.table[n]
 
     @property
     def rows(self) -> np.ndarray:

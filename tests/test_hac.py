@@ -189,17 +189,17 @@ def reference_relabel(segment, num_relabels, epsilon, rng):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("relabels", [0, 1, 2, 4])
-@pytest.mark.parametrize("n_segments", [1, 3, 10, 60])
-def test_relabel_block_matches_row_by_row_reference(n_segments, relabels):
+def random_segment(rng, length):
+    """length steps whose positions lie on a coarse grid, so that many steps
+    sit on the epsilon boundary."""
+    return [(rng.normal(size=4), rng.normal(size=2),
+             np.concatenate([rng.integers(0, 3, 2) * 0.25, rng.normal(size=2)]))
+            for _ in range(length)]
+
+
+def assert_relabel_matches_reference(segs, relabels, rng):
     # one call on a level's segments is the per-segment reference, segment
     # after segment: the same rows, byte for byte, and the same draws
-    rng = np.random.default_rng(n_segments * 10 + relabels)
-    # positions on a coarse grid, so that many steps sit on the epsilon boundary
-    segs = [[(rng.normal(size=4), rng.normal(size=2),
-              np.concatenate([rng.integers(0, 3, 2) * 0.25, rng.normal(size=2)]))
-             for _ in range(rng.integers(1, 11))]
-            for _ in range(n_segments)]
     total = sum(len(seg) for seg in segs)
     # the step rows of a goal level, and of the explore policy (no goal columns)
     for goal in (rng.normal(size=2), None):
@@ -212,6 +212,25 @@ def test_relabel_block_matches_row_by_row_reference(n_segments, relabels):
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("relabels", [0, 1, 2, 4])
+@pytest.mark.parametrize("n_segments", [1, 3, 10, 60])
+def test_relabel_block_matches_row_by_row_reference(n_segments, relabels):
+    # a level-0 episode's segments: one per call, of 1 to H = 10 steps
+    rng = np.random.default_rng(n_segments * 10 + relabels)
+    segs = [random_segment(rng, rng.integers(1, 11)) for _ in range(n_segments)]
+    assert_relabel_matches_reference(segs, relabels, rng)
+
+
+@pytest.mark.parametrize("length", [60, 600])
+def test_relabel_of_one_long_segment_matches_row_by_row_reference(length):
+    # above level 0 a training episode is one segment, of up to 600 steps on
+    # the spiral; then a long segment between two short ones
+    rng = np.random.default_rng(length)
+    assert_relabel_matches_reference([random_segment(rng, length)], 4, rng)
+    assert_relabel_matches_reference([random_segment(rng, 3), random_segment(rng, length),
+                                      random_segment(rng, 10)], 2, rng)
 
 
 # exploration transitions ---------------------------------------------------------
@@ -277,29 +296,11 @@ def test_columns_of_a_row_and_of_a_block(width):
     assert one[0].shape == (4,) and one[4].shape == ()
 
 
-def test_builders_write_the_row_they_return():
-    # a builder given a row of a table writes the bytes it would return
-    s, ns, g = vec(0.1, 0.2, 0.3, 0.4), vec(1.5, -2.5, 0.25, 1e-9), vec(9, -9)
-    built = [
-        (lambda out=None: hac.pack_row(s, g, vec(1, 2), ns, -1.0, hac.DISCOUNT, out), 14),
-        (lambda out=None: hac.hindsight_action_transition(s, ns, g, False, out), 14),
-        (lambda out=None: hac.subgoal_test_transition(s, vec(3, 4), ns, 7, g, out), 14),
-        (lambda out=None: hac.subgoal_test_transition(s, vec(3, 4), ns, 7, None, out), 12),
-        (lambda out=None: hac.exploration_transition(s, vec(1, 2), ns, True, out), 12),
-    ]
-    for build, width in built:
-        table = hac.RowTable(width, 2)
-        row = table.next_row()
-        assert build(row) is row
-        assert row.tobytes() == build().tobytes()
-        assert table.rows.tobytes() == build().tobytes()
-
-
 def test_row_table_grows_by_doubling_up_to_its_limit():
     table = hac.RowTable(3, 2, limit=11)
     sizes = []
     for i in range(11):
-        table.next_row()[:] = (i, -i, 0.5 * i)
+        table.append((i, -i, 0.5 * i))
         sizes.append(len(table.table))
     assert sizes == [2, 2, 4, 4, 8, 8, 8, 8, 11, 11, 11]
     assert table.n == 11 and table.rows.dtype == np.float64
@@ -307,7 +308,7 @@ def test_row_table_grows_by_doubling_up_to_its_limit():
     assert np.shares_memory(table.rows, table.table)
     free = hac.RowTable(2, 1)
     for i in range(5):
-        free.next_row()[:] = i
+        free.append(i)
     assert len(free.table) == 8 and np.array_equal(free.rows[:, 0], range(5))
 
 
